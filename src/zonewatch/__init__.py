@@ -6,7 +6,6 @@ from .intervals import (
     Interval,
     TimePoint,
     add,
-    cap_upper,
     contains,
     distance,
     format_time,
@@ -49,6 +48,7 @@ from .zones import (
 from .estimation import (
     BeliefState,
     Estimate,
+    InvariantError,
     Witness,
     belief_advance,
     belief_init,

@@ -97,12 +97,11 @@ def cmd_reach(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    ok, witness = t_reachable(za, model, args.source, args.target, duration)
-    if not ok:
+    _, witness = t_reachable(za, model, args.source, args.target, duration)
+    if witness is None:
         print("no")
         return 0
     print("yes")
-    assert witness is not None
     print(witness.describe())
     return 0
 

@@ -10,11 +10,17 @@ single distance range from the interval where the stretch began to the
 interval where it ends.  Collapsing each stretch to one distance is what
 keeps the windows exact; summing per-segment (or per-edge) distances would
 over-approximate.
+
+The search runs on the integer index the zone automaton carries
+(``ZoneIndex``): a node is a tuple of an extended-state id, a zone id and a
+range tuple, and windows are range tuples (see ``intervals``).  Ids are
+mapped back to extended states only for answers and witness paths, so the
+answers are those of the same search over ``ExtendedState``/``Interval``
+nodes.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,14 +30,22 @@ from .intervals import (
     INF,
     Interval,
     Rational,
-    add,
-    cap_upper,
-    contains,
     distance,
     format_time,
+    rng,
+    rng_add,
+    rng_distance,
+    rng_intersect,
+    rng_pick,
+    rng_shift,
+    rng_sub_from,
 )
 from .model import TAU, TFA, TimedObservation, TimedRun, RunStep, require_valid
 from .zones import ExtendedState, ZoneAutomaton
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of the estimator failed; the answer is not trusted."""
 
 
 def ext_sort_key(v: ExtendedState) -> tuple:
@@ -64,86 +78,130 @@ class Estimate:
 
 # -- duration-tracking search -------------------------------------------------
 
-# A search node: current extended state, the clock interval at the start of
-# the current reset-free stretch, and the (capped) sum of completed stretch
-# durations.
-_Node = tuple[ExtendedState, Interval, Interval]
+# A search node: current extended-state id, the zone id of the clock interval
+# at the start of the current reset-free stretch, and the (capped) range sum
+# of completed stretch durations.
+_Node = tuple[int, int, tuple]
 
-_ZERO = Interval.point(0)
-
-
-def _lower_exceeds(window: Interval, dt: Fraction) -> bool:
-    lo = window.lower
-    return lo.value > dt or (lo.value == dt and not lo.closed)
+_ZERO = (0, True, 0, True)
 
 
 @dataclass
 class _SearchOutcome:
-    hits: dict  # ExtendedState -> _Node that realized dt there
-    parents: dict  # _Node -> (parent _Node, (label, Transition|None)) | None
+    hits: set  # ids of the extended states where dt is realizable
+    parents: dict  # _Node -> (parent _Node, edge, or None for tau) | None at a start
     goal: Optional[_Node]
+    # Counters: distinct nodes pushed; popped nodes expanded and pruned by the
+    # lower-bound test; reset steps whose sum was capped; the largest queue.
+    pushed: int
+    expanded: int
+    pruned: int
+    capped: int
+    max_queue: int
 
 
 def _duration_reach(
     za: ZoneAutomaton,
-    starts: Iterable[ExtendedState],
+    starts: Iterable[int],
     dt: Fraction,
-    allowed_events: frozenset[str],
-    target_state: Optional[str] = None,
-    want_parents: bool = False,
+    all_events: bool = False,
+    goal_ids: Sequence[int] = (),
 ) -> _SearchOutcome:
-    """All extended states reachable by an allowed-event run of duration dt.
+    """All extended-state ids reachable from ``starts`` by a run of duration
+    ``dt`` over silent events (over every event with ``all_events``).  The
+    search stops at the first node realizing ``dt`` at an id in ``goal_ids``.
 
     The duration window of a node is ``acc (+) D(entry, position zone)``.
     Windows whose lower bound already exceeds ``dt`` can never recover (both
     components only grow), so such nodes are pruned.  Accumulated sums are
     capped just above ``ceil(dt)``, which preserves membership of ``dt`` and
-    makes the node space finite even under unobservable cycles.
+    makes the node space finite even under unobservable cycles.  ``dt = p/q``
+    is compared as ``x*q`` against ``p``.
     """
-    ceiling = max(0, math.ceil(dt))
-    hits: dict[ExtendedState, _Node] = {}
-    parents: dict[_Node, Optional[tuple]] = {}
-    queue: deque[_Node] = deque()
-    seen: set[_Node] = set()
+    ix = za.index
+    zone_of, ranges, tau, dist = ix.zone, ix.ranges, ix.tau, ix.dist
+    nz = len(ranges)
+    moves = ix.events if all_events else ix.silent
+    p, q = dt.numerator, dt.denominator
+    ceiling = -(-p // q)
+    seen: dict = {}
+    queue: deque = deque()
+    for s in starts:
+        node = (s, zone_of[s], _ZERO)
+        if node not in seen:
+            seen[node] = None
+            queue.append(node)
 
-    def push(node: _Node, parent: Optional[tuple]) -> None:
-        if node in seen:
-            return
-        seen.add(node)
-        if want_parents:
-            parents[node] = parent
-        queue.append(node)
-
-    for v in starts:
-        push((v, v.zone, _ZERO), None)
-
+    hits: set = set()
     goal: Optional[_Node] = None
+    expanded = pruned = capped = max_queue = 0
     while queue:
+        if len(queue) > max_queue:
+            max_queue = len(queue)
         node = queue.popleft()
-        v, entry, acc = node
-        window = add(acc, distance(entry, v.zone))
-        if _lower_exceeds(window, dt):
+        s, entry, acc = node
+        z = zone_of[s]
+        key = entry * nz + z
+        d = dist.get(key)
+        if d is None:
+            d = dist[key] = rng_distance(ranges[entry], ranges[z])
+        lo = acc[0] + d[0]
+        lo_c = acc[1] and d[1]
+        if lo * q > p or (lo * q == p and not lo_c):
+            pruned += 1
             continue
-        if contains(window, dt):
-            if v not in hits:
-                hits[v] = node
-            if target_state is not None and v.state == target_state:
+        expanded += 1
+        hi = acc[2] + d[2]
+        hi_c = acc[3] and d[3]
+        if hi == INF or hi * q > p or (hi * q == p and hi_c):
+            hits.add(s)
+            if s in goal_ids:
                 goal = node
                 break
-        nxt = za.tau_successor(v)
-        if nxt is not None:
-            push((nxt, entry, acc), (node, (TAU, None)))
-        for edge in za.event_edges(v):
-            if edge.label not in allowed_events:
-                continue
-            tr = edge.transition
-            if tr is not None and tr.resets_clock:
-                new_acc = cap_upper(window, ceiling)
-                child = (edge.target, edge.target.zone, new_acc)
+        nxt = tau[s]
+        if nxt >= 0:
+            child = (nxt, entry, acc)
+            if child not in seen:
+                seen[child] = (node, None)
+                queue.append(child)
+        for edge in moves[s]:
+            target = edge[1]
+            if edge[2]:
+                if hi > ceiling:
+                    capped += 1
+                    child = (target, zone_of[target], (lo, lo_c, ceiling + 1, True))
+                else:
+                    child = (target, zone_of[target], (lo, lo_c, hi, hi_c))
             else:
-                child = (edge.target, entry, acc)
-            push(child, (node, (edge.label, tr)))
-    return _SearchOutcome(hits=hits, parents=parents, goal=goal)
+                child = (target, entry, acc)
+            if child not in seen:
+                seen[child] = (node, edge)
+                queue.append(child)
+    return _SearchOutcome(hits, seen, goal, len(seen), expanded, pruned, capped, max_queue)
+
+
+def _ids(za: ZoneAutomaton, support: Iterable[ExtendedState]) -> list[int]:
+    """Ids of extended states, ascending (which is ``ext_sort_key`` order)."""
+    id_of = za.index.id_of
+    try:
+        return sorted(id_of[v] for v in support)
+    except KeyError as exc:
+        raise ValueError(f"unknown extended state {exc.args[0]}") from None
+
+
+def _ext(za: ZoneAutomaton, ids: Iterable[int]) -> frozenset[ExtendedState]:
+    ext = za.index.ext
+    return frozenset(ext[i] for i in ids)
+
+
+def _silent_reach(za: ZoneAutomaton, ids: Iterable[int], dt: Fraction) -> set[int]:
+    """Ids reachable from ``ids`` in exactly ``dt`` with no observable event."""
+    return _duration_reach(za, sorted(ids), dt).hits
+
+
+def _event_step(za: ZoneAutomaton, ids: Iterable[int], event: str) -> set[int]:
+    events = za.index.events
+    return {edge[1] for i in ids for edge in events[i] if edge[0] == event}
 
 
 # -- lambda-estimation and tau reachability -----------------------------------
@@ -176,25 +234,7 @@ def lambda_estimation(
         raise ValueError("elapsed time must be non-negative")
     if v not in za.states:
         raise ValueError(f"unknown extended state {v}")
-    outcome = _duration_reach(za, [v], dt, frozenset(model.unobservable))
-    return frozenset(outcome.hits)
-
-
-def _lambda_union(
-    za: ZoneAutomaton, model: TFA, support: Iterable[ExtendedState], dt: Fraction
-) -> frozenset[ExtendedState]:
-    outcome = _duration_reach(za, sorted(support, key=ext_sort_key), dt, frozenset(model.unobservable))
-    return frozenset(outcome.hits)
-
-
-def _event_step(
-    za: ZoneAutomaton, support: Iterable[ExtendedState], event: str
-) -> frozenset[ExtendedState]:
-    out = set()
-    for v in support:
-        for edge in za.event_edges(v, event):
-            out.add(edge.target)
-    return frozenset(out)
+    return _ext(za, _silent_reach(za, _ids(za, [v]), dt))
 
 
 # -- T-reachability with witnesses --------------------------------------------
@@ -244,146 +284,102 @@ def t_reachable(
     for x in (source, target):
         if x not in model.states:
             raise ValueError(f"unknown state {x!r}")
-    starts = [ExtendedState(source, z) for z in za.zones(source)]
+    ix = za.index
     outcome = _duration_reach(
-        za,
-        starts,
-        duration,
-        frozenset(model.alphabet),
-        target_state=target,
-        want_parents=True,
+        za, ix.ids[source], duration, all_events=True, goal_ids=ix.ids[target]
     )
     if outcome.goal is None:
         return False, None
-    path = _unwind(outcome.parents, outcome.goal)
-    witness = _realize(path, duration)
-    return True, witness
+    return True, _realize(_unwind(za, outcome.parents, outcome.goal), duration)
 
 
-def _unwind(parents: dict, goal: _Node) -> list[tuple[_Node, Optional[tuple]]]:
-    chain: list[tuple[_Node, Optional[tuple]]] = []
+def _unwind(
+    za: ZoneAutomaton, parents: dict, goal: _Node
+) -> list[tuple[ExtendedState, Optional[tuple]]]:
+    """The search path ending at ``goal``: each extended state with the
+    ``(label, Transition or None)`` step that entered it (None at the start)."""
+    ext = za.index.ext
+    chain: list[tuple[ExtendedState, Optional[tuple]]] = []
     node: Optional[_Node] = goal
     while node is not None:
         link = parents[node]
         if link is None:
-            chain.append((node, None))
+            chain.append((ext[node[0]], None))
             node = None
         else:
-            parent, action = link
-            chain.append((node, action))
+            parent, edge = link
+            chain.append((ext[node[0]], (TAU, None) if edge is None else (edge[0], edge[3])))
             node = parent
     chain.reverse()
     return chain
 
 
-# Feasibility ranges during witness realization carry rational (not integer)
-# endpoints, so they live outside the Interval type: (lo, lo_closed, hi,
-# hi_closed) with lo possibly -inf and hi possibly +inf.
-_Range = tuple
-
-
-def _rng(iv: Interval) -> _Range:
-    return (iv.lower.value, iv.lower.closed, iv.upper.value, iv.upper.closed)
-
-
-def _rng_intersect(a: _Range, b: _Range) -> Optional[_Range]:
-    lo, lo_c = (a[0], a[1]) if a[0] > b[0] else (b[0], b[1]) if b[0] > a[0] else (a[0], a[1] and b[1])
-    hi, hi_c = (a[2], a[3]) if a[2] < b[2] else (b[2], b[3]) if b[2] < a[2] else (a[2], a[3] and b[3])
-    if lo > hi or (lo == hi and not (lo_c and hi_c)):
-        return None
-    return (lo, lo_c, hi, hi_c)
-
-
-def _rng_shift(r: _Range, delta: Fraction) -> _Range:
-    lo = r[0] if r[0] == -INF else r[0] + delta
-    hi = r[2] if r[2] == INF else r[2] + delta
-    return (lo, r[1], hi, r[3])
-
-
-def _rng_sub_from(total: Fraction, r: _Range) -> _Range:
-    """The range {total - s : s in r}."""
-    lo = -INF if r[2] == INF else total - r[2]
-    hi = INF if r[0] == -INF else total - r[0]
-    return (lo, r[3], hi, r[1])
-
-
-def _rng_pick(r: _Range) -> Fraction:
-    lo, lo_c, hi, _ = r
-    if lo_c:
-        return Fraction(lo)
-    if hi == INF:
-        return Fraction(lo) + 1
-    return (Fraction(lo) + Fraction(hi)) / 2
-
-
-def _realize(path: Sequence[tuple[_Node, Optional[tuple]]], total: Fraction) -> Witness:
+def _realize(path: Sequence[tuple[ExtendedState, Optional[tuple]]], total: Fraction) -> Witness:
     """Extract a concrete legal timed run from a zone-run search path.
 
     First splits the path into reset-free stretches and fixes each stretch's
     duration so they sum to ``total`` (always feasible: the search certified
     ``total`` is in the interval sum of the stretch windows).  Then picks the
     entry clock of each stretch and monotone firing clocks for the
-    clock-preserving events inside it.
+    clock-preserving events inside it.  Raises ``InvariantError`` when a
+    choice is infeasible, which means the path was not certified for ``total``.
     """
-    steps_out: list[tuple[str, ExtendedState]] = []
-    for node, action in path[1:]:
-        steps_out.append((action[0], node[0]))
+    start = path[0][0]
+    steps_out = tuple((action[0], v) for v, action in path[1:])
 
     # Split into stretches: (entry zone, [(event, firing zone, target state)...],
     # exit zone, terminal reset transition or None).
     stretches: list[dict] = []
-    cur = {"entry": path[0][0][0].zone, "events": [], "exit": path[0][0][0].zone, "state0": path[0][0][0].state}
-    for (node, action), (prev_node, _) in zip(path[1:], path[:-1]):
+    cur = {"entry": start.zone, "events": [], "exit": start.zone, "state0": start.state}
+    for (v, action), (prev, _) in zip(path[1:], path[:-1]):
         label, tr = action
-        v = node[0]
         if label == TAU:
             cur["exit"] = v.zone
         elif tr is not None and tr.resets_clock:
-            cur["exit"] = prev_node[0].zone
+            cur["exit"] = prev.zone
             cur["terminal"] = (label, v.state)
             stretches.append(cur)
             cur = {"entry": v.zone, "events": [], "exit": v.zone, "state0": v.state}
         else:
-            cur["events"].append((label, prev_node[0].zone, v.state))
+            cur["events"].append((label, prev.zone, v.state))
             cur["exit"] = v.zone
     stretches.append(cur)
 
-    windows = [distance(s["entry"], s["exit"]) for s in stretches]
-    suffix: list[Interval] = [None] * len(windows)  # type: ignore[list-item]
-    acc = _ZERO
-    for i in range(len(windows) - 1, -1, -1):
-        suffix[i] = acc
-        acc = add(windows[i], acc)
+    windows = [rng_distance(rng(s["entry"]), rng(s["exit"])) for s in stretches]
+    suffix: list[tuple] = [_ZERO] * len(windows)
+    for i in range(len(windows) - 1, 0, -1):
+        suffix[i - 1] = rng_add(windows[i], suffix[i])
 
     durations: list[Fraction] = []
     remaining = total
-    for i, w in enumerate(windows):
-        feasible = _rng_intersect(_rng(w), _rng_sub_from(remaining, _rng(suffix[i])))
-        assert feasible is not None, "search certified an unrealizable duration split"
-        d = _rng_pick(feasible)
+    for w, rest in zip(windows, suffix):
+        feasible = rng_intersect(w, rng_sub_from(remaining, rest))
+        if feasible is None:
+            raise InvariantError("search certified an unrealizable duration split")
+        d = rng_pick(feasible)
         durations.append(d)
         remaining -= d
 
     run_steps: list[RunStep] = []
+    entry_clocks: list[Fraction] = []
     stretch_start_time = Fraction(0)
-    entry_clock: Fraction = Fraction(0)
-    start_clock: Optional[Fraction] = None
-    for i, (s, d) in enumerate(zip(stretches, durations)):
-        feas = _rng_intersect(_rng(s["entry"]), _rng_shift(_rng(s["exit"]), -d))
-        assert feas is not None, "stretch duration outside its distance window"
-        entry_clock = _rng_pick(feas)
-        if i == 0:
-            start_clock = entry_clock
-        else:
+    for s, d in zip(stretches, durations):
+        feas = rng_intersect(rng(s["entry"]), rng_shift(rng(s["exit"]), -d))
+        if feas is None:
+            raise InvariantError("stretch duration outside its distance window")
+        entry_clock = rng_pick(feas)
+        if entry_clocks:
             # Rewrite the pending reset step with the clock actually chosen.
             last = run_steps[-1]
             run_steps[-1] = RunStep(last.event, last.time, last.state, entry_clock)
+        entry_clocks.append(entry_clock)
         exit_clock = entry_clock + d
         c_prev = entry_clock
         for event, firing_zone, tgt in s["events"]:
-            feas_c = _rng_intersect(_rng(firing_zone), (c_prev, True, exit_clock, True))
-            assert feas_c is not None, "no firing clock inside the stretch"
-            c = _rng_pick(feas_c)
+            feas_c = rng_intersect(rng(firing_zone), (c_prev, True, exit_clock, True))
+            if feas_c is None:
+                raise InvariantError("no firing clock inside the stretch")
+            c = rng_pick(feas_c)
             run_steps.append(RunStep(event, stretch_start_time + (c - entry_clock), tgt, c))
             c_prev = c
         if "terminal" in s:
@@ -392,16 +388,15 @@ def _realize(path: Sequence[tuple[_Node, Optional[tuple]]], total: Fraction) -> 
             run_steps.append(RunStep(event, stretch_start_time + d, tgt, Fraction(0)))
         stretch_start_time += d
 
-    assert start_clock is not None
     run = TimedRun(
         start_state=stretches[0]["state0"],
-        start_clock=start_clock,
+        start_clock=entry_clocks[0],
         start_time=Fraction(0),
         steps=tuple(run_steps),
     )
     return Witness(
-        start=path[0][0][0],
-        steps=tuple(steps_out),
+        start=start,
+        steps=steps_out,
         duration=total,
         run=run,
         trailing_dwell=total - run.end_time,
@@ -428,16 +423,14 @@ def estimate(za: ZoneAutomaton, model: TFA, obs: TimedObservation) -> Estimate:
     """
     require_valid(model, require_ro=True)
     _check_observation(model, obs)
-    support: frozenset[ExtendedState] = za.initial
+    support = _ids(za, za.initial)
     anchor = Fraction(0)
     for event, ts in obs.events:
-        reachable = _lambda_union(za, model, support, ts - anchor)
-        support = _event_step(za, reachable, event)
+        support = _event_step(za, _silent_reach(za, support, ts - anchor), event)
         anchor = ts
         if not support:
             return Estimate.from_extended(())
-    final = _lambda_union(za, model, support, obs.query_time - anchor)
-    return Estimate.from_extended(final)
+    return Estimate.from_extended(_ext(za, _silent_reach(za, support, obs.query_time - anchor)))
 
 
 @dataclass(frozen=True)
@@ -463,8 +456,8 @@ def belief_advance(
     if event not in model.observable:
         raise ValueError(f"event {event!r} is not observable")
     require_valid(model, require_ro=True)
-    reachable = _lambda_union(za, model, belief.support, time - belief.anchor_time)
-    return BeliefState(support=_event_step(za, reachable, event), anchor_time=time)
+    reachable = _silent_reach(za, _ids(za, belief.support), time - belief.anchor_time)
+    return BeliefState(support=_ext(za, _event_step(za, reachable, event)), anchor_time=time)
 
 
 def belief_query(
@@ -475,5 +468,5 @@ def belief_query(
     if time < belief.anchor_time:
         raise ValueError("query time precedes the belief anchor")
     return Estimate.from_extended(
-        _lambda_union(za, model, belief.support, time - belief.anchor_time)
+        _ext(za, _silent_reach(za, _ids(za, belief.support), time - belief.anchor_time))
     )

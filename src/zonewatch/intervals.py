@@ -180,81 +180,97 @@ def subset(a: Interval, b: Interval) -> bool:
 
 def add(a: Interval, b: Interval) -> Interval:
     """Pointwise sum ``{t1 + t2 | t1 in a, t2 in b}``."""
-    lower = Bound(a.lower.value + b.lower.value, a.lower.closed and b.lower.closed)
-    if a.upper.value is INF or b.upper.value is INF:
-        upper = Bound(INF, False)
-    else:
-        upper = Bound(a.upper.value + b.upper.value, a.upper.closed and b.upper.closed)
-    return Interval(lower, upper)
+    return interval_of(rng_add(rng(a), rng(b)))
 
 
 def intersect(a: Interval, b: Interval) -> Optional[Interval]:
     """Intersection, or ``None`` when the intervals are disjoint."""
-    if a.lower.value > b.lower.value:
-        lo = a.lower
-    elif b.lower.value > a.lower.value:
-        lo = b.lower
-    else:
-        lo = Bound(a.lower.value, a.lower.closed and b.lower.closed)
-    if a.upper.value < b.upper.value:
-        hi = a.upper
-    elif b.upper.value < a.upper.value:
-        hi = b.upper
-    else:
-        closed = a.upper.closed and b.upper.closed
-        hi = Bound(a.upper.value, closed) if a.upper.value is not INF else Bound(INF, False)
-    if lo.value > hi.value:
-        return None
-    if lo.value == hi.value and not (lo.closed and hi.closed):
-        return None
-    return Interval(lo, hi)
+    r = rng_intersect(rng(a), rng(b))
+    return None if r is None else interval_of(r)
 
 
 def distance(a: Interval, b: Interval) -> Interval:
-    """Distance range ``{|t1 - t2| | t1 in a, t2 in b}``.
+    """Distance range ``{|t1 - t2| | t1 in a, t2 in b}``."""
+    return interval_of(rng_distance(rng(a), rng(b)))
 
-    If the intervals intersect the lower bound is a closed 0; otherwise it is
-    the gap between the nearer endpoints, open when either contributing
-    endpoint is open.  The upper bound is the larger of the two far-endpoint
-    differences, open when either contributing endpoint is open.
+
+# -- range tuples -------------------------------------------------------------
+#
+# The duration search and witness realization run on plain tuples
+# ``(lo, lo_closed, hi, hi_closed)``: no validation, no hashing of nested
+# objects, and endpoints may be rationals, ``-INF`` (lo) or ``INF`` (hi).
+# Arithmetic may produce an infinite endpoint that is equal to, but not the
+# same object as, ``INF``; compare with ``==``.  An infinite endpoint is
+# always open, so the closedness of a sum or difference is simply the
+# conjunction of the contributing flags.
+
+Range = tuple
+
+
+def rng(iv: Interval) -> Range:
+    return (iv.lower.value, iv.lower.closed, iv.upper.value, iv.upper.closed)
+
+
+def interval_of(r: Range) -> Interval:
+    """The Interval of a range with integer endpoints (validated)."""
+    lo, lo_c, hi, hi_c = r
+    return Interval(Bound(lo, lo_c), Bound(INF if hi == INF else hi, hi_c))
+
+
+def rng_add(a: Range, b: Range) -> Range:
+    return (a[0] + b[0], a[1] and b[1], a[2] + b[2], a[3] and b[3])
+
+
+def rng_intersect(a: Range, b: Range) -> Optional[Range]:
+    lo, lo_c = (a[0], a[1]) if a[0] > b[0] else (b[0], b[1]) if b[0] > a[0] else (a[0], a[1] and b[1])
+    hi, hi_c = (a[2], a[3]) if a[2] < b[2] else (b[2], b[3]) if b[2] < a[2] else (a[2], a[3] and b[3])
+    if lo > hi or (lo == hi and not (lo_c and hi_c)):
+        return None
+    return (lo, lo_c, hi, hi_c)
+
+
+def rng_distance(a: Range, b: Range) -> Range:
+    """The range ``{|t1 - t2| | t1 in a, t2 in b}`` of two nonempty ranges.
+
+    If the ranges meet, the lower bound is a closed 0; otherwise it is the gap
+    between the nearer endpoints, open when either of them is open.  The upper
+    bound is the larger of the two far-endpoint differences, open when either
+    contributing endpoint is open.
     """
-    if intersect(a, b) is not None:
-        lower = Bound(0, True)
+    a_lo, a_lc, a_hi, a_hc = a
+    b_lo, b_lc, b_hi, b_hc = b
+    if a_hi < b_lo or (a_hi == b_lo and not (a_hc and b_lc)):
+        lo, lo_c = b_lo - a_hi, a_hc and b_lc
+    elif b_hi < a_lo or (b_hi == a_lo and not (b_hc and a_lc)):
+        lo, lo_c = a_lo - b_hi, b_hc and a_lc
     else:
-        left, right = (a, b) if a.upper.value <= b.lower.value else (b, a)
-        gap = right.lower.value - left.upper.value
-        lower = Bound(gap, left.upper.closed and right.lower.closed)
-
-    # Candidate suprema: b.upper - a.lower and a.upper - b.lower.
-    def far(upper: Bound, low: Bound) -> tuple:
-        if upper.value is INF:
-            return (INF, False)
-        return (upper.value - low.value, upper.closed and low.closed)
-
-    v1, c1 = far(b.upper, a.lower)
-    v2, c2 = far(a.upper, b.lower)
+        lo, lo_c = 0, True
+    v1, v2 = b_hi - a_lo, a_hi - b_lo
     if v1 > v2:
-        upper = Bound(v1, c1)
-    elif v2 > v1:
-        upper = Bound(v2, c2)
-    else:
-        upper = Bound(v1, c1 or c2) if v1 is not INF else Bound(INF, False)
-    return Interval(lower, upper)
+        return (lo, lo_c, v1, b_hc and a_lc)
+    if v2 > v1:
+        return (lo, lo_c, v2, a_hc and b_lc)
+    return (lo, lo_c, v1, (b_hc and a_lc) or (a_hc and b_lc))
 
 
-def cap_upper(a: Interval, ceiling: int) -> Interval:
-    """Clamp an interval's upper bound just above ``ceiling``.
+def rng_shift(r: Range, delta: Fraction) -> Range:
+    lo = r[0] if r[0] == -INF else r[0] + delta
+    hi = r[2] if r[2] == INF else r[2] + delta
+    return (lo, r[1], hi, r[3])
 
-    Returns ``a`` unchanged if its upper value is at most ``ceiling``;
-    otherwise replaces the upper bound by ``ceiling + 1`` closed.  Membership
-    of any point t <= ceiling is unchanged.  The caller must not pass an
-    interval lying entirely above ``ceiling + 1``.
-    """
-    if ceiling < 0:
-        raise ValueError("ceiling must be non-negative")
-    if a.upper.value is not INF and a.upper.value <= ceiling:
-        return a
-    new_upper = ceiling + 1
-    if a.lower.value > new_upper or (a.lower.value == new_upper and not a.lower.closed):
-        raise ValueError(f"cannot cap {a} at {ceiling}: interval lies above the cap")
-    return Interval(a.lower, Bound(new_upper, True))
+
+def rng_sub_from(total: Fraction, r: Range) -> Range:
+    """The range {total - s : s in r}."""
+    lo = -INF if r[2] == INF else total - r[2]
+    hi = INF if r[0] == -INF else total - r[0]
+    return (lo, r[3], hi, r[1])
+
+
+def rng_pick(r: Range) -> Fraction:
+    """A point of a nonempty range: its closed lower end, else an interior point."""
+    lo, lo_c, hi, _ = r
+    if lo_c:
+        return Fraction(lo)
+    if hi == INF:
+        return Fraction(lo) + 1
+    return (Fraction(lo) + Fraction(hi)) / 2

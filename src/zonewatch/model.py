@@ -131,8 +131,17 @@ def validate(model: TFA, require_ro: bool = False) -> list[Diagnostic]:
     """Check model well-formedness; returns one diagnostic per violation.
 
     With ``require_ro`` the model must also reset the clock on every
-    transition labelled by an observable event.
+    transition labelled by an observable event.  A model is immutable, so
+    the diagnostics are computed once per flag and cached on the instance;
+    each call returns a fresh list.
     """
+    cache = model.__dict__.setdefault("_diagnostics", {})
+    if require_ro not in cache:
+        cache[require_ro] = tuple(_diagnose(model, require_ro))
+    return list(cache[require_ro])
+
+
+def _diagnose(model: TFA, require_ro: bool) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     if not model.initial:
         out.append(Diagnostic("empty-initial", "the set of initial states is empty"))

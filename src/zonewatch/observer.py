@@ -20,8 +20,11 @@ from .zones import ZoneAutomaton
 from .estimation import (
     BeliefState,
     Estimate,
+    InvariantError,
     _event_step,
-    _lambda_union,
+    _ext,
+    _ids,
+    _silent_reach,
     belief_advance,
     belief_query,
     ext_sort_key,
@@ -163,7 +166,7 @@ def build_offline_observer(
     """Tabulate estimates and belief successors for every reachable support.
 
     Each cell's estimate is computed at three interior samples (or the single
-    integer) and asserted constant, then frozen into the table.
+    integer) and checked constant, then frozen into the table.
     """
     require_valid(model, require_ro=True)
     if horizon is None:
@@ -178,20 +181,22 @@ def build_offline_observer(
         support = queue.pop()
         if support in tables or not support:
             continue
+        ids = _ids(za, support)
         row = []
         for span in cells:
             samples = _cell_samples(span)
-            reached = [_lambda_union(za, model, support, s) for s in samples]
-            assert all(r == reached[0] for r in reached[1:]), (
-                f"estimate not constant on {span} for support {_support_key(support)}"
-            )
+            reached = [_silent_reach(za, ids, s) for s in samples]
+            if any(r != reached[0] for r in reached[1:]):
+                raise InvariantError(
+                    f"estimate not constant on {span} for support {_support_key(support)}"
+                )
             succ = {
-                e: _event_step(za, reached[0], e) for e in sorted(model.observable)
+                e: _ext(za, _event_step(za, reached[0], e)) for e in sorted(model.observable)
             }
             row.append(
                 ObserverCell(
                     span=span,
-                    estimate=Estimate.from_extended(reached[0]),
+                    estimate=Estimate.from_extended(_ext(za, reached[0])),
                     successors=succ,
                 )
             )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .intervals import Bound, Interval, subset
+from .intervals import Bound, Interval, Range, rng, subset
 from .model import TAU, TFA, Transition, require_valid
 
 
@@ -112,6 +112,39 @@ def build_zones(model: TFA, state: str) -> list[Interval]:
     return zones
 
 
+class ZoneIndex:
+    """The zone automaton numbered for the duration search.
+
+    Extended states get ids ``0..n-1`` in ``(state, zone)`` order, each
+    state's zones consecutive and ascending; distinct zones get zone ids.
+    Every table is a list indexed by id:
+
+    - ``ext``: the ExtendedState of each id; ``id_of`` maps it back;
+    - ``zone``: its zone id, and ``ranges``: each zone id's
+      ``(lo, lo_closed, hi, hi_closed)`` range tuple;
+    - ``tau``: the id of the time-elapse successor, -1 for the unbounded zone;
+    - ``events``: event edges ``(label, target id, resets_clock,
+      Transition)``, grouped by label in order of first appearance, and
+      ``silent``: those whose label is unobservable.
+
+    ``ids`` maps each state to the range of its ids.  ``dist`` memoises the
+    distance range per ``entry zone id * len(ranges) + zone id``.
+    """
+
+    __slots__ = ("ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "dist")
+
+    def __init__(self) -> None:
+        self.ext: list[ExtendedState] = []
+        self.id_of: dict[ExtendedState, int] = {}
+        self.ids: dict[str, range] = {}
+        self.zone: list[int] = []
+        self.ranges: list[Range] = []
+        self.tau: list[int] = []
+        self.events: list[tuple] = []
+        self.silent: list[tuple] = []
+        self.dist: dict[int, Range] = {}
+
+
 @dataclass(frozen=True)
 class ZoneAutomaton:
     """NFA over extended states with time-elapse and event edges."""
@@ -121,21 +154,27 @@ class ZoneAutomaton:
     initial: frozenset[ExtendedState]
     zones_by_state: dict[str, tuple[Interval, ...]]
     diagnostics: tuple[str, ...] = ()
-    _succ: dict = field(default_factory=dict, repr=False, compare=False)
-    _event_out: dict = field(default_factory=dict, repr=False, compare=False)
+    index: ZoneIndex = field(default_factory=ZoneIndex, repr=False, compare=False)
 
     def zones(self, state: str) -> tuple[Interval, ...]:
         return self.zones_by_state[state]
 
     def tau_successor(self, v: ExtendedState) -> Optional[ExtendedState]:
-        return self._succ.get(v)
+        i = self.index.id_of.get(v)
+        if i is None or self.index.tau[i] < 0:
+            return None
+        return self.index.ext[self.index.tau[i]]
 
     def event_edges(self, v: ExtendedState, event: Optional[str] = None) -> tuple[Edge, ...]:
-        if event is None:
-            return tuple(
-                e for edges in self._event_out.get(v, {}).values() for e in edges
-            )
-        return self._event_out.get(v, {}).get(event, ())
+        ix = self.index
+        i = ix.id_of.get(v)
+        if i is None:
+            return ()
+        return tuple(
+            Edge(v, label, ix.ext[target], tr)
+            for label, target, _, tr in ix.events[i]
+            if event is None or label == event
+        )
 
     def zone_of(self, state: str, clock) -> Interval:
         for z in self.zones_by_state[state]:
@@ -145,7 +184,7 @@ class ZoneAutomaton:
 
 
 def build_zone_automaton(model: TFA) -> ZoneAutomaton:
-    """Construct the zone automaton of a well-formed model.
+    """Construct the zone automaton of a well-formed model, with its index.
 
     Event edges follow each transition from every source zone inside its
     guard: a clock-resetting transition fans out to every target zone inside
@@ -155,45 +194,62 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     """
     require_valid(model)
     zones_by_state = {x: tuple(build_zones(model, x)) for x in model.states}
-    states = frozenset(
-        ExtendedState(x, z) for x, zs in zones_by_state.items() for z in zs
-    )
+    ix = ZoneIndex()
+    zone_ids: dict[Range, int] = {}
     edges: list[Edge] = []
-    succ: dict[ExtendedState, ExtendedState] = {}
-    for x, zs in zones_by_state.items():
-        for z, z_next in zip(zs, zs[1:]):
-            e = Edge(ExtendedState(x, z), TAU, ExtendedState(x, z_next), None)
-            edges.append(e)
-            succ[e.source] = e.target
+    for x in sorted(zones_by_state):
+        zs = zones_by_state[x]
+        first = len(ix.ext)
+        ix.ids[x] = range(first, first + len(zs))
+        for k, z in enumerate(zs):
+            v = ExtendedState(x, z)
+            if k:
+                edges.append(Edge(ix.ext[-1], TAU, v, None))
+            ix.id_of[v] = len(ix.ext)
+            ix.ext.append(v)
+            r = rng(z)
+            zid = zone_ids.setdefault(r, len(zone_ids))
+            if zid == len(ix.ranges):
+                ix.ranges.append(r)
+            ix.zone.append(zid)
+            ix.tau.append(len(ix.ext) if k + 1 < len(zs) else -1)
+    # Per source id, event edges grouped by label in order of first appearance.
+    out: list[dict[str, list]] = [{} for _ in ix.ext]
     diagnostics: list[str] = []
     for t in model.transitions:
-        for z in zones_by_state[t.source]:
+        resets = t.resets_clock
+        target_ids = ix.ids[t.target]
+        if resets:
+            reset_targets = [
+                i for i, z2 in zip(target_ids, zones_by_state[t.target]) if subset(z2, t.reset)
+            ]
+        for src, z in zip(ix.ids[t.source], zones_by_state[t.source]):
             if not subset(z, t.guard):
                 continue
-            src = ExtendedState(t.source, z)
-            if t.resets_clock:
-                for z2 in zones_by_state[t.target]:
-                    if subset(z2, t.reset):
-                        edges.append(Edge(src, t.event, ExtendedState(t.target, z2), t))
-            elif z in zones_by_state[t.target]:
-                edges.append(Edge(src, t.event, ExtendedState(t.target, z), t))
+            if resets:
+                targets = reset_targets
             else:
-                diagnostics.append(
-                    f"clock-preserving transition {t}: source zone {z} is not a zone of {t.target!r}"
-                )
-    event_out: dict[ExtendedState, dict[str, tuple[Edge, ...]]] = {}
-    for e in edges:
-        if e.label != TAU:
-            per = event_out.setdefault(e.source, {})
-            per[e.label] = per.get(e.label, ()) + (e,)
+                zid = ix.zone[src]
+                targets = [i for i in target_ids if ix.zone[i] == zid]
+                if not targets:
+                    diagnostics.append(
+                        f"clock-preserving transition {t}: source zone {z} is not a zone of {t.target!r}"
+                    )
+                    continue
+            per = out[src].setdefault(t.event, [])
+            for i in targets:
+                edges.append(Edge(ix.ext[src], t.event, ix.ext[i], t))
+                per.append((t.event, i, resets, t))
+    for per in out:
+        ix.events.append(tuple(e for group in per.values() for e in group))
+        ix.silent.append(tuple(e for e in ix.events[-1] if e[0] not in model.observable))
     return ZoneAutomaton(
-        states=states,
+        states=frozenset(ix.id_of),
         edges=tuple(edges),
-        initial=frozenset(ExtendedState(x, Interval.point(0)) for x in model.initial),
+        initial=frozenset(ix.ext[ix.ids[x][0]] for x in model.initial),
         zones_by_state=zones_by_state,
         diagnostics=tuple(diagnostics),
-        _succ=succ,
-        _event_out=event_out,
+        index=ix,
     )
 
 

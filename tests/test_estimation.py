@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from zonewatch import (
+    BeliefState,
     GridConfig,
     TimedObservation,
     belief_advance,
@@ -13,6 +17,7 @@ from zonewatch import (
     estimate,
     lambda_estimation,
     parse_interval,
+    parse_observation,
     project,
     t_reachable,
     tau_reach,
@@ -180,6 +185,12 @@ def test_belief_time_discipline(fig1, fig1_za):
         belief_advance(fig1_za, fig1, b, "a", F(1, 2))
 
 
+def test_belief_rejects_unknown_extended_state(fig1, fig1_za):
+    foreign = BeliefState(frozenset({ExtendedState("nowhere", I("[0,0]"))}), F(0))
+    with pytest.raises(ValueError, match="unknown extended state"):
+        belief_query(fig1_za, fig1, foreign, 1)
+
+
 def test_batch_equals_incremental_on_random_models():
     grid = GridConfig(horizon=F(4), max_events=4)
     for seed in range(12):
@@ -327,3 +338,69 @@ def test_lambda_estimation_matches_unobservable_grid_oracle(fig1):
                     for target, at in arr.items():
                         if at <= duration:
                             assert target in {v.state for v in hit}
+
+
+# -- search counters and witness checks -------------------------------------------
+
+# Per call of the duration search: (pushed, expanded, pruned, capped,
+# max_queue).  These are the counts of the search over ExtendedState/Interval
+# nodes that the integer-indexed search replaced, under the same definitions:
+# equal counts mean the same nodes, visited in the same order.
+SEARCH_COUNTS = [
+    ("fig1", "estimate", "a@1,a@3", "4", [(12, 8, 4, 0, 4), (18, 15, 3, 0, 4), (6, 4, 2, 0, 2)]),
+    ("fig1", "estimate", "", "5", [(21, 21, 0, 0, 5)]),
+    ("fig1", "estimate", "a@2", "13/2", [(21, 16, 5, 1, 5), (18, 18, 0, 0, 4)]),
+    ("fig1", "reach", ("x0", "x4"), "4", [(65, 40, 0, 0, 27)]),
+    ("fig1", "reach", ("x0", "x3"), "7/2", [(96, 71, 0, 3, 30)]),
+    ("fig1", "reach", ("x1", "x0"), "3", [(161, 145, 16, 34, 24)]),
+    ("ring8", "estimate", "a@1", "2", [(72, 48, 24, 24, 9), (72, 48, 24, 24, 9)]),
+    ("ring8", "estimate", "", "9", [(264, 264, 0, 24, 14)]),
+    ("ring8", "reach", ("s0", "s7"), "5", [(147, 123, 0, 0, 26)]),
+    ("ring8", "reach", ("s3", "s2"), "15/2", [(147, 123, 0, 0, 26)]),
+]
+
+
+@pytest.mark.parametrize("name, kind, arg, time, expected", SEARCH_COUNTS)
+def test_search_counters_pinned(monkeypatch, fig1, name, kind, arg, time, expected):
+    from test_acceptance import ring_model
+
+    import zonewatch.estimation as estimation
+
+    model = fig1 if name == "fig1" else ring_model(8)
+    za = build_zone_automaton(model)
+    calls = []
+    search = estimation._duration_reach
+
+    def counted(*args, **kwargs):
+        out = search(*args, **kwargs)
+        calls.append((out.pushed, out.expanded, out.pruned, out.capped, out.max_queue))
+        return out
+
+    monkeypatch.setattr(estimation, "_duration_reach", counted)
+    if kind == "estimate":
+        estimate(za, model, parse_observation(arg, F(time)))
+    else:
+        t_reachable(za, model, *arg, F(time))
+    assert calls == expected
+
+
+def test_realize_checks_survive_optimized_mode():
+    # Under ``python -O`` a bare assert would vanish and the bad split would
+    # surface as an unrelated error (or a wrong witness).
+    script = (
+        "from fractions import Fraction\n"
+        "from zonewatch import ExtendedState, Interval, InvariantError\n"
+        "from zonewatch.estimation import _realize\n"
+        "try:\n"
+        "    _realize([(ExtendedState('x0', Interval.point(0)), None)], Fraction(5))\n"
+        "except InvariantError as exc:\n"
+        "    print('InvariantError:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("InvariantError: search certified an unrealizable")
+

@@ -9,7 +9,6 @@ from zonewatch.intervals import (
     Bound,
     Interval,
     add,
-    cap_upper,
     contains,
     distance,
     format_time,
@@ -219,25 +218,3 @@ def test_intersect():
     assert intersect(I("[0,1)"), I("[1,2]")) is None
     assert intersect(I("[0,1]"), I("[1,2]")) == I("[1,1]")
     assert intersect(I("(0,2)"), I("(1,inf)")) == I("(1,2)")
-
-
-# -- cap_upper ------------------------------------------------------------------------
-
-def test_cap_upper_examples():
-    assert cap_upper(I("[0,7]"), 4) == I("[0,5]")
-    assert cap_upper(I("(1,inf)"), 4) == I("(1,5]")
-    assert cap_upper(I("[0,2]"), 4) == I("[0,2]")
-
-
-@settings(max_examples=200)
-@given(any_intervals(8), st.integers(0, 8))
-def test_cap_upper_preserves_low_membership(a, ceiling):
-    if a.lower.value > ceiling + 1 or (a.lower.value == ceiling + 1 and not a.lower.closed):
-        with pytest.raises(ValueError):
-            cap_upper(a, ceiling)
-        return
-    capped = cap_upper(a, ceiling)
-    for k in range(0, 2 * ceiling + 1):
-        t = Fraction(k, 2)
-        if t <= ceiling:
-            assert contains(capped, t) == contains(a, t)

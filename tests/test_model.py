@@ -5,6 +5,7 @@ import pytest
 
 from zonewatch import (
     ID_RESET,
+    Diagnostic,
     GridConfig,
     Interval,
     TFA,
@@ -54,6 +55,18 @@ def test_validate_ro_violation(fig1):
     assert [d.code for d in diags] == ["ro-violation"]
     assert "(x1,a,x4)" in diags[0].message
     assert validate(broken, require_ro=False) == []
+
+
+def test_validate_is_cached_and_returns_fresh_lists(fig1):
+    idx = next(i for i, t in enumerate(fig1.transitions) if (t.source, t.event) == ("x1", "a"))
+    broken = replace_transition(fig1, idx, reset=ID_RESET)
+    first = validate(broken, require_ro=True)
+    second = validate(broken, require_ro=True)
+    assert first == second and first is not second
+    first.clear()
+    second.append(Diagnostic("junk", "a caller's own entry"))
+    assert [d.code for d in validate(broken, require_ro=True)] == ["ro-violation"]
+    assert validate(broken) == []
 
 
 def test_validate_open_guard(fig1):

@@ -2,7 +2,6 @@
 
 from .intervals import (
     INF,
-    Bound,
     Interval,
     TimePoint,
     add,
@@ -31,7 +30,6 @@ from .model import (
     model_to_dict,
     parse_observation,
     project,
-    project_logical,
     validate,
 )
 from .zones import (
@@ -56,7 +54,6 @@ from .estimation import (
     estimate,
     lambda_estimation,
     t_reachable,
-    tau_reach,
 )
 from .observer import ObserverSession, OfflineObserver, build_offline_observer
 from .oracle import (

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 inconsistent observation (empty estimate);
-2 validation failure or unusable model; 64 malformed observation text.
+2 validation failure, unusable model or unknown state; 64 malformed
+observation text or a bad ``--horizon``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from . import __version__
 from .intervals import parse_time
 from .model import TFA, load_model, parse_observation, validate
-from .zones import build_zones, build_zone_automaton, to_dot
+from .zones import ZoneAutomaton, build_zones, build_zone_automaton, to_dot
 from .estimation import (
     belief_advance,
     belief_init,
@@ -39,6 +40,17 @@ def _load(path: str) -> TFA:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot load model {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _load_valid(path: str, require_ro: bool = False) -> tuple[TFA, ZoneAutomaton]:
+    """Load, validate and build the zone automaton; exit 2 on an invalid model."""
+    model = _load(path)
+    diags = validate(model, require_ro=require_ro)
+    if diags:
+        for d in diags:
+            print(f"error: {d}", file=sys.stderr)
+        raise SystemExit(2)
+    return model, build_zone_automaton(model)
 
 
 def _parse_obs_or_exit(text: str, time_text: str):
@@ -72,8 +84,7 @@ def cmd_zones(args) -> int:
 
 
 def cmd_za(args) -> int:
-    model = _load(args.model)
-    za = build_zone_automaton(model)
+    _, za = _load_valid(args.model)
     for d in za.diagnostics:
         print(f"warning: {d}", file=sys.stderr)
     tau_edges = sum(1 for e in za.edges if e.transition is None)
@@ -90,14 +101,17 @@ def cmd_za(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    model = _load(args.model)
-    za = build_zone_automaton(model)
+    model, za = _load_valid(args.model)
     try:
         duration = parse_time(args.duration)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _, witness = t_reachable(za, model, args.source, args.target, duration)
+    try:
+        _, witness = t_reachable(za, model, args.source, args.target, duration)
+    except ValueError as exc:  # an unknown state
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if witness is None:
         print("no")
         return 0
@@ -114,14 +128,8 @@ def _print_estimate(est, anchor, as_json: bool) -> None:
 
 
 def cmd_estimate(args) -> int:
-    model = _load(args.model)
+    model, za = _load_valid(args.model, require_ro=True)
     obs = _parse_obs_or_exit(args.obs, args.time)
-    diags = validate(model, require_ro=True)
-    if diags:
-        for d in diags:
-            print(f"error: {d}", file=sys.stderr)
-        return 2
-    za = build_zone_automaton(model)
     try:
         est = estimate(za, model, obs)
     except ValueError as exc:
@@ -133,13 +141,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    model = _load(args.model)
-    diags = validate(model, require_ro=True)
-    if diags:
-        for d in diags:
-            print(f"error: {d}", file=sys.stderr)
-        return 2
-    za = build_zone_automaton(model)
+    model, za = _load_valid(args.model, require_ro=True)
     belief = belief_init(za)
     for raw in sys.stdin:
         line = raw.strip()
@@ -163,14 +165,12 @@ def cmd_watch(args) -> int:
 
 
 def cmd_observer(args) -> int:
-    model = _load(args.model)
-    diags = validate(model, require_ro=True)
-    if diags:
-        for d in diags:
-            print(f"error: {d}", file=sys.stderr)
-        return 2
-    za = build_zone_automaton(model)
-    observer = build_offline_observer(za, model, args.horizon)
+    model, za = _load_valid(args.model, require_ro=True)
+    try:
+        observer = build_offline_observer(za, model, args.horizon)
+    except ValueError as exc:  # a horizon below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     doc = observer.to_json_dict()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -29,27 +29,23 @@ from typing import Iterable, Optional, Sequence
 from .intervals import (
     INF,
     Interval,
+    Range,
     Rational,
+    add,
     distance,
     format_time,
-    rng,
-    rng_add,
-    rng_distance,
-    rng_intersect,
-    rng_pick,
-    rng_shift,
-    rng_sub_from,
+    intersect,
+    pick,
+    shift,
+    sub_from,
 )
 from .model import TAU, TFA, TimedObservation, TimedRun, RunStep, require_valid
-from .zones import ExtendedState, ZoneAutomaton
+from .zones import ExtendedState, ZoneAutomaton, ext_sort_key
 
 
 class InvariantError(RuntimeError):
-    """An internal invariant of the estimator failed; the answer is not trusted."""
-
-
-def ext_sort_key(v: ExtendedState) -> tuple:
-    return (v.state,) + v.zone.sort_key()
+    """An internal invariant of the estimator or the oracle failed; the
+    answer is not trusted."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def _duration_reach(
         key = entry * nz + z
         d = dist.get(key)
         if d is None:
-            d = dist[key] = rng_distance(ranges[entry], ranges[z])
+            d = dist[key] = distance(ranges[entry], ranges[z])
         lo = acc[0] + d[0]
         lo_c = acc[1] and d[1]
         if lo * q > p or (lo * q == p and not lo_c):
@@ -207,14 +203,14 @@ def _event_step(za: ZoneAutomaton, ids: Iterable[int], event: str) -> set[int]:
 # -- lambda-estimation and tau reachability -----------------------------------
 
 
-def tau_reach(za: ZoneAutomaton, v: ExtendedState) -> list[tuple[ExtendedState, Interval]]:
+def _tau_reach(za: ZoneAutomaton, v: ExtendedState) -> list[tuple[ExtendedState, Range]]:
     """Extended states reachable from ``v`` by time elapse alone, with the
     window of elapsed times realizing each (the distance from the starting
     zone to the ending zone, never a sum over intermediate hops)."""
     if v not in za.states:
         raise ValueError(f"unknown extended state {v}")
     zones = za.zones(v.state)
-    out: list[tuple[ExtendedState, Interval]] = []
+    out: list[tuple[ExtendedState, Range]] = []
     started = False
     for z in zones:
         if z == v.zone:
@@ -345,18 +341,18 @@ def _realize(path: Sequence[tuple[ExtendedState, Optional[tuple]]], total: Fract
             cur["exit"] = v.zone
     stretches.append(cur)
 
-    windows = [rng_distance(rng(s["entry"]), rng(s["exit"])) for s in stretches]
+    windows = [distance(s["entry"], s["exit"]) for s in stretches]
     suffix: list[tuple] = [_ZERO] * len(windows)
     for i in range(len(windows) - 1, 0, -1):
-        suffix[i - 1] = rng_add(windows[i], suffix[i])
+        suffix[i - 1] = add(windows[i], suffix[i])
 
     durations: list[Fraction] = []
     remaining = total
     for w, rest in zip(windows, suffix):
-        feasible = rng_intersect(w, rng_sub_from(remaining, rest))
+        feasible = intersect(w, sub_from(remaining, rest))
         if feasible is None:
             raise InvariantError("search certified an unrealizable duration split")
-        d = rng_pick(feasible)
+        d = pick(feasible)
         durations.append(d)
         remaining -= d
 
@@ -364,10 +360,10 @@ def _realize(path: Sequence[tuple[ExtendedState, Optional[tuple]]], total: Fract
     entry_clocks: list[Fraction] = []
     stretch_start_time = Fraction(0)
     for s, d in zip(stretches, durations):
-        feas = rng_intersect(rng(s["entry"]), rng_shift(rng(s["exit"]), -d))
+        feas = intersect(s["entry"], shift(s["exit"], -d))
         if feas is None:
             raise InvariantError("stretch duration outside its distance window")
-        entry_clock = rng_pick(feas)
+        entry_clock = pick(feas)
         if entry_clocks:
             # Rewrite the pending reset step with the clock actually chosen.
             last = run_steps[-1]
@@ -376,10 +372,10 @@ def _realize(path: Sequence[tuple[ExtendedState, Optional[tuple]]], total: Fract
         exit_clock = entry_clock + d
         c_prev = entry_clock
         for event, firing_zone, tgt in s["events"]:
-            feas_c = rng_intersect(rng(firing_zone), (c_prev, True, exit_clock, True))
+            feas_c = intersect(firing_zone, (c_prev, True, exit_clock, True))
             if feas_c is None:
                 raise InvariantError("no firing clock inside the stretch")
-            c = rng_pick(feas_c)
+            c = pick(feas_c)
             run_steps.append(RunStep(event, stretch_start_time + (c - entry_clock), tgt, c))
             c_prev = c
         if "terminal" in s:

@@ -1,20 +1,24 @@
 """Exact interval arithmetic on the non-negative time axis.
 
-Intervals have integer (or +infinity) endpoints that are independently open
-or closed.  They are used for transition guards, clock resetting ranges,
-clock zones and duration ranges alike.  Time points are exact rationals
+There is one interval type: the range tuple ``(lo, lo_closed, hi,
+hi_closed)``, with endpoints that are independently open or closed.  It is
+used for transition guards, clock resetting ranges, clock zones and duration
+ranges alike.  ``Interval`` is its validated form, for model data and zones:
+integer (or open +infinity) endpoints, never empty.  The operations below take
+any range, an ``Interval`` included, and return plain range tuples, whose
+endpoints may be rational.  Time points are exact rationals
 (``fractions.Fraction``), never floats: whether a clock value sits on an
 integer boundary must be decided exactly.
 
-Empty intervals are unrepresentable; operations whose result may be empty
-(``intersect``) return ``None`` instead.
+Empty ranges are unrepresentable; ``intersect``, whose result may be empty,
+returns ``None`` instead.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -55,87 +59,81 @@ def format_time(t: Rational) -> str:
     return f"{whole}.{str(frac).rjust(digits, '0').rstrip('0') or '0'}"
 
 
-@dataclass(frozen=True, slots=True)
-class Bound:
-    """One interval endpoint: a non-negative integer or ``INF``, open or closed.
-
-    Infinity is only legal as an open endpoint.
+class Interval(namedtuple("Interval", "lo lo_closed hi hi_closed")):
+    """A range tuple ``(lo, lo_closed, hi, hi_closed)`` checked on
+    construction: ``lo`` is a non-negative integer, ``hi`` a non-negative
+    integer or an open ``INF``, and a degenerate interval is a closed point.
     """
 
-    value: Union[int, float]
-    closed: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value is INF:
-            if self.closed:
+    def __new__(cls, lo: int, lo_closed: bool, hi: Union[int, float], hi_closed: bool) -> "Interval":
+        if not isinstance(lo, int) or lo < 0:
+            raise ValueError(f"lower bound must be a non-negative integer: {lo!r}")
+        if hi == INF:
+            if hi_closed:
                 raise ValueError("infinity must be an open bound")
-        elif not isinstance(self.value, int) or self.value < 0:
-            raise ValueError(f"bound value must be a non-negative integer: {self.value!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """A nonempty time interval with open/closed integer endpoints."""
-
-    lower: Bound
-    upper: Bound
-
-    def __post_init__(self) -> None:
-        if self.lower.value is INF:
-            raise ValueError("lower bound cannot be infinite")
-        if self.lower.value > self.upper.value:
-            raise ValueError(f"empty interval: lower {self.lower} above upper {self.upper}")
-        if self.lower.value == self.upper.value and not (self.lower.closed and self.upper.closed):
+        elif not isinstance(hi, int) or hi < 0:
+            raise ValueError(f"upper bound must be a non-negative integer or INF: {hi!r}")
+        if lo > hi:
+            raise ValueError(f"empty interval: lower {lo} above upper {hi}")
+        if lo == hi and not (lo_closed and hi_closed):
             raise ValueError("degenerate interval must be a closed point")
+        return tuple.__new__(cls, (lo, lo_closed, hi, hi_closed))
+
+    @classmethod
+    def _make(cls, iterable) -> "Interval":
+        # namedtuple's ``_make`` and ``_replace`` would skip the checks above.
+        return cls(*iterable)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def closed(a: int, b: int) -> "Interval":
-        return Interval(Bound(a, True), Bound(b, True))
+        return Interval(a, True, b, True)
 
     @staticmethod
     def open(a: int, b: Union[int, float]) -> "Interval":
-        return Interval(Bound(a, False), Bound(b, False))
+        return Interval(a, False, b, False)
 
     @staticmethod
     def open_closed(a: int, b: int) -> "Interval":
-        return Interval(Bound(a, False), Bound(b, True))
+        return Interval(a, False, b, True)
 
     @staticmethod
     def closed_open(a: int, b: int) -> "Interval":
-        return Interval(Bound(a, True), Bound(b, False))
+        return Interval(a, True, b, False)
 
     @staticmethod
     def point(k: int) -> "Interval":
-        return Interval(Bound(k, True), Bound(k, True))
+        return Interval(k, True, k, True)
 
     @staticmethod
     def above(k: int) -> "Interval":
         """The unbounded interval ``(k, inf)``."""
-        return Interval(Bound(k, False), Bound(INF, False))
+        return Interval(k, False, INF, False)
 
     # -- predicates --------------------------------------------------------
 
     @property
     def is_point(self) -> bool:
-        return self.lower.value == self.upper.value
+        return self.lo == self.hi
 
     @property
     def is_bounded(self) -> bool:
-        return self.upper.value is not INF
+        return self.hi != INF
 
     def __contains__(self, t: Rational) -> bool:
         return contains(self, t)
 
     def __str__(self) -> str:
-        lo = "[" if self.lower.closed else "("
-        hi = "]" if self.upper.closed else ")"
-        up = "inf" if self.upper.value is INF else str(self.upper.value)
-        return f"{lo}{self.lower.value},{up}{hi}"
+        lo = "[" if self.lo_closed else "("
+        hi = "]" if self.hi_closed else ")"
+        up = "inf" if self.hi == INF else str(self.hi)
+        return f"{lo}{self.lo},{up}{hi}"
 
     def sort_key(self) -> tuple:
-        return (self.lower.value, not self.lower.closed, self.upper.value, self.upper.closed)
+        return (self.lo, not self.lo_closed, self.hi, self.hi_closed)
 
 
 _INTERVAL_RE = re.compile(r"^([\[(])\s*(\d+)\s*,\s*(\d+|inf)\s*([\])])$")
@@ -150,78 +148,45 @@ def parse_interval(text: str) -> Interval:
     hi_closed = m.group(4) == "]"
     lo = int(m.group(2))
     hi: Union[int, float] = INF if m.group(3) == "inf" else int(m.group(3))
-    return Interval(Bound(lo, lo_closed), Bound(hi, hi_closed))
+    return Interval(lo, lo_closed, hi, hi_closed)
 
 
-# -- operations -------------------------------------------------------------
-
-
-def contains(a: Interval, t: Rational) -> bool:
-    """Exact membership of a time point, respecting openness."""
-    if t < a.lower.value or (t == a.lower.value and not a.lower.closed):
-        return False
-    if a.upper.value is INF:
-        return True
-    if t > a.upper.value or (t == a.upper.value and not a.upper.closed):
-        return False
-    return True
-
-
-def subset(a: Interval, b: Interval) -> bool:
-    """True iff every point of ``a`` lies in ``b``."""
-    lo_ok = b.lower.value < a.lower.value or (
-        b.lower.value == a.lower.value and (b.lower.closed or not a.lower.closed)
-    )
-    up_ok = b.upper.value > a.upper.value or (
-        b.upper.value == a.upper.value and (b.upper.closed or not a.upper.closed)
-    )
-    return lo_ok and up_ok
-
-
-def add(a: Interval, b: Interval) -> Interval:
-    """Pointwise sum ``{t1 + t2 | t1 in a, t2 in b}``."""
-    return interval_of(rng_add(rng(a), rng(b)))
-
-
-def intersect(a: Interval, b: Interval) -> Optional[Interval]:
-    """Intersection, or ``None`` when the intervals are disjoint."""
-    r = rng_intersect(rng(a), rng(b))
-    return None if r is None else interval_of(r)
-
-
-def distance(a: Interval, b: Interval) -> Interval:
-    """Distance range ``{|t1 - t2| | t1 in a, t2 in b}``."""
-    return interval_of(rng_distance(rng(a), rng(b)))
-
-
-# -- range tuples -------------------------------------------------------------
+# -- operations ---------------------------------------------------------------
 #
-# The duration search and witness realization run on plain tuples
-# ``(lo, lo_closed, hi, hi_closed)``: no validation, no hashing of nested
-# objects, and endpoints may be rationals, ``-INF`` (lo) or ``INF`` (hi).
-# Arithmetic may produce an infinite endpoint that is equal to, but not the
-# same object as, ``INF``; compare with ``==``.  An infinite endpoint is
-# always open, so the closedness of a sum or difference is simply the
-# conjunction of the contributing flags.
+# The operations take any range ``(lo, lo_closed, hi, hi_closed)``, an
+# ``Interval`` or a plain tuple, and those that compute a range return a
+# plain tuple: the duration search and witness realization build no
+# ``Interval`` per step.  A computed range
+# may have rational endpoints, ``-INF`` (lo) or ``INF`` (hi), and may only be
+# tested with ``contains``, since ``in`` on a plain tuple tests its elements.
+# A computed infinite endpoint equals ``INF`` but need not be the same
+# object, so compare with ``==``.  An infinite endpoint is always open, so
+# the closedness of a sum or difference is the conjunction of the
+# contributing flags.
 
 Range = tuple
 
 
-def rng(iv: Interval) -> Range:
-    return (iv.lower.value, iv.lower.closed, iv.upper.value, iv.upper.closed)
-
-
-def interval_of(r: Range) -> Interval:
-    """The Interval of a range with integer endpoints (validated)."""
+def contains(r: Range, t: Rational) -> bool:
+    """Exact membership of a time point, respecting openness."""
     lo, lo_c, hi, hi_c = r
-    return Interval(Bound(lo, lo_c), Bound(INF if hi == INF else hi, hi_c))
+    return (lo < t or (lo_c and t == lo)) and (t < hi or (hi_c and t == hi))
 
 
-def rng_add(a: Range, b: Range) -> Range:
+def subset(a: Range, b: Range) -> bool:
+    """True iff every point of ``a`` lies in ``b``."""
+    lo_ok = b[0] < a[0] or (b[0] == a[0] and (b[1] or not a[1]))
+    up_ok = b[2] > a[2] or (b[2] == a[2] and (b[3] or not a[3]))
+    return lo_ok and up_ok
+
+
+def add(a: Range, b: Range) -> Range:
+    """Pointwise sum ``{t1 + t2 | t1 in a, t2 in b}``."""
     return (a[0] + b[0], a[1] and b[1], a[2] + b[2], a[3] and b[3])
 
 
-def rng_intersect(a: Range, b: Range) -> Optional[Range]:
+def intersect(a: Range, b: Range) -> Optional[Range]:
+    """Intersection, or ``None`` when the ranges are disjoint."""
     lo, lo_c = (a[0], a[1]) if a[0] > b[0] else (b[0], b[1]) if b[0] > a[0] else (a[0], a[1] and b[1])
     hi, hi_c = (a[2], a[3]) if a[2] < b[2] else (b[2], b[3]) if b[2] < a[2] else (a[2], a[3] and b[3])
     if lo > hi or (lo == hi and not (lo_c and hi_c)):
@@ -229,7 +194,7 @@ def rng_intersect(a: Range, b: Range) -> Optional[Range]:
     return (lo, lo_c, hi, hi_c)
 
 
-def rng_distance(a: Range, b: Range) -> Range:
+def distance(a: Range, b: Range) -> Range:
     """The range ``{|t1 - t2| | t1 in a, t2 in b}`` of two nonempty ranges.
 
     If the ranges meet, the lower bound is a closed 0; otherwise it is the gap
@@ -253,20 +218,21 @@ def rng_distance(a: Range, b: Range) -> Range:
     return (lo, lo_c, v1, (b_hc and a_lc) or (a_hc and b_lc))
 
 
-def rng_shift(r: Range, delta: Fraction) -> Range:
+def shift(r: Range, delta: Fraction) -> Range:
+    """The range ``{s + delta : s in r}``."""
     lo = r[0] if r[0] == -INF else r[0] + delta
     hi = r[2] if r[2] == INF else r[2] + delta
     return (lo, r[1], hi, r[3])
 
 
-def rng_sub_from(total: Fraction, r: Range) -> Range:
-    """The range {total - s : s in r}."""
+def sub_from(total: Fraction, r: Range) -> Range:
+    """The range ``{total - s : s in r}``."""
     lo = -INF if r[2] == INF else total - r[2]
     hi = INF if r[0] == -INF else total - r[0]
     return (lo, r[3], hi, r[1])
 
 
-def rng_pick(r: Range) -> Fraction:
+def pick(r: Range) -> Fraction:
     """A point of a nonempty range: its closed lower end, else an interior point."""
     lo, lo_c, hi, _ = r
     if lo_c:

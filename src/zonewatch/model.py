@@ -84,9 +84,9 @@ class TFA:
     def max_constant(self) -> int:
         best = 0
         for t in self.transitions:
-            best = max(best, int(t.guard.upper.value))
+            best = max(best, int(t.guard.hi))
             if isinstance(t.reset, Interval):
-                best = max(best, int(t.reset.upper.value))
+                best = max(best, int(t.reset.hi))
         return best
 
     # Index maps are derived lazily and cached on the instance.
@@ -159,10 +159,10 @@ def _diagnose(model: TFA, require_ro: bool) -> list[Diagnostic]:
             out.append(Diagnostic("unknown-state", f"transition {t} enters unknown state {t.target!r}"))
         if t.event not in model.alphabet:
             out.append(Diagnostic("unknown-event", f"transition {t} uses unknown event {t.event!r}"))
-        if not (t.guard.lower.closed and t.guard.upper.closed and t.guard.is_bounded):
+        if not (t.guard.lo_closed and t.guard.hi_closed and t.guard.is_bounded):
             out.append(Diagnostic("guard-not-closed", f"guard {t.guard} of {t} must be closed and bounded"))
         if isinstance(t.reset, Interval):
-            if not (t.reset.lower.closed and t.reset.upper.closed and t.reset.is_bounded):
+            if not (t.reset.lo_closed and t.reset.hi_closed and t.reset.is_bounded):
                 out.append(Diagnostic("reset-not-closed", f"reset {t.reset} of {t} must be closed and bounded"))
         elif t.reset != ID_RESET:
             out.append(Diagnostic("bad-reset", f"reset of {t} must be an interval or {ID_RESET!r}"))
@@ -285,11 +285,6 @@ class TimedObservation:
 def project(word: Iterable[tuple[str, Fraction]], model: TFA) -> tuple[tuple[str, Fraction], ...]:
     """Erase unobservable pairs from a timed word, keeping order and times."""
     return tuple((e, t) for e, t in word if e in model.observable)
-
-
-def project_logical(word: Iterable[str], model: TFA) -> tuple[str, ...]:
-    """Erase unobservable events from a logical word."""
-    return tuple(e for e in word if e in model.observable)
 
 
 # -- JSON document form -------------------------------------------------------

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import Interval, Rational, contains
+from .intervals import Interval, Rational
 from .model import TFA, require_valid
-from .zones import ZoneAutomaton
+from .zones import ZoneAutomaton, ext_sort_key
 from .estimation import (
     BeliefState,
     Estimate,
@@ -27,14 +27,13 @@ from .estimation import (
     _silent_reach,
     belief_advance,
     belief_query,
-    ext_sort_key,
 )
 
 Support = frozenset
 
 
 def _support_key(support: Support) -> tuple:
-    return tuple(sorted(support, key=ext_sort_key))
+    return tuple(sorted(map(ext_sort_key, support)))
 
 
 def _unit_cells(horizon: int) -> list[Interval]:
@@ -47,8 +46,8 @@ def _unit_cells(horizon: int) -> list[Interval]:
 
 def _cell_samples(cell: Interval) -> list[Fraction]:
     if cell.is_point:
-        return [Fraction(int(cell.lower.value))]
-    k = Fraction(int(cell.lower.value))
+        return [Fraction(cell.lo)]
+    k = Fraction(cell.lo)
     return [k + Fraction(1, 4), k + Fraction(1, 2), k + Fraction(3, 4)]
 
 
@@ -69,12 +68,11 @@ class OfflineObserver:
 
     def cell_for(self, support: Support, dt: Rational) -> Optional[ObserverCell]:
         dt = Fraction(dt)
-        if dt < 0 or dt > self.horizon or support not in self.tables:
+        row = self.tables.get(support)
+        if row is None or dt < 0 or dt > self.horizon:
             return None
-        for cell in self.tables[support]:
-            if contains(cell.span, dt):
-                return cell
-        return None
+        # Cells alternate [k,k], (k,k+1): [k,k] is row[2k], (k,k+1) row[2k+1].
+        return row[2 * (dt.numerator // dt.denominator) + (dt.denominator != 1)]
 
     def lookup(self, support: Support, dt: Rational) -> Estimate:
         """Estimate after ``dt`` has elapsed since the support was formed.

@@ -27,10 +27,9 @@ from .model import (
     model_to_dict,
     project,
     require_valid,
-    validate,
 )
 from .zones import build_zone_automaton
-from .estimation import estimate
+from .estimation import InvariantError, estimate
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,19 @@ class GridConfig:
         return ticks * self.step
 
 
+def _on_grid(grid: GridConfig, value: Fraction) -> int:
+    """The ticks of a value that must lie on the grid (an integer, the
+    horizon, or a time the oracle placed itself)."""
+    ticks = grid.ticks(value)
+    if ticks is None:
+        raise InvariantError(f"{format_time(value)} is off the grid")
+    return ticks
+
+
 def _grid_points_in(interval: Interval, grid: GridConfig) -> list[int]:
     """Grid ticks falling inside a bounded interval."""
-    lo = int(interval.lower.value)
-    hi = int(interval.upper.value)
-    lo_t = grid.ticks(Fraction(lo))
-    hi_t = grid.ticks(Fraction(hi))
-    assert lo_t is not None and hi_t is not None
+    lo_t = _on_grid(grid, Fraction(interval.lo))
+    hi_t = _on_grid(grid, Fraction(interval.hi))
     out = []
     for t in range(lo_t, hi_t + 1):
         if grid.value(t) in interval:
@@ -74,8 +79,7 @@ def enumerate_runs(model: TFA, grid: GridConfig) -> Iterator[TimedRun]:
     time) configuration on the same path are cut.
     """
     require_valid(model)
-    horizon_t = grid.ticks(grid.horizon)
-    assert horizon_t is not None
+    horizon_t = _on_grid(grid, grid.horizon)
 
     def rec(
         state: str,
@@ -215,7 +219,7 @@ def random_model(config: RandomModelConfig) -> TFA:
         transitions=tuple(transitions),
         initial=frozenset({states[0]}),
     )
-    assert not validate(model, require_ro=config.require_ro)
+    require_valid(model, require_ro=config.require_ro)
     return model
 
 
@@ -303,12 +307,10 @@ def differential_check(
         runs = _sample_runs(model, grid, runs_per_model)
 
         # Soundness: the true end state is always contained in the estimate.
-        horizon_t = grid.ticks(grid.horizon)
-        assert horizon_t is not None
+        horizon_t = _on_grid(grid, grid.horizon)
         for run in runs:
             word = project(run.word(), model)
-            end_t = grid.ticks(run.end_time)
-            assert end_t is not None
+            end_t = _on_grid(grid, run.end_time)
             query_ticks = sorted({end_t, horizon_t, rng.randint(end_t, horizon_t)})
             for qt in query_ticks:
                 obs = TimedObservation(events=word, query_time=grid.value(qt))
@@ -333,8 +335,7 @@ def differential_check(
         if run is None:
             continue
         word = project(run.word(), model)
-        end_t = grid.ticks(run.end_time)
-        assert end_t is not None
+        end_t = _on_grid(grid, run.end_time)
         qt = rng.randint(end_t, horizon_t)
         obs = TimedObservation(events=word, query_time=grid.value(qt))
         est = frozenset(estimate(za, model, obs).discrete)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .intervals import Bound, Interval, Range, rng, subset
+from .intervals import Interval, Range, subset
 from .model import TAU, TFA, Transition, require_valid
 
 
@@ -24,6 +24,11 @@ class ExtendedState(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.state},{self.zone})"
+
+
+def ext_sort_key(v: ExtendedState) -> tuple:
+    """Zone order: by state, then by zone; natural tuple order is not it."""
+    return (v.state,) + v.zone.sort_key()
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,10 +51,10 @@ def regions(model: TFA, state: str) -> list[Interval]:
         raise ValueError(f"unknown state {state!r}")
     high = 0
     for t in model.outgoing(state):
-        high = max(high, int(t.guard.upper.value))
+        high = max(high, int(t.guard.hi))
     for t in model.incoming(state):
         relevant = t.reset if t.resets_clock else t.guard
-        high = max(high, int(relevant.upper.value))
+        high = max(high, int(relevant.hi))
     out: list[Interval] = [Interval.point(0)]
     for k in range(high):
         out.append(Interval.open(k, k + 1))
@@ -99,29 +104,28 @@ def build_zones(model: TFA, state: str) -> list[Interval]:
             and all(t.resets_clock for t in nxt_out | nxt_in)
         )
         if mergeable:
-            cur = Interval(cur.lower, nxt.upper)
+            cur = Interval(cur.lo, cur.lo_closed, nxt.hi, nxt.hi_closed)
         else:
             zones.append(cur)
             cur = nxt
         cur_out, cur_in = nxt_out, nxt_in
     zones.append(cur)
-    zones.append(Interval.above(int(regs[-1].upper.value)))
+    zones.append(Interval.above(regs[-1].hi))
     if state in model.initial and not zones[0].is_point:
         first = zones[0]
-        zones[0:1] = [Interval.point(0), Interval(Bound(0, False), first.upper)]
+        zones[0:1] = [Interval.point(0), Interval(0, False, first.hi, first.hi_closed)]
     return zones
 
 
 class ZoneIndex:
     """The zone automaton numbered for the duration search.
 
-    Extended states get ids ``0..n-1`` in ``(state, zone)`` order, each
+    Extended states get ids ``0..n-1`` in ``ext_sort_key`` order, each
     state's zones consecutive and ascending; distinct zones get zone ids.
     Every table is a list indexed by id:
 
     - ``ext``: the ExtendedState of each id; ``id_of`` maps it back;
-    - ``zone``: its zone id, and ``ranges``: each zone id's
-      ``(lo, lo_closed, hi, hi_closed)`` range tuple;
+    - ``zone``: its zone id, and ``ranges``: each zone id's Interval;
     - ``tau``: the id of the time-elapse successor, -1 for the unbounded zone;
     - ``events``: event edges ``(label, target id, resets_clock,
       Transition)``, grouped by label in order of first appearance, and
@@ -138,7 +142,7 @@ class ZoneIndex:
         self.id_of: dict[ExtendedState, int] = {}
         self.ids: dict[str, range] = {}
         self.zone: list[int] = []
-        self.ranges: list[Range] = []
+        self.ranges: list[Interval] = []
         self.tau: list[int] = []
         self.events: list[tuple] = []
         self.silent: list[tuple] = []
@@ -195,7 +199,7 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     require_valid(model)
     zones_by_state = {x: tuple(build_zones(model, x)) for x in model.states}
     ix = ZoneIndex()
-    zone_ids: dict[Range, int] = {}
+    zone_ids: dict[Interval, int] = {}
     edges: list[Edge] = []
     for x in sorted(zones_by_state):
         zs = zones_by_state[x]
@@ -207,10 +211,9 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
                 edges.append(Edge(ix.ext[-1], TAU, v, None))
             ix.id_of[v] = len(ix.ext)
             ix.ext.append(v)
-            r = rng(z)
-            zid = zone_ids.setdefault(r, len(zone_ids))
+            zid = zone_ids.setdefault(z, len(zone_ids))
             if zid == len(ix.ranges):
-                ix.ranges.append(r)
+                ix.ranges.append(z)
             ix.zone.append(zid)
             ix.tau.append(len(ix.ext) if k + 1 < len(zs) else -1)
     # Per source id, event edges grouped by label in order of first appearance.
@@ -259,15 +262,12 @@ def to_dot(za: ZoneAutomaton) -> str:
     def node_id(v: ExtendedState) -> str:
         return f"{v.state} {v.zone}"
 
-    def key(v: ExtendedState) -> tuple:
-        return (v.state,) + v.zone.sort_key()
-
     lines = ["digraph zone_automaton {", "  rankdir=LR;"]
-    for v in sorted(za.states, key=key):
+    for v in sorted(za.states, key=ext_sort_key):
         attrs = ' shape=doublecircle' if v in za.initial else ""
         lines.append(f'  "{node_id(v)}"{attrs};')
     def edge_key(e: Edge) -> tuple:
-        return key(e.source) + (e.label,) + key(e.target)
+        return ext_sort_key(e.source) + (e.label,) + ext_sort_key(e.target)
 
     for e in sorted(za.edges, key=edge_key):
         if e.label == TAU:

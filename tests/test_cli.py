@@ -1,6 +1,7 @@
 import io
 import json
 
+from zonewatch import RandomModelConfig, parse_interval, random_model
 from zonewatch.cli import main
 
 
@@ -15,6 +16,14 @@ def write_model(tmp_path, fig1):
 
     path = tmp_path / "model.json"
     path.write_text(dump_model(fig1))
+    return str(path)
+
+
+def write_unknown_target_model(tmp_path, fig1_path):
+    doc = json.load(open(fig1_path))
+    doc["transitions"][0]["to"] = "nowhere"
+    path = tmp_path / "unknown_target.json"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -64,6 +73,14 @@ def test_za_summary_and_dot(capsys, tmp_path, fig1_path):
     assert '"x0 [0,0]" -> "x0 (0,1)" [style=dashed];' in text
 
 
+def test_za_invalid_model_exits_2(capsys, tmp_path, fig1_path):
+    path = write_unknown_target_model(tmp_path, fig1_path)
+    code, out, err = run_cli(capsys, "za", path)
+    assert code == 2
+    assert out == ""
+    assert "unknown-state" in err
+
+
 # -- reach ---------------------------------------------------------------------
 
 def test_reach_yes_with_witness(capsys, fig1_path):
@@ -81,6 +98,21 @@ def test_reach_no(capsys, fig1_path):
     )
     assert code == 0
     assert out.strip() == "no"
+
+
+def test_reach_invalid_model_or_unknown_state_exits_2(capsys, tmp_path, fig1_path):
+    path = write_unknown_target_model(tmp_path, fig1_path)
+    code, out, err = run_cli(
+        capsys, "reach", path, "--from", "x0", "--to", "x4", "--duration", "4"
+    )
+    assert code == 2
+    assert "unknown-state" in err
+    code, out, err = run_cli(
+        capsys, "reach", fig1_path, "--from", "x0", "--to", "nope", "--duration", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown state 'nope'" in err
 
 
 # -- estimate --------------------------------------------------------------------
@@ -160,6 +192,36 @@ def test_observer_command(capsys, tmp_path, fig1_path):
     doc = json.load(open(out_path))
     assert doc["horizon"] == 4
     assert any(s["support"] == [["x0", "[0,0]"]] for s in doc["supports"])
+
+
+def test_observer_bad_horizon_exits_64(capsys, tmp_path, fig1_path):
+    out_path = tmp_path / "observer.json"
+    code, _, err = run_cli(
+        capsys, "observer", fig1_path, "--horizon", "0", "--out", str(out_path)
+    )
+    assert code == 64
+    assert "horizon" in err
+    assert not out_path.exists()
+
+
+def test_observer_json_lists_supports_in_zone_order(capsys, tmp_path):
+    # Two supports of this model first differ at the same state, so their
+    # order is decided by zone order (`ext_sort_key`).
+    model = random_model(RandomModelConfig(state_count=3, max_constant=2, rng_seed=4))
+    model_path = write_model(tmp_path, model)
+    out_path = str(tmp_path / "observer.json")
+    code, _, _ = run_cli(
+        capsys, "observer", model_path, "--horizon", "2", "--out", out_path
+    )
+    assert code == 0
+    doc = json.load(open(out_path))
+    keys = [
+        tuple((state, *parse_interval(zone).sort_key()) for state, zone in s["support"])
+        for s in doc["supports"]
+    ]
+    assert all(list(k) == sorted(k) for k in keys)
+    assert keys == sorted(keys)
+    assert [s["id"] for s in doc["supports"]] == list(range(len(keys)))
 
 
 # -- oracle -------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from zonewatch.intervals import (
     INF,
-    Bound,
     Interval,
     add,
     contains,
@@ -27,7 +26,7 @@ def bounded_intervals(max_value: int = 6) -> st.SearchStrategy:
     def build(lo, hi, lo_closed, hi_closed):
         if lo == hi:
             return Interval.point(lo)
-        return Interval(Bound(lo, lo_closed), Bound(hi, hi_closed))
+        return Interval(lo, lo_closed, hi, hi_closed)
 
     return st.tuples(
         st.integers(0, max_value), st.integers(0, max_value), st.booleans(), st.booleans()
@@ -43,8 +42,8 @@ def any_intervals(max_value: int = 6) -> st.SearchStrategy:
 def interval_with_member(draw, max_value: int = 6):
     iv = draw(any_intervals(max_value))
     den = draw(st.integers(1, 16))
-    lo = Fraction(int(iv.lower.value))
-    hi = lo + 4 if iv.upper.value is INF else Fraction(int(iv.upper.value))
+    lo = Fraction(iv.lo)
+    hi = lo + 4 if iv.hi == INF else Fraction(iv.hi)
     if iv.is_point:
         return iv, lo
     num = draw(st.integers(0, den))
@@ -55,8 +54,8 @@ def interval_with_member(draw, max_value: int = 6):
 
 
 def grid_members(iv: Interval, den: int = 16, span: int = 4) -> list[Fraction]:
-    lo = Fraction(int(iv.lower.value))
-    hi = lo + span if iv.upper.value is INF else Fraction(int(iv.upper.value))
+    lo = Fraction(iv.lo)
+    hi = lo + span if iv.hi == INF else Fraction(iv.hi)
     pts = [lo + Fraction(k, den) for k in range(int((hi - lo) * den) + 1)]
     return [p for p in pts if p in iv]
 
@@ -73,9 +72,11 @@ def test_rejects_degenerate_and_malformed():
         with pytest.raises(ValueError):
             parse_interval(bad)
     with pytest.raises(ValueError):
-        Bound(INF, True)
+        Interval(0, True, INF, True)
     with pytest.raises(ValueError):
-        Interval(Bound(2, True), Bound(1, True))
+        Interval(2, True, 1, True)
+    with pytest.raises(ValueError):
+        Interval.point(1)._replace(lo=2)
 
 
 def test_parse_time_exact_decimal():
@@ -102,9 +103,9 @@ def test_add_open_bounds_sampled():
     result = add(a, b)
     assert result == I("(1,5)")
     sums = [t1 + t2 for t1 in grid_members(a, 4) for t2 in grid_members(b, 4)]
-    assert all(s in result for s in sums)
-    assert min(sums) - Fraction(int(result.lower.value)) <= Fraction(1, 2)
-    assert Fraction(int(result.upper.value)) - max(sums) <= Fraction(1, 2)
+    assert all(contains(result, s) for s in sums)
+    assert min(sums) - result[0] <= Fraction(1, 2)
+    assert result[2] - max(sums) <= Fraction(1, 2)
 
 
 def test_add_infinite_upper():
@@ -142,14 +143,14 @@ def test_distance_examples_against_sampling():
         result = distance(a, b)
         assert result == expected, f"D({a},{b}) = {result}, expected {expected}"
         diffs = [abs(t1 - t2) for t1 in grid_members(a) for t2 in grid_members(b)]
-        assert all(d in result for d in diffs)
-        assert min(diffs) - Fraction(int(result.lower.value)) <= Fraction(1, 16)
-        if result.upper.value is not INF:
-            assert Fraction(int(result.upper.value)) - max(diffs) <= Fraction(1, 16)
-        if result.lower.closed:
-            assert Fraction(int(result.lower.value)) in diffs
-        if result.upper.closed:
-            assert Fraction(int(result.upper.value)) in diffs
+        assert all(contains(result, d) for d in diffs)
+        assert min(diffs) - result[0] <= Fraction(1, 16)
+        if result[2] != INF:
+            assert result[2] - max(diffs) <= Fraction(1, 16)
+        if result[1]:
+            assert result[0] in diffs
+        if result[3]:
+            assert result[2] in diffs
 
 
 @settings(max_examples=200)
@@ -177,10 +178,10 @@ def test_bound_tightness(a, b):
     diffs = [abs(t1 - t2) for t1 in pts_a for t2 in pts_b]
     s = add(a, b)
     d = distance(a, b)
-    assert min(sums) - s.lower.value <= Fraction(1, 16)
-    assert s.upper.value - max(sums) <= Fraction(1, 16)
-    assert min(diffs) - d.lower.value <= Fraction(1, 16)
-    assert d.upper.value - max(diffs) <= Fraction(1, 16)
+    assert min(sums) - s[0] <= Fraction(1, 16)
+    assert s[2] - max(sums) <= Fraction(1, 16)
+    assert min(diffs) - d[0] <= Fraction(1, 16)
+    assert d[2] - max(diffs) <= Fraction(1, 16)
 
 
 # -- contains / subset -------------------------------------------------------------

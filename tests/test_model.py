@@ -20,7 +20,6 @@ from zonewatch import (
     model_to_dict,
     parse_observation,
     project,
-    project_logical,
     random_model,
     validate,
 )
@@ -148,18 +147,12 @@ def test_project(fig1):
     assert project((("a", F(1)), ("a", F(3))), fig1) == (("a", F(1)), ("a", F(3)))
 
 
-def test_project_logical(fig1):
-    assert project_logical(("b", "c", "a"), fig1) == ("a",)
-    assert project_logical((), fig1) == ()
-    assert project_logical(("b", "b"), fig1) == ()
-
-
 def test_projection_functoriality(fig1):
     grid = GridConfig(horizon=F(2), max_events=3)
     seen = 0
     for run in enumerate_runs(fig1, grid):
         timed = project(run.word(), fig1)
-        logical = project_logical([e for e, _ in run.word()], fig1)
+        logical = tuple(e for e, _ in run.word() if e in fig1.observable)
         assert tuple(e for e, _ in timed) == logical
         seen += 1
         if seen > 500:

@@ -57,7 +57,7 @@ def test_session_matches_batch(fig1, fig1_za, fig1_observer):
     session = fig1_observer.session()
     session.advance("a", F(1))
     session.advance("a", F(3))
-    for t in [F(3), F(7, 2), F(4)]:
+    for t in [F(3), F(7, 2), F(4), F(3) + fig1_observer.horizon]:
         got = session.query(t)
         want = estimate(fig1_za, fig1, TimedObservation((("a", F(1)), ("a", F(3))), t))
         assert got.extended == want.extended

@@ -112,7 +112,7 @@ def test_zone_partition_property(fig1):
     for model in [fig1] + list(random_models(8, state_count=5)):
         for x in model.states:
             zones = build_zones(model, x)
-            top = max(int(z.lower.value) for z in zones) + 2
+            top = max(z.lo for z in zones) + 2
             for k in range(4 * top + 1):
                 theta = F(k, 4)
                 assert sum(1 for z in zones if theta in z) == 1
@@ -124,7 +124,7 @@ def test_zone_region_refinement(fig1):
     for model in [fig1] + list(random_models(8, state_count=5)):
         for x in model.states:
             for z in build_zones(model, x):
-                assert isinstance(z.lower.value, int)
+                assert isinstance(z.lo, int)
                 for t in model.outgoing(x):
                     assert subset(z, t.guard) or intersect(z, t.guard) is None
 
@@ -133,7 +133,7 @@ def test_zone_count_bound(fig1):
     for model in [fig1] + list(random_models(8, state_count=5)):
         for x in model.states:
             zones = build_zones(model, x)
-            high = max(int(z.lower.value) for z in zones)
+            high = max(z.lo for z in zones)
             assert len(zones) <= 2 * high + 2
 
 
@@ -199,7 +199,7 @@ def test_reset_target_zones_tile_reset_interval(fig1):
             if not t.resets_clock:
                 continue
             covered = [z for z in za.zones(t.target) if subset(z, t.reset)]
-            for k in range(0, 4 * (int(t.reset.upper.value) + 1) + 1):
+            for k in range(0, 4 * (t.reset.hi + 1) + 1):
                 theta = F(k, 4)
                 if contains(t.reset, theta):
                     assert sum(1 for z in covered if theta in z) == 1

@@ -42,14 +42,20 @@ def _load(path: str) -> TFA:
         raise SystemExit(2)
 
 
-def _load_valid(path: str, require_ro: bool = False) -> tuple[TFA, ZoneAutomaton]:
-    """Load, validate and build the zone automaton; exit 2 on an invalid model."""
+def _valid_model(path: str, require_ro: bool = False) -> TFA:
+    """Load and validate a model; exit 2 on an invalid one."""
     model = _load(path)
     diags = validate(model, require_ro=require_ro)
     if diags:
         for d in diags:
             print(f"error: {d}", file=sys.stderr)
         raise SystemExit(2)
+    return model
+
+
+def _load_valid(path: str, require_ro: bool = False) -> tuple[TFA, ZoneAutomaton]:
+    """Load, validate and build the zone automaton; exit 2 on an invalid model."""
+    model = _valid_model(path, require_ro)
     return model, build_zone_automaton(model)
 
 
@@ -73,7 +79,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_zones(args) -> int:
-    model = _load(args.model)
+    model = _valid_model(args.model)
     states = [args.state] if args.state else sorted(model.states)
     for x in states:
         if x not in model.states:

@@ -29,7 +29,6 @@ from typing import Iterable, Optional, Sequence
 from .intervals import (
     INF,
     Interval,
-    Range,
     Rational,
     add,
     distance,
@@ -200,24 +199,7 @@ def _event_step(za: ZoneAutomaton, ids: Iterable[int], event: str) -> set[int]:
     return {edge[1] for i in ids for edge in events[i] if edge[0] == event}
 
 
-# -- lambda-estimation and tau reachability -----------------------------------
-
-
-def _tau_reach(za: ZoneAutomaton, v: ExtendedState) -> list[tuple[ExtendedState, Range]]:
-    """Extended states reachable from ``v`` by time elapse alone, with the
-    window of elapsed times realizing each (the distance from the starting
-    zone to the ending zone, never a sum over intermediate hops)."""
-    if v not in za.states:
-        raise ValueError(f"unknown extended state {v}")
-    zones = za.zones(v.state)
-    out: list[tuple[ExtendedState, Range]] = []
-    started = False
-    for z in zones:
-        if z == v.zone:
-            started = True
-        if started:
-            out.append((ExtendedState(v.state, z), distance(v.zone, z)))
-    return out
+# -- lambda-estimation -------------------------------------------------------
 
 
 def lambda_estimation(

@@ -1,11 +1,13 @@
 """Precomputed observer: estimation answers tabulated over elapsed-time cells.
 
-Between observations the estimate only depends on which unit cell (integer
-point or open unit segment) the elapsed time falls in, because every duration
-window in the search has integer endpoints.  The builder sweeps the cells up
-to a horizon for every reachable belief support, storing the estimate and the
-successor support per observable event; queries beyond the horizon fall back
-to the online path.
+Between observations the estimate only depends on which unit cell the
+elapsed time falls in: the integer point ``[k,k]`` (cell ``2k``) or the open
+segment ``(k,k+1)`` (cell ``2k+1``), because every duration window in the
+search has integer endpoints and so holds each cell whole or not at all.  For
+every reachable belief support the builder runs one duration search at the
+horizon and reads each cell's extended states off its node windows, storing
+the estimate and the successor support per observable event; queries beyond
+the horizon fall back to the online path.
 """
 
 from __future__ import annotations
@@ -14,17 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import Interval, Rational
+from .intervals import INF, Interval, Rational, add, distance
 from .model import TFA, require_valid
 from .zones import ZoneAutomaton, ext_sort_key
 from .estimation import (
     BeliefState,
     Estimate,
     InvariantError,
+    _duration_reach,
     _event_step,
     _ext,
     _ids,
-    _silent_reach,
     belief_advance,
     belief_query,
 )
@@ -36,24 +38,43 @@ def _support_key(support: Support) -> tuple:
     return tuple(sorted(map(ext_sort_key, support)))
 
 
-def _unit_cells(horizon: int) -> list[Interval]:
-    cells: list[Interval] = [Interval.point(0)]
-    for k in range(horizon):
-        cells.append(Interval.open(k, k + 1))
-        cells.append(Interval.point(k + 1))
-    return cells
+def _cell_index(t: Rational) -> int:
+    """The unit cell holding time ``t``: ``[k,k]`` is cell ``2k``, ``(k,k+1)``
+    cell ``2k+1``."""
+    return 2 * (t.numerator // t.denominator) + (t.denominator != 1)
 
 
-def _cell_samples(cell: Interval) -> list[Fraction]:
-    if cell.is_point:
-        return [Fraction(cell.lo)]
-    k = Fraction(cell.lo)
-    return [k + Fraction(1, 4), k + Fraction(1, 2), k + Fraction(3, 4)]
+def _cell_span(i: int) -> Interval:
+    k = i // 2
+    return Interval.open(k, k + 1) if i % 2 else Interval.point(k)
+
+
+def _reach_by_cell(za: ZoneAutomaton, ids: list[int], horizon: int) -> list[set[int]]:
+    """The ids reachable from ``ids`` with no observable event, per unit cell
+    up to ``horizon``, read off the node windows of one search at ``horizon``.
+
+    That search expands every node whose window starts at or below the
+    horizon, and its cap on accumulated sums keeps, for every ``dt`` up to
+    the horizon, exactly the durations up to ``dt``; so an id is reachable in
+    a cell when one of its node windows covers the cell.
+    """
+    ix = za.index
+    zone_of, ranges = ix.zone, ix.ranges
+    last = 2 * horizon
+    cover: dict[int, int] = {}  # id -> bit mask of the cells its windows cover
+    for s, entry, acc in _duration_reach(za, ids, Fraction(horizon)).parents:
+        lo, lo_c, hi, hi_c = add(acc, distance(ranges[entry], ranges[zone_of[s]]))
+        if not isinstance(lo, int) or not (hi == INF or isinstance(hi, int)):
+            raise InvariantError(f"duration window ({lo}, {hi}) has a non-integer endpoint")
+        first = _cell_index(lo) + (not lo_c)
+        end = last if hi == INF else min(last, _cell_index(hi) - (not hi_c))
+        if first <= end:
+            cover[s] = cover.get(s, 0) | ((2 << end) - (1 << first))
+    return [{s for s, mask in cover.items() if mask >> i & 1} for i in range(last + 1)]
 
 
 @dataclass(frozen=True)
 class ObserverCell:
-    span: Interval
     estimate: Estimate
     successors: dict  # event -> Support
 
@@ -71,8 +92,7 @@ class OfflineObserver:
         row = self.tables.get(support)
         if row is None or dt < 0 or dt > self.horizon:
             return None
-        # Cells alternate [k,k], (k,k+1): [k,k] is row[2k], (k,k+1) row[2k+1].
-        return row[2 * (dt.numerator // dt.denominator) + (dt.denominator != 1)]
+        return row[_cell_index(dt)]
 
     def lookup(self, support: Support, dt: Rational) -> Estimate:
         """Estimate after ``dt`` has elapsed since the support was formed.
@@ -86,6 +106,8 @@ class OfflineObserver:
 
     def successor(self, support: Support, event: str, dt: Rational) -> Support:
         """Belief support after observing ``event`` at elapsed time ``dt``."""
+        if event not in self.model.observable:
+            raise ValueError(f"event {event!r} is not observable")
         cell = self.cell_for(support, dt)
         if cell is not None:
             return cell.successors.get(event, frozenset())
@@ -107,10 +129,10 @@ class OfflineObserver:
         supports = []
         for s in order:
             cells = []
-            for cell in self.tables[s]:
+            for i, cell in enumerate(self.tables[s]):
                 cells.append(
                     {
-                        "span": str(cell.span),
+                        "span": str(_cell_span(i)),
                         "discrete": sorted(cell.estimate.discrete),
                         "extended": [
                             [v.state, str(v.zone)]
@@ -161,17 +183,18 @@ def default_horizon(za: ZoneAutomaton, model: TFA) -> int:
 def build_offline_observer(
     za: ZoneAutomaton, model: TFA, horizon: Optional[int] = None
 ) -> OfflineObserver:
-    """Tabulate estimates and belief successors for every reachable support.
+    """Tabulate estimates and belief successors for every reachable support,
+    one duration search per support.
 
-    Each cell's estimate is computed at three interior samples (or the single
-    integer) and checked constant, then frozen into the table.
+    Raises ``InvariantError`` when a duration window has a non-integer
+    endpoint, since the cells would then not be exact.
     """
     require_valid(model, require_ro=True)
     if horizon is None:
         horizon = default_horizon(za, model)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    cells = _unit_cells(horizon)
+    events = sorted(model.observable)
     tables: dict = {}
     initial = za.initial
     queue = [initial]
@@ -179,24 +202,11 @@ def build_offline_observer(
         support = queue.pop()
         if support in tables or not support:
             continue
-        ids = _ids(za, support)
         row = []
-        for span in cells:
-            samples = _cell_samples(span)
-            reached = [_silent_reach(za, ids, s) for s in samples]
-            if any(r != reached[0] for r in reached[1:]):
-                raise InvariantError(
-                    f"estimate not constant on {span} for support {_support_key(support)}"
-                )
-            succ = {
-                e: _ext(za, _event_step(za, reached[0], e)) for e in sorted(model.observable)
-            }
+        for reached in _reach_by_cell(za, _ids(za, support), horizon):
+            succ = {e: _ext(za, _event_step(za, reached, e)) for e in events}
             row.append(
-                ObserverCell(
-                    span=span,
-                    estimate=Estimate.from_extended(_ext(za, reached[0])),
-                    successors=succ,
-                )
+                ObserverCell(estimate=Estimate.from_extended(_ext(za, reached)), successors=succ)
             )
             for nxt in succ.values():
                 if nxt and nxt not in tables:

@@ -169,17 +169,6 @@ class ZoneAutomaton:
             return None
         return self.index.ext[self.index.tau[i]]
 
-    def event_edges(self, v: ExtendedState, event: Optional[str] = None) -> tuple[Edge, ...]:
-        ix = self.index
-        i = ix.id_of.get(v)
-        if i is None:
-            return ()
-        return tuple(
-            Edge(v, label, ix.ext[target], tr)
-            for label, target, _, tr in ix.events[i]
-            if event is None or label == event
-        )
-
     def zone_of(self, state: str, clock) -> Interval:
         for z in self.zones_by_state[state]:
             if clock in z:

@@ -63,6 +63,17 @@ def test_zones_listing(capsys, fig1_path):
     assert out.strip() == "x0: [0,0] (0,1) [1,1] (1,3] (3,inf)"
 
 
+def test_zones_unbounded_guard_exits_2(capsys, tmp_path, fig1_path):
+    doc = json.load(open(fig1_path))
+    doc["transitions"][0]["guard"] = "(1,inf)"
+    path = tmp_path / "unbounded_guard.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "zones", str(path))
+    assert code == 2
+    assert out == ""
+    assert "guard-not-closed" in err
+
+
 def test_za_summary_and_dot(capsys, tmp_path, fig1_path):
     dot_path = str(tmp_path / "za.dot")
     code, out, _ = run_cli(capsys, "za", fig1_path, "--dot", dot_path)

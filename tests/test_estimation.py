@@ -21,7 +21,6 @@ from zonewatch import (
     project,
     t_reachable,
 )
-from zonewatch.estimation import _tau_reach
 from zonewatch.model import ID_RESET
 from zonewatch.oracle import RandomModelConfig, _grid_points_in, _sample_runs, random_model
 from zonewatch.zones import ExtendedState
@@ -37,33 +36,6 @@ from goldens import (
 
 F = Fraction
 I = parse_interval
-
-
-# -- tau_reach -------------------------------------------------------------------
-
-def test_tau_reach_from_initial(fig1_za):
-    got = dict(_tau_reach(fig1_za, ExtendedState("x0", I("[0,0]"))))
-    assert got[ExtendedState("x0", I("(1,3]"))] == I("(1,3]")
-    assert set(got) == {ExtendedState("x0", z) for z in fig1_za.zones("x0")}
-
-
-def test_tau_reach_wide_zone(fig1_za):
-    got = dict(_tau_reach(fig1_za, ExtendedState("x4", I("[0,1]"))))
-    # Elapsed times staying inside [0,1]: both endpoints attainable (enter at
-    # 0, leave at 1), so the window is the full closed [0,1].
-    assert got[ExtendedState("x4", I("[0,1]"))] == I("[0,1]")
-    assert got[ExtendedState("x4", I("(1,inf)"))] == I("(0,inf)")
-
-
-def test_tau_reach_unbounded_zone_is_terminal(fig1_za):
-    v = ExtendedState("x2", I("(2,inf)"))
-    assert _tau_reach(fig1_za, v) == [(v, I("[0,inf)"))]
-
-
-def test_tau_reach_starts_midway(fig1_za):
-    got = dict(_tau_reach(fig1_za, ExtendedState("x2", I("[1,1]"))))
-    assert ExtendedState("x2", I("[0,0]")) not in got
-    assert got[ExtendedState("x2", I("[2,2]"))] == I("[1,1]")
 
 
 # -- lambda estimation --------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from zonewatch import (
+    BeliefState,
     GridConfig,
     TimedObservation,
     belief_advance,
@@ -15,6 +19,7 @@ from zonewatch import (
     parse_interval,
     project,
 )
+from zonewatch.estimation import _ids
 from zonewatch.observer import default_horizon
 from zonewatch.oracle import RandomModelConfig, _sample_runs, random_model
 
@@ -106,3 +111,83 @@ def test_observer_serialization(fig1_observer):
     cell0 = initial["cells"][0]
     assert cell0["discrete"] == ["x0", "x2"]
     assert all(isinstance(v, (int, type(None))) for c in initial["cells"] for v in c["next"].values())
+
+
+def test_session_rejects_unobservable_events_inside_and_beyond_horizon(fig1_observer):
+    # "b" is a silent event of fig1, "zz" no event at all.
+    for event in ["zz", "b"]:
+        for t in [F(1), F(1, 2), F(fig1_observer.horizon) + 5]:
+            session = fig1_observer.session()
+            with pytest.raises(ValueError, match="not observable"):
+                session.advance(event, t)
+            assert session.support == fig1_observer.initial_support
+
+
+def _cell_times(i: int) -> list[Fraction]:
+    k = F(i // 2)
+    return [k + F(1, 4), k + F(1, 2), k + F(3, 4)] if i % 2 else [k]
+
+
+def test_cells_match_online_answers_at_their_sample_points(fig1, fig1_za):
+    cases = [(fig1, fig1_za)]
+    for seed in range(20):
+        model = random_model(
+            RandomModelConfig(state_count=3 + seed % 3, max_constant=1 + seed % 3, rng_seed=1300 + seed)
+        )
+        cases.append((model, build_zone_automaton(model)))
+    for model, za in cases:
+        observer = build_offline_observer(za, model, horizon=3)
+        for support, row in observer.tables.items():
+            belief = BeliefState(support, F(0))
+            for i, cell in enumerate(row):
+                for t in _cell_times(i):
+                    assert cell.estimate == belief_query(za, model, belief, t)
+                    for e in sorted(model.observable):
+                        got = cell.successors[e]
+                        assert got == belief_advance(za, model, belief, e, t).support
+
+
+def test_builder_runs_one_search_per_support(monkeypatch, fig1, fig1_za):
+    import zonewatch.estimation as estimation
+    import zonewatch.observer as observer_module
+
+    calls = []
+    search = estimation._duration_reach
+
+    def counted(za, starts, *args, **kwargs):
+        calls.append(tuple(starts))
+        return search(za, starts, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_duration_reach", counted)
+    monkeypatch.setattr(observer_module, "_duration_reach", counted, raising=False)
+    for model, za in [(fig1, fig1_za)] + [
+        (m, build_zone_automaton(m))
+        for m in (random_model(RandomModelConfig(rng_seed=1400 + s)) for s in range(5))
+    ]:
+        calls.clear()
+        observer = build_offline_observer(za, model, horizon=4)
+        assert len(calls) == len(observer.tables)
+        assert sorted(calls) == sorted(tuple(_ids(za, s)) for s in observer.tables)
+
+
+def test_non_integer_window_raises_in_optimized_mode():
+    # The cells are exact only for integer window endpoints; the check must
+    # not be a bare assert, which ``python -O`` would drop.
+    script = (
+        "from fractions import Fraction\n"
+        "import zonewatch.observer as observer\n"
+        "from zonewatch import InvariantError, build_offline_observer, build_zone_automaton\n"
+        "from zonewatch.oracle import RandomModelConfig, random_model\n"
+        "model = random_model(RandomModelConfig(rng_seed=1))\n"
+        "observer.distance = lambda a, b: (Fraction(1, 2), True, 1, True)\n"
+        "try:\n"
+        "    build_offline_observer(build_zone_automaton(model), model, 2)\n"
+        "except InvariantError as exc:\n"
+        "    print('InvariantError:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.startswith("InvariantError:")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 inconsistent observation (empty estimate);
 2 validation failure, unusable model or unknown state; 64 malformed
-observation text or a bad ``--horizon``.
+observation text, a bad ``--horizon``, a ``fuzz`` size below 1, or an
+output path (``za --dot``, ``observer --out``) that cannot be written.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .oracle import (
     RandomModelConfig,
     brute_consistent_states,
     differential_check,
+    random_model,
 )
 
 USAGE_ERROR = 64
@@ -57,6 +59,16 @@ def _load_valid(path: str, require_ro: bool = False) -> tuple[TFA, ZoneAutomaton
     """Load, validate and build the zone automaton; exit 2 on an invalid model."""
     model = _valid_model(path, require_ro)
     return model, build_zone_automaton(model)
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file; exit 64 when the path cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
 
 
 def _parse_obs_or_exit(text: str, time_text: str):
@@ -100,8 +112,7 @@ def cmd_za(args) -> int:
         f"initial: {len(za.initial)}"
     )
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(za))
+        _write(args.dot, to_dot(za))
         print(f"wrote {args.dot}")
     return 0
 
@@ -178,9 +189,7 @@ def cmd_observer(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     doc = observer.to_json_dict()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(
         f"observer: {len(doc['supports'])} supports, horizon {observer.horizon}; wrote {args.out}"
     )
@@ -206,7 +215,12 @@ def cmd_fuzz(args) -> int:
         max_constant=args.max_constant,
         rng_seed=args.seed,
     )
-    grid = GridConfig(horizon=Fraction(args.horizon), step=Fraction(1, 2))
+    try:
+        grid = GridConfig(horizon=Fraction(args.horizon), step=Fraction(1, 2))
+        random_model(config)  # rejects a size below 1 before any trial runs
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     report = differential_check(config, grid, trials=args.trials)
     sys.stdout.write(report.to_jsonl())
     print(json.dumps(report.summary(), sort_keys=True))

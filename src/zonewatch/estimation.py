@@ -11,12 +11,15 @@ interval where it ends.  Collapsing each stretch to one distance is what
 keeps the windows exact; summing per-segment (or per-edge) distances would
 over-approximate.
 
-The search runs on the integer index the zone automaton carries
-(``ZoneIndex``): a node is a tuple of an extended-state id, a zone id and a
-range tuple, and windows are range tuples (see ``intervals``).  Ids are
-mapped back to extended states only for answers and witness paths, so the
-answers are those of the same search over ``ExtendedState``/``Interval``
-nodes.
+The search runs over stretches, not single steps.  Everything a stretch
+can reach depends only on the id where it starts (its root), so the integer
+index the zone automaton carries (``ZoneIndex``) keeps one table per root,
+filled on first use: each id the stretch reaches, its distance range from
+the root's zone and the resetting edges out of it.  A queue item is a root
+with the range sum of the stretches completed before it; expanding it scans
+the root's table, and each resetting edge out of a reached id queues a new
+root.  Windows are range tuples (see ``intervals``).  Ids are mapped back to
+extended states only for answers and witness paths.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .intervals import (
-    INF,
     Interval,
     Rational,
     add,
@@ -73,10 +75,9 @@ class Estimate:
 
 # -- duration-tracking search -------------------------------------------------
 
-# A search node: current extended-state id, the zone id of the clock interval
-# at the start of the current reset-free stretch, and the (capped) range sum
-# of completed stretch durations.
-_Node = tuple[int, int, tuple]
+# A queue item: the root id of a reset-free stretch, then the (capped) range
+# sum ``lo, lo_closed, hi, hi_closed`` of the stretches completed before it.
+_Item = tuple[int, int, bool, int, bool]
 
 _ZERO = (0, True, 0, True)
 
@@ -84,10 +85,13 @@ _ZERO = (0, True, 0, True)
 @dataclass
 class _SearchOutcome:
     hits: set  # ids of the extended states where dt is realizable
-    parents: dict  # _Node -> (parent _Node, edge, or None for tau) | None at a start
-    goal: Optional[_Node]
-    # Counters: distinct nodes pushed; popped nodes expanded and pruned by the
-    # lower-bound test; reset steps whose sum was capped; the largest queue.
+    # _Item -> (parent _Item, position of the exit entry in the parent's
+    # stretch table, reset edge), or None at a start.
+    parents: dict
+    goal: Optional[tuple[_Item, int]]  # the goal hit: item and table position
+    # Counters: distinct roots queued; table entries expanded (they passed
+    # the lower-bound test); table scans cut by that test; reset steps whose
+    # sum was capped; the largest queue.
     pushed: int
     expanded: int
     pruned: int
@@ -104,74 +108,65 @@ def _duration_reach(
 ) -> _SearchOutcome:
     """All extended-state ids reachable from ``starts`` by a run of duration
     ``dt`` over silent events (over every event with ``all_events``).  The
-    search stops at the first node realizing ``dt`` at an id in ``goal_ids``.
+    search stops at the first entry realizing ``dt`` at an id in ``goal_ids``.
 
-    The duration window of a node is ``acc (+) D(entry, position zone)``.
-    Windows whose lower bound already exceeds ``dt`` can never recover (both
-    components only grow), so such nodes are pruned.  Accumulated sums are
-    capped just above ``ceil(dt)``, which preserves membership of ``dt`` and
-    makes the node space finite even under unobservable cycles.  ``dt = p/q``
-    is compared as ``x*q`` against ``p``.
+    A queue item is a stretch root ``r`` with the sum ``acc`` of the
+    completed stretches; the window of an entry ``(s, d)`` of ``r``'s
+    stretch table (``ZoneIndex.stretch``) is ``acc (+) d``.  Windows whose
+    lower bound already exceeds ``dt`` can never recover, and the table is
+    sorted by the lower end of ``d``, so the scan stops at the first such
+    entry.  Each clock-resetting edge out of an expanded entry queues its
+    target with the entry's window as the new sum, capped just above
+    ``ceil(dt)``, which preserves membership of ``dt`` and makes the item
+    space finite even under unobservable cycles.  Window endpoints are
+    integers (or an infinite upper end), since zones have integer endpoints,
+    so they are compared with ``floor(dt)`` and whether ``dt`` is an integer.
     """
     ix = za.index
-    zone_of, ranges, tau, dist = ix.zone, ix.ranges, ix.tau, ix.dist
-    nz = len(ranges)
-    moves = ix.events if all_events else ix.silent
+    tables = ix.stretches[all_events]
     p, q = dt.numerator, dt.denominator
+    floor, exact = p // q, q == 1
     ceiling = -(-p // q)
     seen: dict = {}
     queue: deque = deque()
     for s in starts:
-        node = (s, zone_of[s], _ZERO)
-        if node not in seen:
-            seen[node] = None
-            queue.append(node)
+        item = (s, 0, True, 0, True)
+        if item not in seen:
+            seen[item] = None
+            queue.append(item)
 
     hits: set = set()
-    goal: Optional[_Node] = None
+    goal: Optional[tuple[_Item, int]] = None
     expanded = pruned = capped = max_queue = 0
-    while queue:
+    while queue and goal is None:
         if len(queue) > max_queue:
             max_queue = len(queue)
-        node = queue.popleft()
-        s, entry, acc = node
-        z = zone_of[s]
-        key = entry * nz + z
-        d = dist.get(key)
-        if d is None:
-            d = dist[key] = distance(ranges[entry], ranges[z])
-        lo = acc[0] + d[0]
-        lo_c = acc[1] and d[1]
-        if lo * q > p or (lo * q == p and not lo_c):
-            pruned += 1
-            continue
-        expanded += 1
-        hi = acc[2] + d[2]
-        hi_c = acc[3] and d[3]
-        if hi == INF or hi * q > p or (hi * q == p and hi_c):
-            hits.add(s)
-            if s in goal_ids:
-                goal = node
+        item = queue.popleft()
+        r, a_lo, a_lc, a_hi, a_hc = item
+        table = tables[r] or ix.stretch(r, all_events)
+        for k, (s, d_lo, d_lc, d_hi, d_hc, resets, _, _) in enumerate(table):
+            lo = a_lo + d_lo
+            lo_c = a_lc and d_lc
+            if lo > floor or (lo == floor and exact and not lo_c):
+                pruned += 1
                 break
-        nxt = tau[s]
-        if nxt >= 0:
-            child = (nxt, entry, acc)
-            if child not in seen:
-                seen[child] = (node, None)
-                queue.append(child)
-        for edge in moves[s]:
-            target = edge[1]
-            if edge[2]:
+            expanded += 1
+            hi = a_hi + d_hi
+            hi_c = a_hc and d_hc
+            if hi > floor or (hi == floor and exact and hi_c):
+                hits.add(s)
+                if s in goal_ids:
+                    goal = (item, k)
+                    break
+            if resets:
                 if hi > ceiling:
-                    capped += 1
-                    child = (target, zone_of[target], (lo, lo_c, ceiling + 1, True))
-                else:
-                    child = (target, zone_of[target], (lo, lo_c, hi, hi_c))
-            else:
-                child = (target, entry, acc)
-            if child not in seen:
-                seen[child] = (node, edge)
-                queue.append(child)
+                    capped += len(resets)
+                    hi, hi_c = ceiling + 1, True
+                for edge in resets:
+                    child = (edge[1], lo, lo_c, hi, hi_c)
+                    if child not in seen:
+                        seen[child] = (item, k, edge)
+                        queue.append(child)
     return _SearchOutcome(hits, seen, goal, len(seen), expanded, pruned, capped, max_queue)
 
 
@@ -272,22 +267,29 @@ def t_reachable(
 
 
 def _unwind(
-    za: ZoneAutomaton, parents: dict, goal: _Node
+    za: ZoneAutomaton, parents: dict, goal: tuple[_Item, int]
 ) -> list[tuple[ExtendedState, Optional[tuple]]]:
-    """The search path ending at ``goal``: each extended state with the
-    ``(label, Transition or None)`` step that entered it (None at the start)."""
-    ext = za.index.ext
+    """The zone path of an all-events search ending at table entry ``goal``:
+    each extended state with the ``(label, Transition or None)`` step that
+    entered it (None at the start).  Follows the entry predecessors back to
+    each stretch root and the parent links from root to root."""
+    ix = za.index
+    ext = ix.ext
     chain: list[tuple[ExtendedState, Optional[tuple]]] = []
-    node: Optional[_Node] = goal
-    while node is not None:
-        link = parents[node]
+    item, k = goal
+    while True:
+        table = ix.stretch(item[0], True)
+        row_of = {row[0]: row for row in table}
+        s, *_, pred, edge = table[k]
+        while pred >= 0:
+            chain.append((ext[s], (TAU, None) if edge is None else (edge[0], edge[3])))
+            s, *_, pred, edge = row_of[pred]
+        link = parents[item]
         if link is None:
-            chain.append((ext[node[0]], None))
-            node = None
-        else:
-            parent, edge = link
-            chain.append((ext[node[0]], (TAU, None) if edge is None else (edge[0], edge[3])))
-            node = parent
+            chain.append((ext[s], None))
+            break
+        item, k, edge = link
+        chain.append((ext[s], (edge[0], edge[3])))
     chain.reverse()
     return chain
 

@@ -5,9 +5,10 @@ elapsed time falls in: the integer point ``[k,k]`` (cell ``2k``) or the open
 segment ``(k,k+1)`` (cell ``2k+1``), because every duration window in the
 search has integer endpoints and so holds each cell whole or not at all.  For
 every reachable belief support the builder runs one duration search at the
-horizon and reads each cell's extended states off its node windows, storing
-the estimate and the successor support per observable event; queries beyond
-the horizon fall back to the online path.
+horizon and reads each cell's extended states off its windows.  Cells that
+reach the same extended states are one object, holding the estimate and the
+successor support per observable event, computed once per build; queries
+beyond the horizon fall back to the online path.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import INF, Interval, Rational, add, distance
+from .intervals import INF, Interval, Rational, add
 from .model import TFA, require_valid
 from .zones import ZoneAutomaton, ext_sort_key
 from .estimation import (
@@ -49,28 +50,30 @@ def _cell_span(i: int) -> Interval:
     return Interval.open(k, k + 1) if i % 2 else Interval.point(k)
 
 
-def _reach_by_cell(za: ZoneAutomaton, ids: list[int], horizon: int) -> list[set[int]]:
+def _reach_by_cell(za: ZoneAutomaton, ids: list[int], horizon: int) -> list[frozenset[int]]:
     """The ids reachable from ``ids`` with no observable event, per unit cell
-    up to ``horizon``, read off the node windows of one search at ``horizon``.
+    up to ``horizon``, read off the windows of one search at ``horizon``.
 
-    That search expands every node whose window starts at or below the
-    horizon, and its cap on accumulated sums keeps, for every ``dt`` up to
-    the horizon, exactly the durations up to ``dt``; so an id is reachable in
-    a cell when one of its node windows covers the cell.
+    That search expands every table entry whose window starts at or below
+    the horizon, and its cap on accumulated sums keeps, for every ``dt`` up
+    to the horizon, exactly the durations up to ``dt``; so an id is
+    reachable in a cell when one of its entry windows covers the cell.
     """
     ix = za.index
-    zone_of, ranges = ix.zone, ix.ranges
     last = 2 * horizon
     cover: dict[int, int] = {}  # id -> bit mask of the cells its windows cover
-    for s, entry, acc in _duration_reach(za, ids, Fraction(horizon)).parents:
-        lo, lo_c, hi, hi_c = add(acc, distance(ranges[entry], ranges[zone_of[s]]))
-        if not isinstance(lo, int) or not (hi == INF or isinstance(hi, int)):
-            raise InvariantError(f"duration window ({lo}, {hi}) has a non-integer endpoint")
-        first = _cell_index(lo) + (not lo_c)
-        end = last if hi == INF else min(last, _cell_index(hi) - (not hi_c))
-        if first <= end:
-            cover[s] = cover.get(s, 0) | ((2 << end) - (1 << first))
-    return [{s for s, mask in cover.items() if mask >> i & 1} for i in range(last + 1)]
+    for r, *acc in _duration_reach(za, ids, Fraction(horizon)).parents:
+        for s, *d, _, _, _ in ix.stretch(r, False):
+            lo, lo_c, hi, hi_c = add(acc, d)
+            if not isinstance(lo, int) or not (hi == INF or isinstance(hi, int)):
+                raise InvariantError(f"duration window ({lo}, {hi}) has a non-integer endpoint")
+            first = _cell_index(lo) + (not lo_c)
+            if first > last:  # the search's cut: no later entry was expanded
+                break
+            end = last if hi == INF else min(last, _cell_index(hi) - (not hi_c))
+            if first <= end:
+                cover[s] = cover.get(s, 0) | ((2 << end) - (1 << first))
+    return [frozenset(s for s, mask in cover.items() if mask >> i & 1) for i in range(last + 1)]
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,7 @@ def build_offline_observer(
         raise ValueError("horizon must be at least 1")
     events = sorted(model.observable)
     tables: dict = {}
+    cells: dict = {}  # reached ids -> their one ObserverCell
     initial = za.initial
     queue = [initial]
     while queue:
@@ -204,13 +208,14 @@ def build_offline_observer(
             continue
         row = []
         for reached in _reach_by_cell(za, _ids(za, support), horizon):
-            succ = {e: _ext(za, _event_step(za, reached, e)) for e in events}
-            row.append(
-                ObserverCell(estimate=Estimate.from_extended(_ext(za, reached)), successors=succ)
-            )
-            for nxt in succ.values():
-                if nxt and nxt not in tables:
-                    queue.append(nxt)
+            cell = cells.get(reached)
+            if cell is None:
+                succ = {e: _ext(za, _event_step(za, reached, e)) for e in events}
+                cell = cells[reached] = ObserverCell(
+                    estimate=Estimate.from_extended(_ext(za, reached)), successors=succ
+                )
+                queue.extend(nxt for nxt in succ.values() if nxt and nxt not in tables)
+            row.append(cell)
         tables[support] = tuple(row)
     return OfflineObserver(
         za=za, model=model, horizon=horizon, tables=tables, initial_support=initial

@@ -190,7 +190,13 @@ class RandomModelConfig:
 
 def random_model(config: RandomModelConfig) -> TFA:
     """Generate a well-formed model; with ``require_ro`` every observable
-    transition resets the clock."""
+    transition resets the clock.  Raises ``ValueError`` when the model would
+    have no state or no event."""
+    if config.state_count < 1 or config.event_count < 1:
+        raise ValueError(
+            f"a random model needs at least one state and one event, "
+            f"not {config.state_count} and {config.event_count}"
+        )
     rng = random.Random(config.rng_seed)
     states = [f"x{i}" for i in range(config.state_count)]
     events = [chr(ord("a") + i) for i in range(config.event_count)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .intervals import Interval, Range, subset
+from .intervals import Interval, distance, subset
 from .model import TAU, TFA, Transition, require_valid
 
 
@@ -131,11 +131,22 @@ class ZoneIndex:
       Transition)``, grouped by label in order of first appearance, and
       ``silent``: those whose label is unobservable.
 
-    ``ids`` maps each state to the range of its ids.  ``dist`` memoises the
-    distance range per ``entry zone id * len(ranges) + zone id``.
+    ``ids`` maps each state to the range of its ids.
+
+    ``stretches`` holds the stretch table of each root id, over silent moves
+    (``stretches[False]``) and over all events (``stretches[True]``); each
+    is filled on first use by ``stretch``.  A reset-free stretch entered at
+    root ``r`` reaches the ids linked to ``r`` by ``tau`` steps and
+    clock-preserving edges.  Its table has one entry ``(s, d_lo, d_lo_closed,
+    d_hi, d_hi_closed, resets, pred, edge)`` per such id ``s``: the distance
+    range from ``r``'s zone to ``s``'s zone, the clock-resetting edges out
+    of ``s``, and the id ``s`` was first reached from with the edge taken
+    (``None`` for ``tau``; ``pred`` is -1 at the root).  Entries are sorted
+    by the lower end of the distance, open after closed, which only grows
+    along a stretch; the root is entry 0.
     """
 
-    __slots__ = ("ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "dist")
+    __slots__ = ("ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches")
 
     def __init__(self) -> None:
         self.ext: list[ExtendedState] = []
@@ -146,7 +157,36 @@ class ZoneIndex:
         self.tau: list[int] = []
         self.events: list[tuple] = []
         self.silent: list[tuple] = []
-        self.dist: dict[int, Range] = {}
+        self.stretches: tuple[list, list] = ([], [])
+
+    def stretch(self, r: int, all_events: bool) -> tuple:
+        """The stretch table of root ``r`` (see the class docstring)."""
+        tables = self.stretches[all_events]
+        table = tables[r]
+        if table is None:
+            table = tables[r] = self._fill(r, self.events if all_events else self.silent)
+        return table
+
+    def _fill(self, r: int, moves: list) -> tuple:
+        zone, ranges, tau = self.zone, self.ranges, self.tau
+        entry = ranges[zone[r]]
+        link = {r: (-1, None)}  # id -> (id it was reached from, edge)
+        order = [r]
+        for s in order:  # breadth first; ``order`` grows as it is walked
+            nxt = tau[s]
+            if nxt >= 0 and nxt not in link:
+                link[nxt] = (s, None)
+                order.append(nxt)
+            for edge in moves[s]:
+                if not edge[2] and edge[1] not in link:
+                    link[edge[1]] = (s, edge)
+                    order.append(edge[1])
+        table = [
+            (s, *distance(entry, ranges[zone[s]]), tuple([e for e in moves[s] if e[2]]), *link[s])
+            for s in order
+        ]
+        table.sort(key=lambda row: (row[1], not row[2]))  # stable: the root stays first
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -235,6 +275,7 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     for per in out:
         ix.events.append(tuple(e for group in per.values() for e in group))
         ix.silent.append(tuple(e for e in ix.events[-1] if e[0] not in model.observable))
+    ix.stretches = ([None] * len(ix.ext), [None] * len(ix.ext))
     return ZoneAutomaton(
         states=frozenset(ix.id_of),
         edges=tuple(edges),

@@ -84,6 +84,14 @@ def test_za_summary_and_dot(capsys, tmp_path, fig1_path):
     assert '"x0 [0,0]" -> "x0 (0,1)" [style=dashed];' in text
 
 
+def test_za_unwritable_dot_exits_64(capsys, tmp_path, fig1_path):
+    dot_path = tmp_path / "missing" / "za.dot"
+    code, _, err = run_cli(capsys, "za", fig1_path, "--dot", str(dot_path))
+    assert code == 64
+    assert err.startswith(f"error: cannot write {dot_path}")
+    assert "Traceback" not in err
+
+
 def test_za_invalid_model_exits_2(capsys, tmp_path, fig1_path):
     path = write_unknown_target_model(tmp_path, fig1_path)
     code, out, err = run_cli(capsys, "za", path)
@@ -215,6 +223,16 @@ def test_observer_bad_horizon_exits_64(capsys, tmp_path, fig1_path):
     assert not out_path.exists()
 
 
+def test_observer_unwritable_out_exits_64(capsys, tmp_path, fig1_path):
+    out_path = tmp_path / "missing" / "observer.json"
+    code, out, err = run_cli(
+        capsys, "observer", fig1_path, "--horizon", "2", "--out", str(out_path)
+    )
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}")
+
+
 def test_observer_json_lists_supports_in_zone_order(capsys, tmp_path):
     # Two supports of this model first differ at the same state, so their
     # order is decided by zone order (`ext_sort_key`).
@@ -260,6 +278,13 @@ def test_fuzz_command(capsys):
     assert summary["trials"] == 4
     for line in lines[:-1]:
         assert json.loads(line)["verdict"] == "ok"
+
+
+def test_fuzz_empty_model_size_exits_64(capsys):
+    code, out, err = run_cli(capsys, "fuzz", "--states", "0", "--trials", "1")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: a random model needs at least one state")
 
 
 # -- round trip ------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from zonewatch import (
 )
 from zonewatch.model import ID_RESET
 from zonewatch.oracle import RandomModelConfig, _grid_points_in, _sample_runs, random_model
-from zonewatch.zones import ExtendedState
+from zonewatch.zones import ExtendedState, ext_sort_key
 
 from goldens import (
     SUPPORT_AFTER_A1,
@@ -314,21 +314,32 @@ def test_lambda_estimation_matches_unobservable_grid_oracle(fig1):
 
 # -- search counters and witness checks -------------------------------------------
 
-# Per call of the duration search: (pushed, expanded, pruned, capped,
-# max_queue).  These are the counts of the search over ExtendedState/Interval
-# nodes that the integer-indexed search replaced, under the same definitions:
-# equal counts mean the same nodes, visited in the same order.
+# Per case: its answer (the extended estimate in zone order, or whether the
+# target is reachable), then per call of the duration search (pushed,
+# expanded, pruned, capped, max_queue): distinct stretch roots queued, table
+# entries that passed the lower-bound test, table scans cut by that test,
+# reset steps whose sum was capped, and the largest queue.
 SEARCH_COUNTS = [
-    ("fig1", "estimate", "a@1,a@3", "4", [(12, 8, 4, 0, 4), (18, 15, 3, 0, 4), (6, 4, 2, 0, 2)]),
-    ("fig1", "estimate", "", "5", [(21, 21, 0, 0, 5)]),
-    ("fig1", "estimate", "a@2", "13/2", [(21, 16, 5, 1, 5), (18, 18, 0, 0, 4)]),
-    ("fig1", "reach", ("x0", "x4"), "4", [(65, 40, 0, 0, 27)]),
-    ("fig1", "reach", ("x0", "x3"), "7/2", [(96, 71, 0, 3, 30)]),
-    ("fig1", "reach", ("x1", "x0"), "3", [(161, 145, 16, 34, 24)]),
-    ("ring8", "estimate", "a@1", "2", [(72, 48, 24, 24, 9), (72, 48, 24, 24, 9)]),
-    ("ring8", "estimate", "", "9", [(264, 264, 0, 24, 14)]),
-    ("ring8", "reach", ("s0", "s7"), "5", [(147, 123, 0, 0, 26)]),
-    ("ring8", "reach", ("s3", "s2"), "15/2", [(147, 123, 0, 0, 26)]),
+    ("fig1", "estimate", "a@1,a@3", "4", (
+        "(x2,[1,1]) (x3,[1,1])",
+        [(2, 8, 2, 0, 1), (3, 15, 2, 0, 2), (1, 4, 1, 0, 1)])),
+    ("fig1", "estimate", "", "5", (
+        "(x0,(3,inf)) (x1,(1,3]) (x1,(3,inf)) (x2,(2,inf)) (x3,(2,inf))",
+        [(3, 21, 0, 0, 2)])),
+    ("fig1", "estimate", "a@2", "13/2", (
+        "(x2,(2,inf)) (x3,(2,inf)) (x4,(1,inf))",
+        [(3, 16, 3, 1, 2), (3, 18, 0, 0, 2)])),
+    ("fig1", "reach", ("x0", "x4"), "4", (True, [(37, 123, 1, 2, 18)])),
+    ("fig1", "reach", ("x0", "x3"), "7/2", (True, [(10, 14, 0, 0, 5)])),
+    ("fig1", "reach", ("x1", "x0"), "3", (False, [(30, 165, 9, 45, 15)])),
+    ("ring8", "estimate", "a@1", "2", (
+        " ".join(f"(s{i},[0,0]) (s{i},(0,1])" for i in range(8)),
+        [(24, 48, 24, 24, 4), (24, 48, 24, 24, 4)])),
+    ("ring8", "estimate", "", "9", (
+        " ".join(f"(s{i},[0,0]) (s{i},(0,1]) (s{i},(1,inf))" for i in range(8)),
+        [(88, 264, 0, 24, 8)])),
+    ("ring8", "reach", ("s0", "s7"), "5", (True, [(63, 150, 0, 6, 13)])),
+    ("ring8", "reach", ("s3", "s2"), "15/2", (True, [(67, 153, 0, 0, 15)])),
 ]
 
 
@@ -350,10 +361,11 @@ def test_search_counters_pinned(monkeypatch, fig1, name, kind, arg, time, expect
 
     monkeypatch.setattr(estimation, "_duration_reach", counted)
     if kind == "estimate":
-        estimate(za, model, parse_observation(arg, F(time)))
+        est = estimate(za, model, parse_observation(arg, F(time)))
+        answer = " ".join(str(v) for v in sorted(est.extended, key=ext_sort_key))
     else:
-        t_reachable(za, model, *arg, F(time))
-    assert calls == expected
+        answer = t_reachable(za, model, *arg, F(time))[0]
+    assert (answer, calls) == expected
 
 
 def test_realize_checks_survive_optimized_mode():
@@ -376,3 +388,49 @@ def test_realize_checks_survive_optimized_mode():
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("InvariantError: search certified an unrealizable")
 
+
+
+# -- stretch search vs the per-node reference ----------------------------------
+
+def _differential_models():
+    from test_acceptance import ring_model
+
+    models = [("ring8", ring_model(8), [F(0), F(1, 2), F(1), F(7, 2), F(9), F(40), F(199, 2), F(100)])]
+    for seed in range(60):
+        config = RandomModelConfig(
+            state_count=3 + seed % 4,
+            max_constant=1 + seed % 4,
+            transition_density=0.12 + 0.04 * (seed % 3),
+            require_ro=seed % 2 == 0,
+            rng_seed=2000 + seed,
+        )
+        models.append((f"random{seed}", random_model(config), [F(0), F(1, 2), F(1), F(2), F(5, 2)]))
+    return models
+
+
+def test_stretch_search_matches_node_search():
+    from node_search import node_reach
+
+    import zonewatch.estimation as estimation
+
+    compared = 0
+    for name, model, durations in _differential_models():
+        za = build_zone_automaton(model)
+        ix = za.index
+        start_sets = [sorted(ix.id_of[v] for v in za.initial)]
+        start_sets += [list(ix.ids[x]) for x in sorted(model.states)]
+        for starts in start_sets:
+            for dt in durations:
+                for all_events in (False, True):
+                    got = estimation._duration_reach(za, starts, dt, all_events).hits
+                    assert got == node_reach(za, starts, dt, all_events), (name, starts, dt, all_events)
+                    compared += 1
+        for source in sorted(model.states):
+            for dt in durations[1::2]:
+                reached = node_reach(za, ix.ids[source], dt, all_events=True)
+                for target in sorted(model.states):
+                    ok, witness = t_reachable(za, model, source, target, dt)
+                    assert ok == bool(reached.intersection(ix.ids[target])), (name, source, target, dt)
+                    if ok:
+                        assert_witness_replays(model, witness, source, target, dt)
+    assert compared > 3000

@@ -170,16 +170,26 @@ def test_builder_runs_one_search_per_support(monkeypatch, fig1, fig1_za):
         assert sorted(calls) == sorted(tuple(_ids(za, s)) for s in observer.tables)
 
 
+def test_equal_cells_are_one_object(fig1, fig1_za):
+    observer = build_offline_observer(fig1_za, fig1)
+    assert observer.horizon == default_horizon(fig1_za, fig1)
+    for row in observer.tables.values():
+        assert len({id(cell) for cell in row}) == len({cell.estimate for cell in row})
+    # Each distinct reached-id set of the whole build has one cell.
+    cells = {id(cell): cell for row in observer.tables.values() for cell in row}
+    assert len(cells) == len({cell.estimate for cell in cells.values()})
+
+
 def test_non_integer_window_raises_in_optimized_mode():
     # The cells are exact only for integer window endpoints; the check must
     # not be a bare assert, which ``python -O`` would drop.
     script = (
         "from fractions import Fraction\n"
-        "import zonewatch.observer as observer\n"
+        "import zonewatch.zones as zones\n"
         "from zonewatch import InvariantError, build_offline_observer, build_zone_automaton\n"
         "from zonewatch.oracle import RandomModelConfig, random_model\n"
         "model = random_model(RandomModelConfig(rng_seed=1))\n"
-        "observer.distance = lambda a, b: (Fraction(1, 2), True, 1, True)\n"
+        "zones.distance = lambda a, b: (Fraction(1, 2), True, 1, True)\n"
         "try:\n"
         "    build_offline_observer(build_zone_automaton(model), model, 2)\n"
         "except InvariantError as exc:\n"

@@ -92,6 +92,12 @@ def test_random_models_validate():
         assert model_digest(model) == model_digest(random_model(config))
 
 
+@pytest.mark.parametrize("sizes", [{"state_count": 0}, {"event_count": 0}, {"state_count": -2}])
+def test_random_model_rejects_empty_sizes(sizes):
+    with pytest.raises(ValueError, match="at least one state and one event"):
+        random_model(RandomModelConfig(**sizes))
+
+
 def test_differential_zero_trials():
     report = differential_check(RandomModelConfig(), GridConfig(horizon=F(3)), trials=0)
     assert report.entries == []

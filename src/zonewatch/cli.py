@@ -185,14 +185,13 @@ def cmd_observer(args) -> int:
     model, za = _load_valid(args.model, require_ro=True)
     try:
         observer = build_offline_observer(za, model, args.horizon)
-    except ValueError as exc:  # a horizon below 1
+    except ValueError as exc:  # a horizon below 1, or a period too long to tabulate
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     doc = observer.to_json_dict()
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(
-        f"observer: {len(doc['supports'])} supports, horizon {observer.horizon}; wrote {args.out}"
-    )
+    cells = sum(len(s["cells"]) for s in doc["supports"])
+    print(f"observer: {len(doc['supports'])} supports, {cells} cells; wrote {args.out}")
     return 0
 
 
@@ -270,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("observer", help="precompute the estimation tables")
     sp.add_argument("model")
-    sp.add_argument("--horizon", type=int, default=None)
+    sp.add_argument(
+        "--horizon", type=int, default=None, help="accepted and checked (at least 1); sizes nothing"
+    )
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_observer)
 

@@ -20,6 +20,10 @@ with the range sum of the stretches completed before it; expanding it scans
 the root's table, and each resetting edge out of a reached id queues a new
 root.  Windows are range tuples (see ``intervals``).  Ids are mapped back to
 extended states only for answers and witness paths.
+
+The offline observer needs every duration at once, not one: for it,
+``_duration_cells`` runs a fixpoint over bit masks of unit cells on the
+same stretch tables, and certifies where the masks turn periodic.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .intervals import (
+    INF,
     Interval,
     Rational,
     add,
@@ -168,6 +173,167 @@ def _duration_reach(
                         seen[child] = (item, k, edge)
                         queue.append(child)
     return _SearchOutcome(hits, seen, goal, len(seen), expanded, pruned, capped, max_queue)
+
+
+# -- duration cells -------------------------------------------------------------
+#
+# Every window has integer endpoints (or an infinite upper end), so the
+# durations at which an id is reachable form a union of unit cells: the point
+# ``[k,k]`` is cell ``2k`` and the segment ``(k,k+1)`` cell ``2k+1``.  A set
+# of cells is a Python int bit mask.  Adding a window ``d`` to cell ``2k``
+# gives the cells ``2k + 2*d_lo + (d_lo open)`` through ``2k + 2*d_hi - (d_hi
+# open)``, and to cell ``2k+1`` the cells ``2k+1 + 2*d_lo`` through ``2k+1 +
+# 2*d_hi``, so adding a window to a mask is two shift-and-smears.
+
+
+def _smear(mask: int, lo: int, hi: Optional[int], full: int) -> int:
+    """The cells ``c + j`` for each cell ``c`` of ``mask`` and ``lo <= j <=
+    hi`` (every ``j >= lo`` when ``hi`` is None), cut to the cells of
+    ``full``; in O(log(hi - lo)) big-int operations."""
+    if not mask:
+        return 0
+    if hi is None:
+        first = (mask & -mask).bit_length() - 1 + lo
+        return full >> first << first
+    mask = (mask << lo) & full
+    width, n = 1, hi - lo + 1
+    while width < n:
+        step = min(width, n - width)
+        mask = (mask | mask << step) & full
+        width += step
+    return mask
+
+
+def _add_window(mask: int, d: Sequence, even: int, full: int) -> int:
+    """The cells of ``mask`` plus the window ``d``, cut to the cells of
+    ``full``; ``even`` has the even cells of ``full``."""
+    d_lo, d_lc, d_hi, d_hc = d
+    if not isinstance(d_lo, int) or not (d_hi == INF or isinstance(d_hi, int)):
+        raise InvariantError(f"duration window ({d_lo}, {d_hi}) has a non-integer endpoint")
+    if d_hi == INF:
+        e_hi = o_hi = None
+    else:
+        e_hi, o_hi = 2 * d_hi - (not d_hc), 2 * d_hi
+    e_lo, o_lo = 2 * d_lo + (not d_lc), 2 * d_lo
+    if e_lo == o_lo and e_hi == o_hi:  # a closed window shifts both parities alike
+        return _smear(mask, e_lo, e_hi, full)
+    return _smear(mask & even, e_lo, e_hi, full) | _smear(mask & ~even, o_lo, o_hi, full)
+
+
+def _reach_cells(ix, starts: Iterable[int], limit: int) -> tuple[dict, dict]:
+    """The cells ``0..limit`` of every silent duration from ``starts``: the
+    mask of each stretch root (the durations at which a stretch can begin
+    there) and of each reached id, both keyed by id.
+
+    A worklist fixpoint over root masks: start roots hold cell 0, and
+    expanding a root adds each entry's window to the bits the root gained
+    since its last expansion, into the mask of each reset target.  A target
+    is queued again only when its mask gains bits.  Cutting at ``limit`` is
+    exact for every cell up to ``limit``, since durations only grow.
+    """
+    full = (2 << limit) - 1
+    even = ((1 << 2 * (limit // 2 + 1)) - 1) // 3  # 0b0101...01
+    tables = ix.stretches[False]
+    roots = dict.fromkeys(starts, 1)
+    pending = dict(roots)  # root -> bits not yet expanded
+    while pending:
+        r, delta = pending.popitem()
+        for _, *d, resets, _, _ in tables[r] or ix.stretch(r, False):
+            if not resets:
+                continue
+            cells = _add_window(delta, d, even, full)
+            for edge in resets:
+                old = roots.get(edge[1], 0)
+                gain = cells & ~old
+                if gain:
+                    roots[edge[1]] = old | gain
+                    pending[edge[1]] = pending.get(edge[1], 0) | gain
+    hits: dict = {}
+    for r, mask in roots.items():
+        for s, *d, _, _, _ in tables[r]:
+            cells = _add_window(mask, d, even, full)
+            if cells:
+                hits[s] = hits.get(s, 0) | cells
+    return roots, hits
+
+
+def _root_period(roots: dict, w: int, limit: int) -> Optional[tuple[int, int]]:
+    """A cell ``a`` and an even period ``p`` with ``m(c) = m(c + p)`` for
+    every root mask ``m`` and every cell ``c >= a``, certified from the cells
+    ``0..limit``; None when no ``p`` up to half the slack certifies.
+
+    Cell ``c`` of every root mask is fixed by the cells ``c-w..c-1`` of all
+    root masks, whether each root has a bit below ``c-w``, and the parity of
+    ``c``: finite windows are at most ``(w-2)/2`` long, and an unbounded
+    window starts at most ``w-1`` cells on.  So if that state is the same at
+    ``a + w`` and ``a + w + p``, with ``p`` even, it is the same ``p`` cells
+    apart from then on.  Every root's lowest bit must lie below ``a``, or
+    the has-a-bit-below flags would differ.
+    """
+    low = max((m & -m).bit_length() for m in roots.values())
+    for p in range(2, (limit - w) // 2 + 1, 2):
+        last = limit + 1 - w - p  # the largest ``a`` the cut can certify
+        if low > last:
+            break
+        diff = 0
+        for m in roots.values():
+            diff |= (m ^ (m >> p)) & ((1 << (limit + 1 - p)) - 1)
+            if diff >> last:
+                break
+        else:
+            return max(low, diff.bit_length()), p
+    return None
+
+
+# The fixpoint gives up when the cut would pass this many cells (or 16 times
+# the dependency width, for large constants): the cost of a cut grows with
+# its square in the worst case, and only silent cycles of exact, mutually
+# prime durations push the period this far.
+_MAX_CUT = 1 << 16
+
+
+def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int, int]:
+    """Every silent duration from ``starts`` at once, as ``(hits, start,
+    period)``: ``hits`` maps each reachable id to the mask of the cells
+    ``0..start+period-1`` at which it is reachable, and cell ``c >= start``
+    answers as cell ``start + (c - start) % period``.
+
+    Runs the fixpoint of ``_reach_cells`` to a cut, doubling the cut until
+    the root masks certify a periodic tail (they must: the state behind a
+    cell takes finitely many values).  A reached id's cell depends on the
+    root masks the same way a root's does, so the hit masks repeat from
+    ``w`` cells after the roots do.  The period is then cut to the smallest
+    divisor of ``p`` and the start moved back as far as the hit masks allow.
+    Raises ``InvariantError`` on a window with a non-integer endpoint.
+    """
+    ix = za.index
+    starts = list(starts)
+    w = 2 * max(z.lo for z in ix.ranges) + 2  # every finite endpoint is at most max lo
+    limit = 4 * w
+    while True:
+        roots, hits = _reach_cells(ix, starts, limit)
+        tail = _root_period(roots, w, limit)
+        if tail is not None:
+            break
+        limit *= 2
+        if limit > max(_MAX_CUT, 16 * w):
+            raise ValueError(
+                f"no periodic tail of the silent durations within {limit // 2} cells: "
+                "exact-duration silent cycles make the period too long to tabulate"
+            )
+    start, p = tail[0] + w, tail[1]
+    period = next(
+        q
+        for q in range(1, p + 1)
+        if p % q == 0
+        and not any((h ^ (h >> q)) >> start & ((1 << (p - q)) - 1) for h in hits.values())
+    )
+    diff = 0
+    for h in hits.values():
+        diff |= (h ^ (h >> period)) & ((1 << start) - 1)
+    start = diff.bit_length()
+    cut = (1 << (start + period)) - 1
+    return {s: h & cut for s, h in hits.items() if h & cut}, start, period
 
 
 def _ids(za: ZoneAutomaton, support: Iterable[ExtendedState]) -> list[int]:

@@ -4,11 +4,14 @@ Between observations the estimate only depends on which unit cell the
 elapsed time falls in: the integer point ``[k,k]`` (cell ``2k``) or the open
 segment ``(k,k+1)`` (cell ``2k+1``), because every duration window in the
 search has integer endpoints and so holds each cell whole or not at all.  For
-every reachable belief support the builder runs one duration search at the
-horizon and reads each cell's extended states off its windows.  Cells that
-reach the same extended states are one object, holding the estimate and the
-successor support per observable event, computed once per build; queries
-beyond the horizon fall back to the online path.
+every reachable belief support the builder runs one cell-mask fixpoint
+(``_duration_cells``), which gives the cells at which each extended state is
+reachable for every elapsed time at once: a prefix of ``start`` cells, then
+a tail of ``period`` cells that repeats forever, certified by the fixpoint.
+So each row is total: it holds ``start + period`` cells, and any elapsed
+time is answered by one table read.  Cells that reach the same extended
+states are one object, holding the estimate and the successor support per
+observable event, computed once per build.
 """
 
 from __future__ import annotations
@@ -17,20 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import INF, Interval, Rational, add
+from .intervals import Interval, Rational
 from .model import TFA, require_valid
 from .zones import ZoneAutomaton, ext_sort_key
-from .estimation import (
-    BeliefState,
-    Estimate,
-    InvariantError,
-    _duration_reach,
-    _event_step,
-    _ext,
-    _ids,
-    belief_advance,
-    belief_query,
-)
+from .estimation import Estimate, _duration_cells, _event_step, _ext, _ids
 
 Support = frozenset
 
@@ -50,74 +43,48 @@ def _cell_span(i: int) -> Interval:
     return Interval.open(k, k + 1) if i % 2 else Interval.point(k)
 
 
-def _reach_by_cell(za: ZoneAutomaton, ids: list[int], horizon: int) -> list[frozenset[int]]:
-    """The ids reachable from ``ids`` with no observable event, per unit cell
-    up to ``horizon``, read off the windows of one search at ``horizon``.
-
-    That search expands every table entry whose window starts at or below
-    the horizon, and its cap on accumulated sums keeps, for every ``dt`` up
-    to the horizon, exactly the durations up to ``dt``; so an id is
-    reachable in a cell when one of its entry windows covers the cell.
-    """
-    ix = za.index
-    last = 2 * horizon
-    cover: dict[int, int] = {}  # id -> bit mask of the cells its windows cover
-    for r, *acc in _duration_reach(za, ids, Fraction(horizon)).parents:
-        for s, *d, _, _, _ in ix.stretch(r, False):
-            lo, lo_c, hi, hi_c = add(acc, d)
-            if not isinstance(lo, int) or not (hi == INF or isinstance(hi, int)):
-                raise InvariantError(f"duration window ({lo}, {hi}) has a non-integer endpoint")
-            first = _cell_index(lo) + (not lo_c)
-            if first > last:  # the search's cut: no later entry was expanded
-                break
-            end = last if hi == INF else min(last, _cell_index(hi) - (not hi_c))
-            if first <= end:
-                cover[s] = cover.get(s, 0) | ((2 << end) - (1 << first))
-    return [frozenset(s for s, mask in cover.items() if mask >> i & 1) for i in range(last + 1)]
-
-
 @dataclass(frozen=True)
 class ObserverCell:
     estimate: Estimate
     successors: dict  # event -> Support
 
 
+# The answer for the empty support, which a session reaches after an
+# inconsistent observation and which has no row.
+_EMPTY_CELL = ObserverCell(Estimate.from_extended(()), {})
+
+
 @dataclass
 class OfflineObserver:
-    za: ZoneAutomaton
     model: TFA
-    horizon: int
-    tables: dict  # Support -> tuple[ObserverCell, ...]
+    horizon: Optional[int]  # accepted for compatibility; it sizes nothing
+    tables: dict  # Support -> tuple[ObserverCell, ...], the first start + period cells
+    tails: dict  # Support -> (start, period) of its row, in cells
     initial_support: Support
 
-    def cell_for(self, support: Support, dt: Rational) -> Optional[ObserverCell]:
+    def cell_for(self, support: Support, dt: Rational) -> ObserverCell:
+        """The cell answering ``dt`` after the support was formed."""
         dt = Fraction(dt)
+        if dt < 0:
+            raise ValueError("elapsed time must be non-negative")
+        if not support:
+            return _EMPTY_CELL
         row = self.tables.get(support)
-        if row is None or dt < 0 or dt > self.horizon:
-            return None
-        return row[_cell_index(dt)]
+        if row is None:
+            raise ValueError("support is not reachable in this observer")
+        start, period = self.tails[support]
+        i = _cell_index(dt)
+        return row[i if i < start else start + (i - start) % period]
 
     def lookup(self, support: Support, dt: Rational) -> Estimate:
-        """Estimate after ``dt`` has elapsed since the support was formed.
-        Falls back to the online computation beyond the horizon."""
-        cell = self.cell_for(support, dt)
-        if cell is not None:
-            return cell.estimate
-        return belief_query(
-            self.za, self.model, BeliefState(support, Fraction(0)), Fraction(dt)
-        )
+        """Estimate after ``dt`` has elapsed since the support was formed."""
+        return self.cell_for(support, dt).estimate
 
     def successor(self, support: Support, event: str, dt: Rational) -> Support:
         """Belief support after observing ``event`` at elapsed time ``dt``."""
         if event not in self.model.observable:
             raise ValueError(f"event {event!r} is not observable")
-        cell = self.cell_for(support, dt)
-        if cell is not None:
-            return cell.successors.get(event, frozenset())
-        advanced = belief_advance(
-            self.za, self.model, BeliefState(support, Fraction(0)), event, Fraction(dt)
-        )
-        return advanced.support
+        return self.cell_for(support, dt).successors.get(event, frozenset())
 
     def session(self) -> "ObserverSession":
         return ObserverSession(self, self.initial_support, Fraction(0))
@@ -147,7 +114,15 @@ class OfflineObserver:
                         },
                     }
                 )
-            supports.append({"id": ids[s], "support": support_json(s), "cells": cells})
+            start, period = self.tails[s]
+            supports.append(
+                {
+                    "id": ids[s],
+                    "support": support_json(s),
+                    "cells": cells,
+                    "tail": {"from": start, "period": period},
+                }
+            )
         return {
             "horizon": self.horizon,
             "initial": ids[self.initial_support],
@@ -179,26 +154,24 @@ class ObserverSession:
         self.anchor_time = time
 
 
-def default_horizon(za: ZoneAutomaton, model: TFA) -> int:
-    return max(1, 2 * model.max_constant() * len(za.states))
-
-
 def build_offline_observer(
     za: ZoneAutomaton, model: TFA, horizon: Optional[int] = None
 ) -> OfflineObserver:
-    """Tabulate estimates and belief successors for every reachable support,
-    one duration search per support.
+    """Tabulate estimates and belief successors for every reachable support
+    and every elapsed time, one cell-mask fixpoint per support.
 
-    Raises ``InvariantError`` when a duration window has a non-integer
-    endpoint, since the cells would then not be exact.
+    ``horizon`` is checked (at least 1) and kept, but sizes nothing: every
+    row ends at its certified tail.  Raises ``ValueError`` when a support's
+    durations have no periodic tail within the fixpoint's largest cut, and
+    ``InvariantError`` when a duration window has a non-integer endpoint,
+    since the cells would then not be exact.
     """
     require_valid(model, require_ro=True)
-    if horizon is None:
-        horizon = default_horizon(za, model)
-    if horizon < 1:
+    if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
     events = sorted(model.observable)
     tables: dict = {}
+    tails: dict = {}
     cells: dict = {}  # reached ids -> their one ObserverCell
     initial = za.initial
     queue = [initial]
@@ -206,8 +179,10 @@ def build_offline_observer(
         support = queue.pop()
         if support in tables or not support:
             continue
+        hits, start, period = _duration_cells(za, _ids(za, support))
         row = []
-        for reached in _reach_by_cell(za, _ids(za, support), horizon):
+        for i in range(start + period):
+            reached = frozenset(s for s, mask in hits.items() if mask >> i & 1)
             cell = cells.get(reached)
             if cell is None:
                 succ = {e: _ext(za, _event_step(za, reached, e)) for e in events}
@@ -217,6 +192,7 @@ def build_offline_observer(
                 queue.extend(nxt for nxt in succ.values() if nxt and nxt not in tables)
             row.append(cell)
         tables[support] = tuple(row)
+        tails[support] = (start, period)
     return OfflineObserver(
-        za=za, model=model, horizon=horizon, tables=tables, initial_support=initial
+        model=model, horizon=horizon, tables=tables, tails=tails, initial_support=initial
     )

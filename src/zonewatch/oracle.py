@@ -41,6 +41,8 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.step <= 0 or (1 / self.step).denominator != 1:
             raise ValueError("grid step must divide 1")
+        if self.horizon < 0:
+            raise ValueError("horizon must be non-negative")
         if self.ticks(self.horizon) is None:
             raise ValueError("horizon must be a grid multiple")
 

@@ -213,6 +213,18 @@ def test_observer_command(capsys, tmp_path, fig1_path):
     assert any(s["support"] == [["x0", "[0,0]"]] for s in doc["supports"])
 
 
+def test_observer_output_does_not_depend_on_horizon(capsys, tmp_path, fig1_path):
+    docs = []
+    for horizon in ["4", "100000"]:
+        out_path = str(tmp_path / f"observer-{horizon}.json")
+        code, _, _ = run_cli(capsys, "observer", fig1_path, "--horizon", horizon, "--out", out_path)
+        assert code == 0
+        docs.append(json.load(open(out_path)))
+    assert [doc.pop("horizon") for doc in docs] == [4, 100000]
+    assert docs[0] == docs[1]
+    assert all("tail" in s for s in docs[0]["supports"])
+
+
 def test_observer_bad_horizon_exits_64(capsys, tmp_path, fig1_path):
     out_path = tmp_path / "observer.json"
     code, _, err = run_cli(
@@ -285,6 +297,14 @@ def test_fuzz_empty_model_size_exits_64(capsys):
     assert code == 64
     assert out == ""
     assert err.startswith("error: a random model needs at least one state")
+
+
+def test_fuzz_negative_horizon_exits_64(capsys):
+    code, out, err = run_cli(capsys, "fuzz", "--horizon", "-1", "--trials", "1")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: horizon must be non-negative")
+    assert "Traceback" not in err
 
 
 # -- round trip ------------------------------------------------------------------------

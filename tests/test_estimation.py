@@ -434,3 +434,28 @@ def test_stretch_search_matches_node_search():
                     if ok:
                         assert_witness_replays(model, witness, source, target, dt)
     assert compared > 3000
+
+
+def test_cell_window_sum_matches_interval_sum():
+    # Adding a window to a mask of cells must give exactly the cells of the
+    # interval sums, for each parity and openness of the window's ends.
+    from zonewatch.estimation import _add_window
+    from zonewatch.intervals import add, contains, pick
+    from zonewatch.observer import _cell_span
+
+    limit = 40
+    full = (2 << limit) - 1
+    even = ((1 << 2 * (limit // 2 + 1)) - 1) // 3
+
+    windows = [I(w) for w in ["[0,0]", "[2,2]", "(0,1)", "[0,1)", "(1,3]", "[1,4]", "(2,inf)", "(0,inf)"]]
+    masks = [0b1, 0b10, 0b101000, 0b1000010, 0b11100100]
+    for mask in masks:
+        for d in windows:
+            want = 0
+            for c in range(limit + 1):
+                if mask >> c & 1:
+                    total = add(_cell_span(c), d)
+                    want |= sum(
+                        1 << i for i in range(limit + 1) if contains(total, pick(_cell_span(i)))
+                    )
+            assert _add_window(mask, d, even, full) == want, (bin(mask), d)

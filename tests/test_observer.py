@@ -8,6 +8,7 @@ import pytest
 
 from zonewatch import (
     BeliefState,
+    ExtendedState,
     GridConfig,
     TimedObservation,
     belief_advance,
@@ -16,11 +17,11 @@ from zonewatch import (
     build_offline_observer,
     build_zone_automaton,
     estimate,
+    model_from_dict,
     parse_interval,
     project,
 )
 from zonewatch.estimation import _ids
-from zonewatch.observer import default_horizon
 from zonewatch.oracle import RandomModelConfig, _sample_runs, random_model
 
 from goldens import SUPPORT_AFTER_A1, TABLE_AFTER_A1, TABLE_NO_OBS, discrete
@@ -68,16 +69,38 @@ def test_session_matches_batch(fig1, fig1_za, fig1_observer):
         assert got.extended == want.extended
 
 
-def test_lookup_beyond_horizon_falls_back(fig1, fig1_za, fig1_observer):
-    dt = F(fig1_observer.horizon) + F(3, 2)
-    online = belief_query(
-        fig1_za, fig1, belief_init(fig1_za), dt
-    )
-    assert fig1_observer.lookup(fig1_za.initial, dt).extended == online.extended
+def test_session_ops_past_the_tail_are_table_reads(monkeypatch, fig1, fig1_za, fig1_observer):
+    import zonewatch.estimation as estimation
+    import zonewatch.observer as observer_module
 
+    start, period = fig1_observer.tails[fig1_za.initial]
+    dt = F(start + 7 * period + 1, 2)  # a cell well past the stored row
+    after_a = belief_advance(fig1_za, fig1, belief_init(fig1_za), "a", dt)
+    want = belief_query(fig1_za, fig1, after_a, 2 * dt)
 
-def test_default_horizon(fig1, fig1_za):
-    assert default_horizon(fig1_za, fig1) == 2 * 3 * len(fig1_za.states)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (estimation, "_duration_reach"),
+        (estimation, "_duration_cells"),
+        (estimation, "belief_query"),
+        (estimation, "belief_advance"),
+        (observer_module, "_duration_cells"),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    session = fig1_observer.session()
+    session.advance("a", dt)
+    got = session.query(2 * dt)
+    assert calls == []
+    assert session.support == after_a.support
+    assert got == want
 
 
 def test_offline_online_agreement_on_random_models():
@@ -106,8 +129,14 @@ def test_observer_serialization(fig1_observer):
     )
     initial = next(s for s in doc["supports"] if s["id"] == doc["initial"])
     assert initial["support"] == [["x0", "[0,0]"]]
+    # The row ends at its tail, whatever the horizon: from (5,6) on, every
+    # cell answers as (5,6) does.
     spans = [c["span"] for c in initial["cells"]]
-    assert spans == ["[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]", "(2,3)", "[3,3]", "(3,4)", "[4,4]"]
+    assert spans == [
+        "[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]", "(2,3)",
+        "[3,3]", "(3,4)", "[4,4]", "(4,5)", "[5,5]", "(5,6)",
+    ]
+    assert initial["tail"] == {"from": 11, "period": 1}
     cell0 = initial["cells"][0]
     assert cell0["discrete"] == ["x0", "x2"]
     assert all(isinstance(v, (int, type(None))) for c in initial["cells"] for v in c["next"].values())
@@ -147,19 +176,117 @@ def test_cells_match_online_answers_at_their_sample_points(fig1, fig1_za):
                         assert got == belief_advance(za, model, belief, e, t).support
 
 
-def test_builder_runs_one_search_per_support(monkeypatch, fig1, fig1_za):
+def _loop7_model():
+    # A silent reset loop of duration exactly 7: the row's tail has a period
+    # of 14 cells, longer than any small period a shortcut might try.
+    return model_from_dict(
+        {
+            "states": ["x0", "x1"],
+            "alphabet": ["a", "u"],
+            "observable": ["a"],
+            "initial": ["x0"],
+            "transitions": [
+                {"from": "x0", "event": "u", "to": "x0", "guard": "[7,7]", "reset": "[0,0]"},
+                {"from": "x0", "event": "a", "to": "x1", "guard": "[2,3]", "reset": "[0,0]"},
+                {"from": "x1", "event": "a", "to": "x0", "guard": "[0,1]", "reset": "[0,0]"},
+            ],
+        }
+    )
+
+
+def _unbounded_reset_case():
+    # Guards are bounded, so no model has an edge out of an unbounded zone;
+    # add a silent reset edge out of one to the index to reach the
+    # unbounded-window path of the fixpoint, which the online search takes
+    # from the same index.
+    model = model_from_dict(
+        {
+            "states": ["x0", "x1"],
+            "alphabet": ["a", "u"],
+            "observable": ["a"],
+            "initial": ["x0"],
+            "transitions": [
+                {"from": "x0", "event": "u", "to": "x1", "guard": "[1,2]", "reset": "[0,0]"},
+                {"from": "x1", "event": "a", "to": "x0", "guard": "[0,1]", "reset": "[0,0]"},
+                {"from": "x1", "event": "u", "to": "x1", "guard": "[3,3]", "reset": "[1,1]"},
+            ],
+        }
+    )
+    za = build_zone_automaton(model)
+    ix = za.index
+    source = ix.id_of[ExtendedState("x0", I("(2,inf)"))]
+    edge = ("u", ix.id_of[ExtendedState("x1", I("[0,0]"))], True, model.transitions[0])
+    ix.events[source] += (edge,)
+    ix.silent[source] += (edge,)
+    return model, za
+
+
+def test_total_tables_match_online(fig1, fig1_za):
+    cases = [(fig1, fig1_za), _unbounded_reset_case()]
+    loop7 = _loop7_model()
+    cases.append((loop7, build_zone_automaton(loop7)))
+    for seed in range(30):
+        model = random_model(
+            RandomModelConfig(state_count=2 + seed % 4, max_constant=1 + seed % 3, rng_seed=1500 + seed)
+        )
+        cases.append((model, build_zone_automaton(model)))
+    periods = set()
+    for model, za in cases:
+        observer = build_offline_observer(za, model)
+        for support, row in observer.tables.items():
+            start, period = observer.tails[support]
+            assert len(row) == start + period
+            periods.add(period)
+            belief = BeliefState(support, F(0))
+            last = 2 * (start + period) + 3
+            for dt in sorted({F(k, 2) for k in range(last + 1)} | {F(k, 3) for k in range(last + 1)}):
+                assert observer.lookup(support, dt) == belief_query(za, model, belief, dt)
+                for e in sorted(model.observable):
+                    want = belief_advance(za, model, belief, e, dt).support
+                    assert observer.successor(support, e, dt) == want
+    assert 14 in periods
+
+
+def test_builder_rejects_a_period_too_long_to_tabulate():
+    # Silent loops of exact durations 29, 31 and 37 from one state: the
+    # durations repeat only every 2 * 29 * 31 * 37 cells, past the cut at
+    # which the fixpoint gives up with a clear error instead of a long build.
+    transitions = []
+    for p in [29, 31, 37]:
+        transitions += [
+            {"from": "x0", "event": "u", "to": f"l{p}", "guard": "[0,0]", "reset": "[0,0]"},
+            {"from": f"l{p}", "event": "u", "to": f"l{p}", "guard": f"[{p},{p}]", "reset": "[0,0]"},
+            {"from": f"l{p}", "event": "a", "to": "x0", "guard": "[0,1]", "reset": "[0,0]"},
+        ]
+    model = model_from_dict(
+        {
+            "states": ["x0", "l29", "l31", "l37"],
+            "alphabet": ["a", "u"],
+            "observable": ["a"],
+            "initial": ["x0"],
+            "transitions": transitions,
+        }
+    )
+    with pytest.raises(ValueError, match="no periodic tail"):
+        build_offline_observer(build_zone_automaton(model), model)
+
+
+def test_builder_runs_one_fixpoint_per_support(monkeypatch, fig1, fig1_za):
     import zonewatch.estimation as estimation
     import zonewatch.observer as observer_module
 
     calls = []
-    search = estimation._duration_reach
+    fixpoint = estimation._duration_cells
 
-    def counted(za, starts, *args, **kwargs):
+    def counted(za, starts):
         calls.append(tuple(starts))
-        return search(za, starts, *args, **kwargs)
+        return fixpoint(za, starts)
 
-    monkeypatch.setattr(estimation, "_duration_reach", counted)
-    monkeypatch.setattr(observer_module, "_duration_reach", counted, raising=False)
+    def no_search(*args, **kwargs):
+        raise AssertionError("the builder ran a per-dt duration search")
+
+    monkeypatch.setattr(observer_module, "_duration_cells", counted)
+    monkeypatch.setattr(estimation, "_duration_reach", no_search)
     for model, za in [(fig1, fig1_za)] + [
         (m, build_zone_automaton(m))
         for m in (random_model(RandomModelConfig(rng_seed=1400 + s)) for s in range(5))
@@ -172,7 +299,6 @@ def test_builder_runs_one_search_per_support(monkeypatch, fig1, fig1_za):
 
 def test_equal_cells_are_one_object(fig1, fig1_za):
     observer = build_offline_observer(fig1_za, fig1)
-    assert observer.horizon == default_horizon(fig1_za, fig1)
     for row in observer.tables.values():
         assert len({id(cell) for cell in row}) == len({cell.estimate for cell in row})
     # Each distinct reached-id set of the whole build has one cell.

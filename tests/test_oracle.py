@@ -28,6 +28,11 @@ def test_grid_config_rejects_bad_steps():
         GridConfig(horizon=F(1, 3))
 
 
+def test_grid_config_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="horizon must be non-negative"):
+        GridConfig(horizon=F(-1))
+
+
 def test_enumeration_contains_reference_run(fig1):
     grid = GridConfig(horizon=F(2), step=F(1, 2), max_events=3)
     target = (("b", F(1, 2)), ("c", F(2)), ("a", F(2)))

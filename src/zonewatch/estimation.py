@@ -21,9 +21,19 @@ the root's table, and each resetting edge out of a reached id queues a new
 root.  Windows are range tuples (see ``intervals``).  Ids are mapped back to
 extended states only for answers and witness paths.
 
-The offline observer needs every duration at once, not one: for it,
-``_duration_cells`` runs a fixpoint over bit masks of unit cells on the
-same stretch tables, and certifies where the masks turn periodic.
+Every window has integer endpoints, so between two observations the answer
+depends only on the belief support and on the unit cell of the elapsed time
+(the point ``[k,k]`` or the segment ``(k,k+1)``).  ``estimate``, the belief
+functions, ``lambda_estimation`` and the offline observer all read one memo
+kept on the index: per support a row of cells (``Cell``), each holding the
+ids reached and, computed on first use, their ``Estimate`` and the successor
+support per observable event.  A miss at a small elapsed time runs the
+search for that one cell.  A miss past twice the first cut of
+``_duration_cells``, a fixpoint over bit masks of unit cells on the same
+stretch tables, fills the support's whole row up to its certified periodic
+tail, after which every elapsed time of that support is a row read.  So the
+memo holds at most ``max(8w, start + period)`` cells per support (``w`` the
+fixpoint's dependency width), whatever the stream's length.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .intervals import (
@@ -270,7 +281,7 @@ def _root_period(roots: dict, w: int, limit: int) -> Optional[tuple[int, int]]:
     apart from then on.  Every root's lowest bit must lie below ``a``, or
     the has-a-bit-below flags would differ.
     """
-    low = max((m & -m).bit_length() for m in roots.values())
+    low = max(((m & -m).bit_length() for m in roots.values()), default=0)
     for p in range(2, (limit - w) // 2 + 1, 2):
         last = limit + 1 - w - p  # the largest ``a`` the cut can certify
         if low > last:
@@ -292,6 +303,12 @@ def _root_period(roots: dict, w: int, limit: int) -> Optional[tuple[int, int]]:
 _MAX_CUT = 1 << 16
 
 
+def _width(ix) -> int:
+    """The dependency width of the cells, ``2M + 2`` for the largest finite
+    zone endpoint ``M``, which is at most the largest lower end."""
+    return 2 * max(z.lo for z in ix.ranges) + 2
+
+
 def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int, int]:
     """Every silent duration from ``starts`` at once, as ``(hits, start,
     period)``: ``hits`` maps each reachable id to the mask of the cells
@@ -308,7 +325,7 @@ def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int
     """
     ix = za.index
     starts = list(starts)
-    w = 2 * max(z.lo for z in ix.ranges) + 2  # every finite endpoint is at most max lo
+    w = _width(ix)
     limit = 4 * w
     while True:
         roots, hits = _reach_cells(ix, starts, limit)
@@ -345,19 +362,123 @@ def _ids(za: ZoneAutomaton, support: Iterable[ExtendedState]) -> list[int]:
         raise ValueError(f"unknown extended state {exc.args[0]}") from None
 
 
-def _ext(za: ZoneAutomaton, ids: Iterable[int]) -> frozenset[ExtendedState]:
-    ext = za.index.ext
-    return frozenset(ext[i] for i in ids)
+# -- the cell memo ---------------------------------------------------------------
 
 
-def _silent_reach(za: ZoneAutomaton, ids: Iterable[int], dt: Fraction) -> set[int]:
-    """Ids reachable from ``ids`` in exactly ``dt`` with no observable event."""
-    return _duration_reach(za, sorted(ids), dt).hits
+class Cell:
+    """What a belief support reaches in one unit cell of elapsed time: the
+    ids ``reached`` and, each computed on first use, their ``estimate`` and
+    the support after each observable event (``successor``, cached in
+    ``successors``).  Equal reached sets share one cell, and equal
+    successor supports one frozenset (``ZoneIndex.supports``)."""
+
+    def __init__(self, reached: frozenset[int], ix):
+        self.reached = reached
+        self.successors: dict = {}  # event -> support
+        self._ext, self._events, self._supports = ix.ext, ix.events, ix.supports
+
+    @cached_property
+    def estimate(self) -> Estimate:
+        return Estimate.from_extended(self._ext[i] for i in self.reached)
+
+    def successor(self, event: str) -> frozenset[ExtendedState]:
+        """The support just after observing ``event`` in this cell."""
+        nxt = self.successors.get(event)
+        if nxt is None:
+            ext, events = self._ext, self._events
+            nxt = frozenset(ext[e[1]] for i in self.reached for e in events[i] if e[0] == event)
+            nxt = self.successors[event] = self._supports.setdefault(nxt, nxt)
+        return nxt
 
 
-def _event_step(za: ZoneAutomaton, ids: Iterable[int], event: str) -> set[int]:
-    events = za.index.events
-    return {edge[1] for i in ids for edge in events[i] if edge[0] == event}
+class _Row:
+    """The memo of one belief support.  ``tail`` is None while ``cells`` is
+    a dict of the cells met so far by index; ``(start, period)`` once the row
+    is total and ``cells`` the tuple of its first ``start + period`` cells;
+    False when the fixpoint found no tail it could tabulate."""
+
+    __slots__ = ("ids", "cells", "tail")
+
+    def __init__(self, ids: list[int]):
+        self.ids = ids
+        self.cells: dict | tuple = {}
+        self.tail: Optional[tuple[int, int]] | bool = None
+
+
+def _cell_index(t: Fraction) -> int:
+    """The unit cell holding time ``t``: ``[k,k]`` is cell ``2k``, ``(k,k+1)``
+    cell ``2k+1``."""
+    return 2 * (t.numerator // t.denominator) + (t.denominator != 1)
+
+
+def _intern(ix, reached: Iterable[int]) -> Cell:
+    reached = frozenset(reached)
+    cell = ix.cells.get(reached)
+    if cell is None:
+        cell = ix.cells[reached] = Cell(reached, ix)
+    return cell
+
+
+def _row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> _Row:
+    rows = za.index.rows
+    row = rows.get(support)
+    if row is None:
+        row = rows[support] = _Row(_ids(za, support))
+        za.index.supports.setdefault(support, support)
+    return row
+
+
+def _fill(za: ZoneAutomaton, row: _Row) -> None:
+    """Make ``row`` total from one ``_duration_cells``; raises ``ValueError``
+    when the durations have no tail it can tabulate."""
+    hits, start, period = _duration_cells(za, row.ids)
+    ix = za.index
+    row.cells = tuple(
+        _intern(ix, [s for s, mask in hits.items() if mask >> i & 1]) for i in range(start + period)
+    )
+    row.tail = (start, period)
+
+
+def _cell(za: ZoneAutomaton, support: frozenset[ExtendedState], dt: Fraction) -> Cell:
+    """The cell answering ``dt >= 0`` after ``support`` was formed.
+
+    A miss below cell ``8w`` (``4w`` time units, twice the fixpoint's first
+    cut; ``w`` is the dependency width) runs the duration search for that
+    one cell and stores it: a short gap costs one search, never a fixpoint.
+    A miss at or past it fills the whole row, since the search grows with
+    ``dt`` and the fixpoint does not.  If the fixpoint refuses,
+    the search answers and the cell is not stored, so a row never holds more
+    than ``max(8w, start + period)`` cells.
+    """
+    row = _row(za, support)
+    i = _cell_index(dt)
+    if not row.tail:
+        cell = row.cells.get(i)
+        if cell is not None:
+            return cell
+        below = i < 8 * _width(za.index)
+        if not below and row.tail is None:
+            try:
+                _fill(za, row)
+            except ValueError:
+                row.tail = False
+        if not row.tail:
+            cell = _intern(za.index, _duration_reach(za, row.ids, dt).hits)
+            if below:
+                row.cells[i] = cell
+            return cell
+    start, period = row.tail
+    return row.cells[i if i < start else start + (i - start) % period]
+
+
+def _total_row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> tuple[tuple, tuple[int, int]]:
+    """The total row of ``support``, filling it if need be: its first
+    ``start + period`` cells and ``(start, period)``.  Raises ``ValueError``
+    when the durations have no tail the fixpoint can tabulate."""
+    row = _row(za, support)
+    if not row.tail:
+        _fill(za, row)
+    return row.cells, row.tail
 
 
 # -- lambda-estimation -------------------------------------------------------
@@ -373,7 +494,7 @@ def lambda_estimation(
         raise ValueError("elapsed time must be non-negative")
     if v not in za.states:
         raise ValueError(f"unknown extended state {v}")
-    return _ext(za, _silent_reach(za, _ids(za, [v]), dt))
+    return _cell(za, frozenset((v,)), dt).estimate.extended
 
 
 # -- T-reachability with witnesses --------------------------------------------
@@ -569,14 +690,14 @@ def estimate(za: ZoneAutomaton, model: TFA, obs: TimedObservation) -> Estimate:
     """
     require_valid(model, require_ro=True)
     _check_observation(model, obs)
-    support = _ids(za, za.initial)
+    support = za.initial
     anchor = Fraction(0)
     for event, ts in obs.events:
-        support = _event_step(za, _silent_reach(za, support, ts - anchor), event)
+        support = _cell(za, support, ts - anchor).successor(event)
         anchor = ts
         if not support:
             return Estimate.from_extended(())
-    return Estimate.from_extended(_ext(za, _silent_reach(za, support, obs.query_time - anchor)))
+    return _cell(za, support, obs.query_time - anchor).estimate
 
 
 @dataclass(frozen=True)
@@ -602,8 +723,8 @@ def belief_advance(
     if event not in model.observable:
         raise ValueError(f"event {event!r} is not observable")
     require_valid(model, require_ro=True)
-    reachable = _silent_reach(za, _ids(za, belief.support), time - belief.anchor_time)
-    return BeliefState(support=_ext(za, _event_step(za, reachable, event)), anchor_time=time)
+    cell = _cell(za, belief.support, time - belief.anchor_time)
+    return BeliefState(support=cell.successor(event), anchor_time=time)
 
 
 def belief_query(
@@ -613,6 +734,4 @@ def belief_query(
     time = Fraction(time)
     if time < belief.anchor_time:
         raise ValueError("query time precedes the belief anchor")
-    return Estimate.from_extended(
-        _ext(za, _silent_reach(za, _ids(za, belief.support), time - belief.anchor_time))
-    )
+    return _cell(za, belief.support, time - belief.anchor_time).estimate

@@ -35,7 +35,10 @@ def parse_time(text: str) -> Fraction:
     """Parse a non-negative decimal (or ``a/b``) time point exactly."""
     text = text.strip()
     if _DECIMAL_RE.match(text) or _FRACTION_RE.match(text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in time point: {text!r}") from None
     raise ValueError(f"not a non-negative decimal time point: {text!r}")
 
 

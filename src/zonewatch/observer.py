@@ -3,15 +3,18 @@
 Between observations the estimate only depends on which unit cell the
 elapsed time falls in: the integer point ``[k,k]`` (cell ``2k``) or the open
 segment ``(k,k+1)`` (cell ``2k+1``), because every duration window in the
-search has integer endpoints and so holds each cell whole or not at all.  For
-every reachable belief support the builder runs one cell-mask fixpoint
-(``_duration_cells``), which gives the cells at which each extended state is
-reachable for every elapsed time at once: a prefix of ``start`` cells, then
-a tail of ``period`` cells that repeats forever, certified by the fixpoint.
-So each row is total: it holds ``start + period`` cells, and any elapsed
-time is answered by one table read.  Cells that reach the same extended
-states are one object, holding the estimate and the successor support per
-observable event, computed once per build.
+search has integer endpoints and so holds each cell whole or not at all.
+The online functions in ``estimation`` fill a memo of such cells on the zone
+automaton's index lazily; the observer is that same memo filled up front.
+For every reachable belief support the builder makes the support's row
+total with one cell-mask fixpoint (``_duration_cells``), which gives the
+cells at which each extended state is reachable for every elapsed time at
+once: a prefix of ``start`` cells, then a tail of ``period`` cells that
+repeats forever, certified by the fixpoint.  So each row holds ``start +
+period`` cells, and any elapsed time is answered by one table read.  Cells
+that reach the same extended states are one object, holding the estimate
+and the successor support per observable event; the builder computes the
+successors of every cell, which is how it finds the next supports.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Optional
 
 from .intervals import Interval, Rational
 from .model import TFA, require_valid
-from .zones import ZoneAutomaton, ext_sort_key
-from .estimation import Estimate, _duration_cells, _event_step, _ext, _ids
+from .zones import ZoneAutomaton, ZoneIndex, ext_sort_key
+from .estimation import Cell, Estimate, _cell_index, _total_row
 
 Support = frozenset
 
@@ -32,37 +35,25 @@ def _support_key(support: Support) -> tuple:
     return tuple(sorted(map(ext_sort_key, support)))
 
 
-def _cell_index(t: Rational) -> int:
-    """The unit cell holding time ``t``: ``[k,k]`` is cell ``2k``, ``(k,k+1)``
-    cell ``2k+1``."""
-    return 2 * (t.numerator // t.denominator) + (t.denominator != 1)
-
-
 def _cell_span(i: int) -> Interval:
     k = i // 2
     return Interval.open(k, k + 1) if i % 2 else Interval.point(k)
 
 
-@dataclass(frozen=True)
-class ObserverCell:
-    estimate: Estimate
-    successors: dict  # event -> Support
-
-
 # The answer for the empty support, which a session reaches after an
 # inconsistent observation and which has no row.
-_EMPTY_CELL = ObserverCell(Estimate.from_extended(()), {})
+_EMPTY_CELL = Cell(frozenset(), ZoneIndex())
 
 
 @dataclass
 class OfflineObserver:
     model: TFA
     horizon: Optional[int]  # accepted for compatibility; it sizes nothing
-    tables: dict  # Support -> tuple[ObserverCell, ...], the first start + period cells
+    tables: dict  # Support -> tuple[Cell, ...], the first start + period cells
     tails: dict  # Support -> (start, period) of its row, in cells
     initial_support: Support
 
-    def cell_for(self, support: Support, dt: Rational) -> ObserverCell:
+    def cell_for(self, support: Support, dt: Rational) -> Cell:
         """The cell answering ``dt`` after the support was formed."""
         dt = Fraction(dt)
         if dt < 0:
@@ -84,6 +75,7 @@ class OfflineObserver:
         """Belief support after observing ``event`` at elapsed time ``dt``."""
         if event not in self.model.observable:
             raise ValueError(f"event {event!r} is not observable")
+        # The builder computed every row cell's successors; the empty cell has none.
         return self.cell_for(support, dt).successors.get(event, frozenset())
 
     def session(self) -> "ObserverSession":
@@ -158,7 +150,9 @@ def build_offline_observer(
     za: ZoneAutomaton, model: TFA, horizon: Optional[int] = None
 ) -> OfflineObserver:
     """Tabulate estimates and belief successors for every reachable support
-    and every elapsed time, one cell-mask fixpoint per support.
+    and every elapsed time: make each support's memo row total, one
+    cell-mask fixpoint per support not yet total, and compute the successors
+    of every cell.
 
     ``horizon`` is checked (at least 1) and kept, but sizes nothing: every
     row ends at its certified tail.  Raises ``ValueError`` when a support's
@@ -172,27 +166,15 @@ def build_offline_observer(
     events = sorted(model.observable)
     tables: dict = {}
     tails: dict = {}
-    cells: dict = {}  # reached ids -> their one ObserverCell
     initial = za.initial
     queue = [initial]
     while queue:
         support = queue.pop()
         if support in tables or not support:
             continue
-        hits, start, period = _duration_cells(za, _ids(za, support))
-        row = []
-        for i in range(start + period):
-            reached = frozenset(s for s, mask in hits.items() if mask >> i & 1)
-            cell = cells.get(reached)
-            if cell is None:
-                succ = {e: _ext(za, _event_step(za, reached, e)) for e in events}
-                cell = cells[reached] = ObserverCell(
-                    estimate=Estimate.from_extended(_ext(za, reached)), successors=succ
-                )
-                queue.extend(nxt for nxt in succ.values() if nxt and nxt not in tables)
-            row.append(cell)
-        tables[support] = tuple(row)
-        tails[support] = (start, period)
+        tables[support], tails[support] = _total_row(za, support)
+        for cell in set(tables[support]):
+            queue.extend(cell.successor(e) for e in events)
     return OfflineObserver(
         model=model, horizon=horizon, tables=tables, tails=tails, initial_support=initial
     )

@@ -144,9 +144,19 @@ class ZoneIndex:
     (``None`` for ``tau``; ``pred`` is -1 at the root).  Entries are sorted
     by the lower end of the distance, open after closed, which only grows
     along a stretch; the root is entry 0.
+
+    ``rows``, ``cells`` and ``supports`` are the estimation memo, filled on
+    first use by ``zonewatch.estimation``: ``rows`` maps a belief support to
+    what it reaches in each unit cell of elapsed time, ``cells`` maps each
+    set of reached ids to its one shared cell, and ``supports`` maps each
+    support met to its one shared frozenset, so that lookups of equal
+    supports are identity hits.
     """
 
-    __slots__ = ("ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches")
+    __slots__ = (
+        "ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "rows", "cells",
+        "supports",
+    )
 
     def __init__(self) -> None:
         self.ext: list[ExtendedState] = []
@@ -158,6 +168,9 @@ class ZoneIndex:
         self.events: list[tuple] = []
         self.silent: list[tuple] = []
         self.stretches: tuple[list, list] = ([], [])
+        self.rows: dict = {}
+        self.cells: dict = {}
+        self.supports: dict = {}
 
     def stretch(self, r: int, all_events: bool) -> tuple:
         """The stretch table of root ``r`` (see the class docstring)."""

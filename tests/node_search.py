@@ -59,3 +59,26 @@ def node_reach(za, starts, dt: Fraction, all_events: bool = False) -> set[int]:
                 seen.add(child)
                 queue.append(child)
     return hits
+
+
+def node_support(za, events) -> frozenset:
+    """The belief support after the observed ``(event, time)`` pairs, from
+    ``node_reach`` alone: the memo-free reference for the belief API, batch
+    ``estimate`` and the observer."""
+    ix = za.index
+    support = sorted(ix.id_of[v] for v in za.initial)
+    anchor = Fraction(0)
+    for event, ts in events:
+        hits = node_reach(za, support, ts - anchor)
+        support = sorted({e[1] for i in hits for e in ix.events[i] if e[0] == event})
+        anchor = ts
+    return frozenset(ix.ext[i] for i in support)
+
+
+def node_estimate(za, events, time: Fraction) -> frozenset:
+    """The extended estimate at ``time`` after the observed ``events``, from
+    ``node_reach`` alone."""
+    ix = za.index
+    anchor = events[-1][1] if events else Fraction(0)
+    starts = sorted(ix.id_of[v] for v in node_support(za, events))
+    return frozenset(ix.ext[i] for i in node_reach(za, starts, time - anchor))

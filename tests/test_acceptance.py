@@ -33,6 +33,7 @@ from zonewatch.oracle import RandomModelConfig, _sample_runs, random_model
 from zonewatch.zones import ExtendedState
 
 from conftest import make_fig1
+from node_search import node_estimate, node_support
 from goldens import (
     SUPPORT_AFTER_A1,
     SUPPORT_AFTER_A1_A3,
@@ -139,7 +140,9 @@ def test_criterion_5_differential_suite():
 
 
 def test_criterion_6_agreement_properties(fig1, fig1_za):
-    # Reference trace queries: batch == incremental == precomputed tables.
+    # Reference trace queries: batch == incremental == precomputed tables ==
+    # the per-node search.  The first three read one memo, so each is
+    # compared with the memo-free reference as well.
     observer = build_offline_observer(fig1_za, fig1, horizon=4)
     queries = (
         [((), t) for t, _ in TABLE_NO_OBS]
@@ -154,6 +157,7 @@ def test_criterion_6_agreement_properties(fig1, fig1_za):
         for e, ts in obs.events:
             belief = belief_advance(fig1_za, fig1, belief, e, ts)
             session.advance(e, ts)
+        assert batch.extended == node_estimate(fig1_za, obs.events, t)
         assert belief_query(fig1_za, fig1, belief, t).extended == batch.extended
         assert session.query(t).extended == batch.extended
 
@@ -174,6 +178,8 @@ def test_criterion_6_agreement_properties(fig1, fig1_za):
                 for e, ts in word:
                     belief = belief_advance(za, model, belief, e, ts)
                     session.advance(e, ts)
+                assert belief.support == session.support == node_support(za, word)
+                assert batch.extended == node_estimate(za, word, t)
                 assert belief_query(za, model, belief, t).extended == batch.extended
                 assert session.query(t).extended == batch.extended
     report(6, "batch/incremental and offline/online agreement", "50 random models")
@@ -209,9 +215,14 @@ def test_criterion_7_scaling_smoke():
     obs = TimedObservation((("a", F(1)),), F(2))
     for size in sizes:
         model = ring_model(size)
-        za = build_zone_automaton(model)
-        timer = timeit.Timer(lambda: estimate(za, model, obs))
-        times.append(min(timer.repeat(repeat=5, number=3)) / 3)
+        # A fresh zone automaton per repeat: on a warm one, estimate reads
+        # the memo and times nothing but the lookup.
+        timer = timeit.Timer(
+            "estimate(za, model, obs)",
+            setup="za = build_zone_automaton(model)",
+            globals={**globals(), "model": model, "obs": obs},
+        )
+        times.append(min(timer.repeat(repeat=15, number=1)))
     xs = [math.log(s) for s in sizes]
     ys = [math.log(t) for t in times]
     x_mean = sum(xs) / len(xs)

@@ -191,6 +191,27 @@ def test_watch_session(capsys, monkeypatch, fig1_path):
     assert lines[5].startswith("error:")
 
 
+def test_zero_denominator_time_exits_64(capsys, fig1_path):
+    for argv in [
+        ("estimate", fig1_path, "--time", "1/0"),
+        ("estimate", fig1_path, "--obs", "a@1/0", "--time", "2"),
+        ("reach", fig1_path, "--from", "x0", "--to", "x4", "--duration", "1/0"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert out == "" and "zero denominator" in err, argv
+
+
+def test_watch_survives_a_zero_denominator(capsys, monkeypatch, fig1_path):
+    script = "obs a 1/0\nquery 1/0\nobs a 1\nquery 3\nquit\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+    code, out, _ = run_cli(capsys, "watch", fig1_path)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.startswith("error: zero denominator") for line in lines[:2]] == [True, True]
+    assert lines[2:] == ["ok", "x2 x3 x4"]
+
+
 def test_watch_rejects_time_regression(capsys, monkeypatch, fig1_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("obs a 2\nobs a 1\nquery 2\nquit\n"))
     code, out, _ = run_cli(capsys, "watch", fig1_path)

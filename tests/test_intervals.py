@@ -92,6 +92,12 @@ def test_parse_time_exact_decimal():
         parse_time("-1")
 
 
+def test_parse_time_rejects_a_zero_denominator():
+    for text in ["1/0", "0/0", " 3/00 "]:
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_time(text)
+
+
 # -- add -------------------------------------------------------------------------
 
 def test_add_point_shift():

@@ -71,7 +71,6 @@ def test_session_matches_batch(fig1, fig1_za, fig1_observer):
 
 def test_session_ops_past_the_tail_are_table_reads(monkeypatch, fig1, fig1_za, fig1_observer):
     import zonewatch.estimation as estimation
-    import zonewatch.observer as observer_module
 
     start, period = fig1_observer.tails[fig1_za.initial]
     dt = F(start + 7 * period + 1, 2)  # a cell well past the stored row
@@ -92,7 +91,6 @@ def test_session_ops_past_the_tail_are_table_reads(monkeypatch, fig1, fig1_za, f
         (estimation, "_duration_cells"),
         (estimation, "belief_query"),
         (estimation, "belief_advance"),
-        (observer_module, "_duration_cells"),
     ]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     session = fig1_observer.session()
@@ -104,6 +102,10 @@ def test_session_ops_past_the_tail_are_table_reads(monkeypatch, fig1, fig1_za, f
 
 
 def test_offline_online_agreement_on_random_models():
+    # The observer and the belief API read one memo, so both are compared
+    # with the per-node search too.
+    from node_search import node_estimate, node_support
+
     grid = GridConfig(horizon=F(4), max_events=4)
     for seed in range(10):
         model = random_model(RandomModelConfig(state_count=4, rng_seed=700 + seed))
@@ -113,12 +115,13 @@ def test_offline_online_agreement_on_random_models():
             word = project(run.word(), model)
             session = observer.session()
             belief = belief_init(za)
-            for e, ts in word:
+            for k, (e, ts) in enumerate(word):
                 session.advance(e, ts)
                 belief = belief_advance(za, model, belief, e, ts)
-                assert session.support == belief.support
+                assert session.support == belief.support == node_support(za, word[: k + 1])
             for t in [run.end_time, run.end_time + F(1, 2), F(4), F(13, 2)]:
-                assert session.query(t).extended == belief_query(za, model, belief, t).extended
+                want = node_estimate(za, word, t)
+                assert session.query(t).extended == belief_query(za, model, belief, t).extended == want
 
 
 def test_observer_serialization(fig1_observer):
@@ -271,9 +274,8 @@ def test_builder_rejects_a_period_too_long_to_tabulate():
         build_offline_observer(build_zone_automaton(model), model)
 
 
-def test_builder_runs_one_fixpoint_per_support(monkeypatch, fig1, fig1_za):
+def test_builder_runs_one_fixpoint_per_support(monkeypatch, fig1):
     import zonewatch.estimation as estimation
-    import zonewatch.observer as observer_module
 
     calls = []
     fixpoint = estimation._duration_cells
@@ -285,9 +287,10 @@ def test_builder_runs_one_fixpoint_per_support(monkeypatch, fig1, fig1_za):
     def no_search(*args, **kwargs):
         raise AssertionError("the builder ran a per-dt duration search")
 
-    monkeypatch.setattr(observer_module, "_duration_cells", counted)
+    monkeypatch.setattr(estimation, "_duration_cells", counted)
     monkeypatch.setattr(estimation, "_duration_reach", no_search)
-    for model, za in [(fig1, fig1_za)] + [
+    # Each zone automaton is fresh: a shared one may have total rows already.
+    for model, za in [(fig1, build_zone_automaton(fig1))] + [
         (m, build_zone_automaton(m))
         for m in (random_model(RandomModelConfig(rng_seed=1400 + s)) for s in range(5))
     ]:

@@ -38,9 +38,6 @@ from .zones import (
     ZoneAutomaton,
     build_zone_automaton,
     build_zones,
-    input_transitions_at,
-    output_transitions_at,
-    regions,
     to_dot,
 )
 from .estimation import (

@@ -144,6 +144,8 @@ _INTERVAL_RE = re.compile(r"^([\[(])\s*(\d+)\s*,\s*(\d+|inf)\s*([\])])$")
 
 def parse_interval(text: str) -> Interval:
     """Parse the text form ``[a,b]``, ``(a,b)``, ``[a,b)``, ``(a,b]``, ``(a,inf)``."""
+    if not isinstance(text, str):
+        raise ValueError(f"not an interval: {text!r}")
     m = _INTERVAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"not an interval: {text!r}")

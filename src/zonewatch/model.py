@@ -309,24 +309,38 @@ def model_to_dict(model: TFA) -> dict:
     }
 
 
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"malformed model document: {what} must be a name, not {value!r}")
+    return value
+
+
+def _names(doc: dict, key: str) -> frozenset[str]:
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"malformed model document: {key!r} must be a list of names, not {value!r}")
+    return frozenset(value)
+
+
 def model_from_dict(doc: dict) -> TFA:
+    """Read the JSON document form; raises ``ValueError`` on a malformed one."""
     try:
         transitions = tuple(
             Transition(
-                source=tr["from"],
-                event=tr["event"],
-                target=tr["to"],
+                source=_name(tr["from"], "'from'"),
+                event=_name(tr["event"], "'event'"),
+                target=_name(tr["to"], "'to'"),
                 guard=parse_interval(tr["guard"]),
                 reset=ID_RESET if tr["reset"] == ID_RESET else parse_interval(tr["reset"]),
             )
             for tr in doc["transitions"]
         )
         return TFA(
-            states=frozenset(doc["states"]),
-            alphabet=frozenset(doc["alphabet"]),
-            observable=frozenset(doc["observable"]),
+            states=_names(doc, "states"),
+            alphabet=_names(doc, "alphabet"),
+            observable=_names(doc, "observable"),
             transitions=transitions,
-            initial=frozenset(doc["initial"]),
+            initial=_names(doc, "initial"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc

@@ -1,20 +1,26 @@
-"""Clock regions, zones and the zone automaton of a timed finite automaton.
+"""Zones and the zone automaton of a timed finite automaton.
 
-The clock axis at each state is first cut into unit regions (integer points
-and open unit segments).  Consecutive regions whose enabled input/output
-transitions coincide, and involve no clock-preserving transition, merge into
-zones; together with the unbounded tail the zones partition ``[0, inf)``.
-The zone automaton is an NFA over (state, zone) pairs whose ``tau`` edges
-model time elapsing into the next zone and whose event edges follow the
-guards and reset policies of the underlying model.
+The zones of a state are the maximal runs of clock values at which the same
+input and output transitions are enabled, except that a clock-preserving
+transition keeps each unit region (integer point or open unit segment) it
+covers a zone of its own; together with the unbounded tail the zones
+partition ``[0, inf)``.  They are read off one sweep over the state's sorted
+guard and reset endpoints, so their cost grows with the number of endpoints,
+not with the size of the constants.  The zone automaton is an NFA over
+(state, zone) pairs whose ``tau`` edges model time elapsing into the next
+zone and whose event edges follow the guards and reset policies of the
+underlying model.  It is stored as the integer tables of ``ZoneIndex``;
+``ZoneAutomaton.edges`` derives ``Edge`` objects from them on first use.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .intervals import Interval, distance, subset
+from .intervals import Interval, distance
 from .model import TAU, TFA, Transition, require_valid
 
 
@@ -39,81 +45,46 @@ class Edge:
     transition: Optional[Transition]  # None exactly for TAU edges
 
 
-def regions(model: TFA, state: str) -> list[Interval]:
-    """The ordered unit regions of a state, from ``[0,0]`` to ``[M,M]``.
+def build_zones(model: TFA, state: str) -> list[Interval]:
+    """The ordered zone partition of ``[0, inf)`` at a state.
 
-    ``M`` is the largest integer endpoint among the guards of output
-    transitions, the guards of clock-preserving input transitions and the
-    reset ranges of clock-resetting input transitions.  The low end is
-    clamped to 0 so the regions always start at the initial clock value.
+    The zones are the maximal runs of clock values with the same enabled
+    input and output transitions, in which no clock-preserving transition
+    is enabled at more than one unit region.  The ranges that matter at the
+    state are the guards of its output transitions, the guards of its
+    clock-preserving input transitions and the reset ranges of its
+    clock-resetting input transitions.  On the cell axis (``[k,k]`` is cell
+    ``2k``, ``(k,k+1)`` is cell ``2k+1``) a closed range ``[a,b]`` covers
+    cells ``2a..2b``, so a zone starts only at cell 0, at ``2a`` or
+    ``2b+1`` of a range, and at every cell covered by a clock-preserving
+    transition, where each unit region is a zone of its own.  The zones are
+    read off the sorted starts up to ``[M,M]`` (``M`` the largest endpoint
+    of the ranges), and the unbounded tail ``(M,inf)`` is appended.  For
+    initial states the point zone ``[0,0]`` is always kept separate, by a
+    start at cell 1: the clock starts at exactly 0, and the initial
+    extended state must carry that information.  The cost is ``O(k log k)`` in the number ``k`` of
+    starts, whatever the size of the constants.
     """
     if state not in model.states:
         raise ValueError(f"unknown state {state!r}")
-    high = 0
-    for t in model.outgoing(state):
-        high = max(high, int(t.guard.hi))
-    for t in model.incoming(state):
-        relevant = t.reset if t.resets_clock else t.guard
-        high = max(high, int(relevant.hi))
-    out: list[Interval] = [Interval.point(0)]
-    for k in range(high):
-        out.append(Interval.open(k, k + 1))
-        out.append(Interval.point(k + 1))
-    return out
-
-
-def output_transitions_at(model: TFA, state: str, r: Interval) -> set[Transition]:
-    """Transitions that can fire from ``state`` with any clock value in ``r``."""
-    return {t for t in model.outgoing(state) if subset(r, t.guard)}
-
-
-def input_transitions_at(model: TFA, state: str, r: Interval) -> set[Transition]:
-    """Transitions that can land in ``state`` with any clock value in ``r``.
-
-    A clock-resetting transition reaches ``(state, r)`` when ``r`` lies in its
-    reset range; a clock-preserving one when ``r`` lies in its guard.
-    """
-    out = set()
-    for t in model.incoming(state):
-        relevant = t.reset if t.resets_clock else t.guard
-        if subset(r, relevant):
-            out.add(t)
-    return out
-
-
-def build_zones(model: TFA, state: str) -> list[Interval]:
-    """Merge regions into the ordered zone partition of ``[0, inf)``.
-
-    Consecutive regions merge while their input and output transition sets
-    are equal and none of those transitions preserves the clock.  The
-    unbounded tail zone is appended last.  For initial states the point zone
-    ``[0,0]`` is always kept separate: the clock starts at exactly 0, and the
-    initial extended state must carry that information.
-    """
-    regs = regions(model, state)
-    zones: list[Interval] = []
-    cur = regs[0]
-    cur_out = output_transitions_at(model, state, regs[0])
-    cur_in = input_transitions_at(model, state, regs[0])
-    for nxt in regs[1:]:
-        nxt_out = output_transitions_at(model, state, nxt)
-        nxt_in = input_transitions_at(model, state, nxt)
-        mergeable = (
-            cur_out == nxt_out
-            and cur_in == nxt_in
-            and all(t.resets_clock for t in nxt_out | nxt_in)
-        )
-        if mergeable:
-            cur = Interval(cur.lo, cur.lo_closed, nxt.hi, nxt.hi_closed)
+    ranges = [(t.guard, t.resets_clock) for t in model.outgoing(state)]
+    ranges += [(t.reset, True) if t.resets_clock else (t.guard, False) for t in model.incoming(state)]
+    high = max((r.hi for r, _ in ranges), default=0)
+    starts = {1} if state in model.initial else set()
+    for (lo, _, hi, _), resets in ranges:
+        if resets:
+            starts.add(2 * lo)
+            starts.add(2 * hi + 1)
         else:
-            zones.append(cur)
-            cur = nxt
-        cur_out, cur_in = nxt_out, nxt_in
-    zones.append(cur)
-    zones.append(Interval.above(regs[-1].hi))
-    if state in model.initial and not zones[0].is_point:
-        first = zones[0]
-        zones[0:1] = [Interval.point(0), Interval(0, False, first.hi, first.hi_closed)]
+            starts.update(range(2 * lo, 2 * hi + 2))
+    bounds = [c for c in sorted(starts) if 0 < c <= 2 * high]
+    bounds.append(2 * high + 1)
+    zones: list[Interval] = []
+    first = 0
+    for nxt in bounds:  # the zone of cells first..nxt-1
+        zones.append(Interval(first >> 1, not first & 1, nxt >> 1, bool(nxt & 1)))
+        first = nxt
+    zones.append(Interval.above(high))
     return zones
 
 
@@ -130,6 +101,9 @@ class ZoneIndex:
     - ``events``: event edges ``(label, target id, resets_clock,
       Transition)``, grouped by label in order of first appearance, and
       ``silent``: those whose label is unobservable.
+
+    These tables are the only stored form of the edges: ``ZoneAutomaton.edges``
+    is derived from ``tau`` and ``events``.
 
     ``ids`` maps each state to the range of its ids.
 
@@ -207,11 +181,21 @@ class ZoneAutomaton:
     """NFA over extended states with time-elapse and event edges."""
 
     states: frozenset[ExtendedState]
-    edges: tuple[Edge, ...]
     initial: frozenset[ExtendedState]
     zones_by_state: dict[str, tuple[Interval, ...]]
     diagnostics: tuple[str, ...] = ()
     index: ZoneIndex = field(default_factory=ZoneIndex, repr=False, compare=False)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every time-elapse and event edge, derived from ``index`` on first
+        use; the order is unspecified."""
+        ix = self.index
+        ext = ix.ext
+        out = [Edge(ext[i], TAU, ext[j], None) for i, j in enumerate(ix.tau) if j >= 0]
+        for i, moves in enumerate(ix.events):
+            out += [Edge(ext[i], label, ext[j], t) for label, j, _, t in moves]
+        return tuple(out)
 
     def zones(self, state: str) -> tuple[Interval, ...]:
         return self.zones_by_state[state]
@@ -236,21 +220,19 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     guard: a clock-resetting transition fans out to every target zone inside
     its reset range, while a clock-preserving one keeps the zone unchanged.
     A clock-preserving edge whose zone is missing at the target state is
-    dropped and reported as a diagnostic.
+    dropped and reported as a diagnostic.  Edges are stored only in the
+    index tables; no ``Edge`` object is made until ``edges`` is read.
     """
     require_valid(model)
     zones_by_state = {x: tuple(build_zones(model, x)) for x in model.states}
     ix = ZoneIndex()
     zone_ids: dict[Interval, int] = {}
-    edges: list[Edge] = []
     for x in sorted(zones_by_state):
         zs = zones_by_state[x]
         first = len(ix.ext)
         ix.ids[x] = range(first, first + len(zs))
         for k, z in enumerate(zs):
             v = ExtendedState(x, z)
-            if k:
-                edges.append(Edge(ix.ext[-1], TAU, v, None))
             ix.id_of[v] = len(ix.ext)
             ix.ext.append(v)
             zid = zone_ids.setdefault(z, len(zone_ids))
@@ -258,40 +240,42 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
                 ix.ranges.append(z)
             ix.zone.append(zid)
             ix.tau.append(len(ix.ext) if k + 1 < len(zs) else -1)
+    # Each zone's first cell.  A guard is cut into zones at its source state
+    # and a reset range at its target state, so the zones inside either are
+    # those whose first cell lies in the range: one bisection per end.
+    firsts = {x: [2 * z.lo + (not z.lo_closed) for z in zs] for x, zs in zones_by_state.items()}
+
+    def inside(x: str, r: Interval) -> range:
+        ids, cells = ix.ids[x], firsts[x]
+        return ids[bisect_left(cells, 2 * r.lo) : bisect_right(cells, 2 * r.hi)]
+
     # Per source id, event edges grouped by label in order of first appearance.
     out: list[dict[str, list]] = [{} for _ in ix.ext]
     diagnostics: list[str] = []
     for t in model.transitions:
         resets = t.resets_clock
-        target_ids = ix.ids[t.target]
         if resets:
-            reset_targets = [
-                i for i, z2 in zip(target_ids, zones_by_state[t.target]) if subset(z2, t.reset)
-            ]
-        for src, z in zip(ix.ids[t.source], zones_by_state[t.source]):
-            if not subset(z, t.guard):
-                continue
-            if resets:
-                targets = reset_targets
-            else:
-                zid = ix.zone[src]
-                targets = [i for i in target_ids if ix.zone[i] == zid]
-                if not targets:
+            targets = inside(t.target, t.reset)
+        for src in inside(t.source, t.guard):
+            if not resets:
+                i = ix.id_of.get(ExtendedState(t.target, ix.ext[src].zone))
+                if i is None:
                     diagnostics.append(
-                        f"clock-preserving transition {t}: source zone {z} is not a zone of {t.target!r}"
+                        f"clock-preserving transition {t}: source zone {ix.ext[src].zone} "
+                        f"is not a zone of {t.target!r}"
                     )
                     continue
+                targets = (i,)
             per = out[src].setdefault(t.event, [])
-            for i in targets:
-                edges.append(Edge(ix.ext[src], t.event, ix.ext[i], t))
-                per.append((t.event, i, resets, t))
+            per += [(t.event, i, resets, t) for i in targets]
+    observable = model.observable
     for per in out:
-        ix.events.append(tuple(e for group in per.values() for e in group))
-        ix.silent.append(tuple(e for e in ix.events[-1] if e[0] not in model.observable))
+        moves = tuple([e for group in per.values() for e in group]) if per else ()
+        ix.events.append(moves)
+        ix.silent.append(tuple([e for e in moves if e[0] not in observable]) if moves else ())
     ix.stretches = ([None] * len(ix.ext), [None] * len(ix.ext))
     return ZoneAutomaton(
         states=frozenset(ix.id_of),
-        edges=tuple(edges),
         initial=frozenset(ix.ext[ix.ids[x][0]] for x in model.initial),
         zones_by_state=zones_by_state,
         diagnostics=tuple(diagnostics),

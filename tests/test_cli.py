@@ -100,6 +100,24 @@ def test_za_invalid_model_exits_2(capsys, tmp_path, fig1_path):
     assert "unknown-state" in err
 
 
+def test_malformed_document_exits_2(capsys, tmp_path, fig1_path):
+    def broken(name, edit):
+        doc = json.load(open(fig1_path))
+        edit(doc)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    for path in (
+        broken("int_reset.json", lambda doc: doc["transitions"][0].update(reset=5)),
+        broken("string_states.json", lambda doc: doc.update(states="".join(doc["states"]))),
+    ):
+        code, out, err = run_cli(capsys, "za", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot load model {path}")
+
+
 # -- reach ---------------------------------------------------------------------
 
 def test_reach_yes_with_witness(capsys, fig1_path):

@@ -197,3 +197,27 @@ def test_file_matches_fixture(fig1, fig1_from_file):
 def test_malformed_document_rejected():
     with pytest.raises(ValueError):
         model_from_dict({"states": ["x0"]})
+
+
+def test_non_string_interval_rejected(fig1):
+    for key, value in (("reset", 5), ("guard", [0, 1]), ("reset", None)):
+        doc = json.loads(dump_model(fig1))
+        doc["transitions"][0][key] = value
+        with pytest.raises(ValueError, match="not an interval"):
+            model_from_dict(doc)
+
+
+def test_bare_string_is_not_a_list_of_names(fig1):
+    for key in ("states", "alphabet", "observable", "initial"):
+        doc = json.loads(dump_model(fig1))
+        doc[key] = "".join(doc[key])
+        with pytest.raises(ValueError, match="list of names"):
+            model_from_dict(doc)
+    doc = json.loads(dump_model(fig1))
+    doc["states"].append(7)
+    with pytest.raises(ValueError, match="list of names"):
+        model_from_dict(doc)
+    doc = json.loads(dump_model(fig1))
+    doc["transitions"][0]["to"] = ["x1"]
+    with pytest.raises(ValueError, match="must be a name"):
+        model_from_dict(doc)

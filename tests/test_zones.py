@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,21 @@ from zonewatch import (
     Transition,
     build_zone_automaton,
     build_zones,
-    input_transitions_at,
-    output_transitions_at,
     parse_interval,
-    regions,
     to_dot,
 )
 from zonewatch.model import TAU
 from zonewatch.zones import ExtendedState
 from zonewatch.oracle import RandomModelConfig, random_model
+
+from conftest import make_fig1
+from region_merge import (
+    input_transitions_at,
+    output_transitions_at,
+    reference_edges,
+    reference_zones,
+    regions,
+)
 
 I = parse_interval
 F = Fraction
@@ -26,7 +33,7 @@ def ivs(texts: str) -> list[Interval]:
     return [I(t) for t in texts.split()]
 
 
-# -- regions ----------------------------------------------------------------------
+# -- the region-merge reference (tests/region_merge.py) ---------------------------
 
 def test_regions_reference_state(fig1):
     assert regions(fig1, "x0") == ivs("[0,0] (0,1) [1,1] (1,2) [2,2] (2,3) [3,3]")
@@ -135,6 +142,74 @@ def test_zone_count_bound(fig1):
             zones = build_zones(model, x)
             high = max(z.lo for z in zones)
             assert len(zones) <= 2 * high + 2
+
+
+def with_initial(model: TFA, initial) -> TFA:
+    return TFA(model.states, model.alphabet, model.observable, model.transitions, frozenset(initial))
+
+
+def sweep_cases():
+    """fig1 and 240 random models, each once as generated and once with every
+    state initial, so that many first zones need the ``[0,0]`` split."""
+    yield make_fig1()
+    for k in range(240):
+        model = random_model(
+            RandomModelConfig(
+                state_count=(2, 3, 5, 7)[k % 4],
+                max_constant=1 + k % 6,
+                require_ro=k % 3 != 0,
+                transition_density=0.15,
+                rng_seed=900 + k,
+            )
+        )
+        yield model
+        yield with_initial(model, model.states)
+
+
+def test_sweep_matches_region_merge():
+    seen = {"id": 0, "split": 0, "bare": 0}
+    for model in sweep_cases():
+        for x in model.states:
+            zones = build_zones(model, x)
+            assert zones == reference_zones(model, x), (model, x)
+            if any(not t.resets_clock for t in model.outgoing(x) + model.incoming(x)):
+                seen["id"] += 1
+            if not model.outgoing(x) and not model.incoming(x):
+                seen["bare"] += 1
+            if x in model.initial and len(reference_zones(with_initial(model, ()), x)) < len(zones):
+                seen["split"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_edges_match_eager_construction():
+    for model in sweep_cases():
+        za = build_zone_automaton(model)
+        assert len(set(za.edges)) == len(za.edges)
+        assert set(za.edges) == reference_edges(model, za.zones_by_state)
+
+
+def wide_guard_model(c: int) -> TFA:
+    return TFA(
+        states=frozenset({"s", "t"}),
+        alphabet=frozenset({"a", "b"}),
+        observable=frozenset({"a"}),
+        transitions=(
+            Transition("s", "a", "t", Interval.closed(0, c), Interval.closed(0, 0)),
+            Transition("t", "b", "s", Interval.closed(1, 2), Interval.closed(0, 0)),
+        ),
+        initial=frozenset({"s"}),
+    )
+
+
+def test_zone_build_cost_does_not_grow_with_constants():
+    small = build_zone_automaton(wide_guard_model(1000))
+    assert small.zones_by_state == {x: tuple(reference_zones(wide_guard_model(1000), x)) for x in "st"}
+    start = time.perf_counter()
+    wide = build_zone_automaton(wide_guard_model(10**9))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"zone automaton build took {elapsed:.3f} s"
+    assert len(wide.states) == len(small.states) == 7
+    assert wide.zones("s") == (I("[0,0]"), I("(0,1000000000]"), I("(1000000000,inf)"))
 
 
 # -- zone automaton ------------------------------------------------------------------

@@ -27,7 +27,10 @@ depends only on the belief support and on the unit cell of the elapsed time
 functions, ``lambda_estimation`` and the offline observer all read one memo
 kept on the index: per support a row of cells (``Cell``), each holding the
 ids reached and, computed on first use, their ``Estimate`` and the successor
-support per observable event.  A miss at a small elapsed time runs the
+support per observable event.  An op finds its cell with ``_gap_cell``, in
+integer arithmetic on the numerators and denominators of its time and the
+anchor, so a warm op makes, subtracts and compares no ``Fraction`` between
+its timestamp and the memo read.  A miss at a small elapsed time runs the
 search for that one cell.  A miss past twice the first cut of
 ``_duration_cells``, a fixpoint over bit masks of unit cells on the same
 stretch tables, fills the support's whole row up to its certified periodic
@@ -407,8 +410,29 @@ class _Row:
 
 def _cell_index(t: Fraction) -> int:
     """The unit cell holding time ``t``: ``[k,k]`` is cell ``2k``, ``(k,k+1)``
-    cell ``2k+1``."""
+    cell ``2k+1``.  The tests' reference for ``_gap_cell``."""
     return 2 * (t.numerator // t.denominator) + (t.denominator != 1)
+
+
+def _exact(t: Rational) -> Rational:
+    """``t`` itself when it is a ``Fraction`` or an ``int``, else ``Fraction(t)``."""
+    return t if isinstance(t, (Fraction, int)) else Fraction(t)
+
+
+def _gap_cell(time: Rational, anchor: Rational, message: str = "elapsed time must be non-negative") -> int:
+    """The unit cell of ``time - anchor`` (both a ``Fraction`` or an
+    ``int``), in integer arithmetic: no ``Fraction`` is made or compared.
+    Raises ``ValueError(message)`` when ``time`` precedes ``anchor``."""
+    p, q = time.numerator, time.denominator
+    r, s = anchor.numerator, anchor.denominator
+    if q == s:
+        n, d = p - r, q
+    else:
+        n, d = p * s - r * q, q * s
+    if n < 0:
+        raise ValueError(message)
+    k, m = divmod(n, d)
+    return 2 * k + (m != 0)
 
 
 def _intern(ix, reached: Iterable[int]) -> Cell:
@@ -439,19 +463,22 @@ def _fill(za: ZoneAutomaton, row: _Row) -> None:
     row.tail = (start, period)
 
 
-def _cell(za: ZoneAutomaton, support: frozenset[ExtendedState], dt: Fraction) -> Cell:
-    """The cell answering ``dt >= 0`` after ``support`` was formed.
+def _cell(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
+    """The cell answering every elapsed time in unit cell ``i`` (see
+    ``_gap_cell``) after ``support`` was formed.
 
-    A miss below cell ``8w`` (``4w`` time units, twice the fixpoint's first
-    cut; ``w`` is the dependency width) runs the duration search for that
-    one cell and stores it: a short gap costs one search, never a fixpoint.
+    A miss runs the search at ``i/2``, which lies in cell ``i``; the search
+    reads only the floor, the ceiling and the integrality of the time, which
+    are the same for every time in the cell.  A miss below cell ``8w``
+    (``4w`` time units, twice the fixpoint's first cut; ``w`` is the
+    dependency width) runs the duration search for that one cell and stores
+    it: a short gap costs one search, never a fixpoint.
     A miss at or past it fills the whole row, since the search grows with
     ``dt`` and the fixpoint does not.  If the fixpoint refuses,
     the search answers and the cell is not stored, so a row never holds more
     than ``max(8w, start + period)`` cells.
     """
     row = _row(za, support)
-    i = _cell_index(dt)
     if not row.tail:
         cell = row.cells.get(i)
         if cell is not None:
@@ -463,7 +490,7 @@ def _cell(za: ZoneAutomaton, support: frozenset[ExtendedState], dt: Fraction) ->
             except ValueError:
                 row.tail = False
         if not row.tail:
-            cell = _intern(za.index, _duration_reach(za, row.ids, dt).hits)
+            cell = _intern(za.index, _duration_reach(za, row.ids, Fraction(i, 2)).hits)
             if below:
                 row.cells[i] = cell
             return cell
@@ -489,12 +516,10 @@ def lambda_estimation(
 ) -> frozenset[ExtendedState]:
     """Extended states reachable from ``v`` in exactly ``dt`` time units while
     producing no observation."""
-    dt = Fraction(dt)
-    if dt < 0:
-        raise ValueError("elapsed time must be non-negative")
+    i = _gap_cell(_exact(dt), 0)
     if v not in za.states:
         raise ValueError(f"unknown extended state {v}")
-    return _cell(za, frozenset((v,)), dt).estimate.extended
+    return _cell(za, frozenset((v,)), i).estimate.extended
 
 
 # -- T-reachability with witnesses --------------------------------------------
@@ -691,13 +716,14 @@ def estimate(za: ZoneAutomaton, model: TFA, obs: TimedObservation) -> Estimate:
     require_valid(model, require_ro=True)
     _check_observation(model, obs)
     support = za.initial
-    anchor = Fraction(0)
+    anchor = 0
     for event, ts in obs.events:
-        support = _cell(za, support, ts - anchor).successor(event)
+        ts = _exact(ts)
+        support = _cell(za, support, _gap_cell(ts, anchor)).successor(event)
         anchor = ts
         if not support:
             return Estimate.from_extended(())
-    return _cell(za, support, obs.query_time - anchor).estimate
+    return _cell(za, support, _gap_cell(_exact(obs.query_time), anchor)).estimate
 
 
 @dataclass(frozen=True)
@@ -717,21 +743,17 @@ def belief_advance(
     za: ZoneAutomaton, model: TFA, belief: BeliefState, event: str, time: Rational
 ) -> BeliefState:
     """Consume one observed event, returning the belief just after it."""
-    time = Fraction(time)
-    if time < belief.anchor_time:
-        raise ValueError("observation time precedes the belief anchor")
+    time = _exact(time)
+    i = _gap_cell(time, belief.anchor_time, "observation time precedes the belief anchor")
     if event not in model.observable:
         raise ValueError(f"event {event!r} is not observable")
     require_valid(model, require_ro=True)
-    cell = _cell(za, belief.support, time - belief.anchor_time)
-    return BeliefState(support=cell.successor(event), anchor_time=time)
+    return BeliefState(support=_cell(za, belief.support, i).successor(event), anchor_time=time)
 
 
 def belief_query(
     za: ZoneAutomaton, model: TFA, belief: BeliefState, time: Rational
 ) -> Estimate:
     """The estimate at ``time`` given the belief, without consuming anything."""
-    time = Fraction(time)
-    if time < belief.anchor_time:
-        raise ValueError("query time precedes the belief anchor")
-    return _cell(za, belief.support, time - belief.anchor_time).estimate
+    i = _gap_cell(_exact(time), belief.anchor_time, "query time precedes the belief anchor")
+    return _cell(za, belief.support, i).estimate

@@ -127,11 +127,19 @@ class Diagnostic:
         return f"{self.code}: {self.message}"
 
 
+# The zones make each unit region (integer point or open unit segment) under a
+# clock-preserving guard a zone of its own at both ends of the transition, so
+# a guard covering more regions than this is refused: its zone automaton would
+# not fit in memory.  Of the order of the observer's largest fixpoint cut.
+MAX_ID_REGIONS = 1 << 16
+
+
 def validate(model: TFA, require_ro: bool = False) -> list[Diagnostic]:
     """Check model well-formedness; returns one diagnostic per violation.
 
     With ``require_ro`` the model must also reset the clock on every
-    transition labelled by an observable event.  A model is immutable, so
+    transition labelled by an observable event.  A clock-preserving guard
+    may cover at most ``MAX_ID_REGIONS`` unit regions.  A model is immutable, so
     the diagnostics are computed once per flag and cached on the instance;
     each call returns a fresh list.
     """
@@ -161,6 +169,14 @@ def _diagnose(model: TFA, require_ro: bool) -> list[Diagnostic]:
             out.append(Diagnostic("unknown-event", f"transition {t} uses unknown event {t.event!r}"))
         if not (t.guard.lo_closed and t.guard.hi_closed and t.guard.is_bounded):
             out.append(Diagnostic("guard-not-closed", f"guard {t.guard} of {t} must be closed and bounded"))
+        elif t.reset == ID_RESET and 2 * (t.guard.hi - t.guard.lo) + 1 > MAX_ID_REGIONS:
+            out.append(
+                Diagnostic(
+                    "wide-id-guard",
+                    f"clock-preserving transition {t} has guard {t.guard}, "
+                    f"which covers more than {MAX_ID_REGIONS} unit regions",
+                )
+            )
         if isinstance(t.reset, Interval):
             if not (t.reset.lo_closed and t.reset.hi_closed and t.reset.is_bounded):
                 out.append(Diagnostic("reset-not-closed", f"reset {t.reset} of {t} must be closed and bounded"))

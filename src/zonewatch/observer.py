@@ -14,7 +14,9 @@ repeats forever, certified by the fixpoint.  So each row holds ``start +
 period`` cells, and any elapsed time is answered by one table read.  Cells
 that reach the same extended states are one object, holding the estimate
 and the successor support per observable event; the builder computes the
-successors of every cell, which is how it finds the next supports.
+successors of every cell, which is how it finds the next supports.  A
+session op maps its time to the cell index with the integer arithmetic of
+``estimation._gap_cell`` and reads the row at that index (``_cell_at``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 from .intervals import Interval, Rational
 from .model import TFA, require_valid
 from .zones import ZoneAutomaton, ZoneIndex, ext_sort_key
-from .estimation import Cell, Estimate, _cell_index, _total_row
+from .estimation import Cell, Estimate, _exact, _gap_cell, _total_row
 
 Support = frozenset
 
@@ -53,19 +55,26 @@ class OfflineObserver:
     tails: dict  # Support -> (start, period) of its row, in cells
     initial_support: Support
 
-    def cell_for(self, support: Support, dt: Rational) -> Cell:
-        """The cell answering ``dt`` after the support was formed."""
-        dt = Fraction(dt)
-        if dt < 0:
-            raise ValueError("elapsed time must be non-negative")
+    def _cell_at(self, support: Support, i: int) -> Cell:
+        """The cell answering every elapsed time in unit cell ``i`` after the
+        support was formed."""
         if not support:
             return _EMPTY_CELL
         row = self.tables.get(support)
         if row is None:
             raise ValueError("support is not reachable in this observer")
         start, period = self.tails[support]
-        i = _cell_index(dt)
         return row[i if i < start else start + (i - start) % period]
+
+    def _successor_at(self, support: Support, event: str, i: int) -> Support:
+        if event not in self.model.observable:
+            raise ValueError(f"event {event!r} is not observable")
+        # The builder computed every row cell's successors; the empty cell has none.
+        return self._cell_at(support, i).successors.get(event, frozenset())
+
+    def cell_for(self, support: Support, dt: Rational) -> Cell:
+        """The cell answering ``dt`` after the support was formed."""
+        return self._cell_at(support, _gap_cell(_exact(dt), 0))
 
     def lookup(self, support: Support, dt: Rational) -> Estimate:
         """Estimate after ``dt`` has elapsed since the support was formed."""
@@ -73,10 +82,7 @@ class OfflineObserver:
 
     def successor(self, support: Support, event: str, dt: Rational) -> Support:
         """Belief support after observing ``event`` at elapsed time ``dt``."""
-        if event not in self.model.observable:
-            raise ValueError(f"event {event!r} is not observable")
-        # The builder computed every row cell's successors; the empty cell has none.
-        return self.cell_for(support, dt).successors.get(event, frozenset())
+        return self._successor_at(support, event, _gap_cell(_exact(dt), 0))
 
     def session(self) -> "ObserverSession":
         return ObserverSession(self, self.initial_support, Fraction(0))
@@ -124,25 +130,23 @@ class OfflineObserver:
 
 @dataclass
 class ObserverSession:
-    """An online session served from the precomputed tables."""
+    """An online session served from the precomputed tables.  Each op maps
+    ``time - anchor_time`` to its unit cell in integer arithmetic and reads
+    one table entry.  Times may be any rational: one that is not a
+    ``Fraction`` or an ``int`` goes through ``Fraction(...)`` first."""
 
     observer: OfflineObserver
     support: Support
     anchor_time: Fraction
 
     def query(self, time: Rational) -> Estimate:
-        time = Fraction(time)
-        if time < self.anchor_time:
-            raise ValueError("query time precedes the last observation")
-        return self.observer.lookup(self.support, time - self.anchor_time)
+        i = _gap_cell(_exact(time), self.anchor_time, "query time precedes the last observation")
+        return self.observer._cell_at(self.support, i).estimate
 
     def advance(self, event: str, time: Rational) -> None:
-        time = Fraction(time)
-        if time < self.anchor_time:
-            raise ValueError("observation time precedes the last observation")
-        self.support = self.observer.successor(
-            self.support, event, time - self.anchor_time
-        )
+        time = _exact(time)
+        i = _gap_cell(time, self.anchor_time, "observation time precedes the last observation")
+        self.support = self.observer._successor_at(self.support, event, i)
         self.anchor_time = time
 
 

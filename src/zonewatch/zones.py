@@ -63,7 +63,8 @@ def build_zones(model: TFA, state: str) -> list[Interval]:
     initial states the point zone ``[0,0]`` is always kept separate, by a
     start at cell 1: the clock starts at exactly 0, and the initial
     extended state must carry that information.  The cost is ``O(k log k)`` in the number ``k`` of
-    starts, whatever the size of the constants.
+    starts, whatever the size of the constants; ``validate`` bounds the
+    starts a clock-preserving guard adds (``MAX_ID_REGIONS``).
     """
     if state not in model.states:
         raise ValueError(f"unknown state {state!r}")

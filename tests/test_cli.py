@@ -118,6 +118,38 @@ def test_malformed_document_exits_2(capsys, tmp_path, fig1_path):
         assert err.startswith(f"error: cannot load model {path}")
 
 
+def test_wide_id_guard_exits_2_in_bounded_time(tmp_path, fig1_path):
+    # Each unit region under a clock-preserving guard is a zone of its own, so
+    # a guard of [0,10^9] must be refused before any zone is built.  Run in
+    # child processes under a time and memory cap, so that a missing check
+    # fails the test instead of exhausting the host.
+    import os
+    import subprocess
+    import sys
+
+    doc = json.load(open(fig1_path))
+    wide = next(tr for tr in doc["transitions"] if tr["reset"] == "id")
+    wide["guard"] = "[0,1000000000]"
+    path = tmp_path / "wide_id.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from zonewatch.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv in (["za", str(path)], ["estimate", str(path), "--time", "1"], ["watch", str(path)]):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], input="query 0\nquit\n", capture_output=True,
+            text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2, (argv, done.stderr)
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: wide-id-guard: clock-preserving transition (x0,b,x2)"), argv
+
+
 # -- reach ---------------------------------------------------------------------
 
 def test_reach_yes_with_witness(capsys, fig1_path):
@@ -228,6 +260,21 @@ def test_watch_survives_a_zero_denominator(capsys, monkeypatch, fig1_path):
     lines = out.strip().splitlines()
     assert [line.startswith("error: zero denominator") for line in lines[:2]] == [True, True]
     assert lines[2:] == ["ok", "x2 x3 x4"]
+
+
+def test_watch_error_lines(capsys, monkeypatch, fig1_path):
+    script = "obs a 1\nobs a 1/2\nquery 0\nobs b 2\nobs a 0\nquery 1\nquit\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+    code, out, _ = run_cli(capsys, "watch", fig1_path)
+    assert code == 0
+    assert out.splitlines() == [
+        "ok",
+        "error: observation time precedes the belief anchor",
+        "error: query time precedes the belief anchor",
+        "error: event 'b' is not observable",
+        "error: observation time precedes the belief anchor",
+        "x2 x3 x4",
+    ]
 
 
 def test_watch_rejects_time_regression(capsys, monkeypatch, fig1_path):

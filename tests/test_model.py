@@ -73,6 +73,22 @@ def test_validate_open_guard(fig1):
     assert [d.code for d in validate(broken)] == ["guard-not-closed"]
 
 
+def test_validate_wide_id_guard(fig1):
+    from zonewatch.model import MAX_ID_REGIONS
+
+    idx = next(i for i, t in enumerate(fig1.transitions) if t.reset == ID_RESET)
+    # [a,b] covers 2(b-a)+1 unit regions.
+    widest = (MAX_ID_REGIONS - 1) // 2
+    assert validate(replace_transition(fig1, idx, guard=Interval.closed(5, 5 + widest))) == []
+    for hi in (widest + 1, 10**9):
+        diags = validate(replace_transition(fig1, idx, guard=Interval.closed(0, hi)))
+        assert [d.code for d in diags] == ["wide-id-guard"]
+        assert f"[0,{hi}]" in diags[0].message
+    # A clock-resetting transition may have any guard: its zones follow the endpoints.
+    resetting = next(i for i, t in enumerate(fig1.transitions) if t.reset != ID_RESET)
+    assert validate(replace_transition(fig1, resetting, guard=Interval.closed(0, 10**9))) == []
+
+
 def test_validate_structural_problems(fig1):
     ghost = replace_transition(fig1, 0, target="nowhere")
     assert "unknown-state" in [d.code for d in validate(ghost)]

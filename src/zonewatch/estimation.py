@@ -28,9 +28,14 @@ functions, ``lambda_estimation`` and the offline observer all read one memo
 kept on the index: per support a row of cells (``Cell``), each holding the
 ids reached and, computed on first use, their ``Estimate`` and the successor
 support per observable event.  An op finds its cell with ``_gap_cell``, in
-integer arithmetic on the numerators and denominators of its time and the
-anchor, so a warm op makes, subtracts and compares no ``Fraction`` between
-its timestamp and the memo read.  A miss at a small elapsed time runs the
+integer arithmetic on the numerator and denominator of its time and of the
+anchor (one ``as_integer_ratio()`` each), so it makes, subtracts and
+compares no ``Fraction`` between its timestamp and the memo read.  A warm op
+is that step plus the memo read: one lookup of the support's row and one
+read of it (``_cell``), and for an advance one read of the cell's
+successors.  Its model check reads the diagnostics tuple cached on the
+model (``require_valid``), and its new ``BeliefState``, a named tuple, is
+made by ``tuple.__new__``.  A miss at a small elapsed time runs the
 search for that one cell.  A miss past twice the first cut of
 ``_duration_cells``, a fixpoint over bit masks of unit cells on the same
 stretch tables, fills the support's whole row up to its certified periodic
@@ -45,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .intervals import (
     INF,
@@ -308,8 +313,11 @@ _MAX_CUT = 1 << 16
 
 def _width(ix) -> int:
     """The dependency width of the cells, ``2M + 2`` for the largest finite
-    zone endpoint ``M``, which is at most the largest lower end."""
-    return 2 * max(z.lo for z in ix.ranges) + 2
+    zone endpoint ``M``, which is at most the largest lower end; computed on
+    first use and kept on the index."""
+    if not ix.width:
+        ix.width = 2 * max(z.lo for z in ix.ranges) + 2
+    return ix.width
 
 
 def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int, int]:
@@ -423,8 +431,8 @@ def _gap_cell(time: Rational, anchor: Rational, message: str = "elapsed time mus
     """The unit cell of ``time - anchor`` (both a ``Fraction`` or an
     ``int``), in integer arithmetic: no ``Fraction`` is made or compared.
     Raises ``ValueError(message)`` when ``time`` precedes ``anchor``."""
-    p, q = time.numerator, time.denominator
-    r, s = anchor.numerator, anchor.denominator
+    p, q = time.as_integer_ratio()
+    r, s = anchor.as_integer_ratio()
     if q == s:
         n, d = p - r, q
     else:
@@ -465,7 +473,21 @@ def _fill(za: ZoneAutomaton, row: _Row) -> None:
 
 def _cell(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
     """The cell answering every elapsed time in unit cell ``i`` (see
-    ``_gap_cell``) after ``support`` was formed.
+    ``_gap_cell``) after ``support`` was formed: one row lookup and one read
+    of the row when the memo has it, else ``_miss``."""
+    row = za.index.rows.get(support)
+    if row is not None:
+        if row.tail:
+            start, period = row.tail
+            return row.cells[i if i < start else start + (i - start) % period]
+        cell = row.cells.get(i)
+        if cell is not None:
+            return cell
+    return _miss(za, support, i)
+
+
+def _miss(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
+    """``_cell`` when the memo lacks cell ``i`` of ``support``.
 
     A miss runs the search at ``i/2``, which lies in cell ``i``; the search
     reads only the floor, the ceiling and the integrality of the time, which
@@ -479,23 +501,18 @@ def _cell(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
     than ``max(8w, start + period)`` cells.
     """
     row = _row(za, support)
-    if not row.tail:
-        cell = row.cells.get(i)
-        if cell is not None:
-            return cell
-        below = i < 8 * _width(za.index)
-        if not below and row.tail is None:
-            try:
-                _fill(za, row)
-            except ValueError:
-                row.tail = False
-        if not row.tail:
-            cell = _intern(za.index, _duration_reach(za, row.ids, Fraction(i, 2)).hits)
-            if below:
-                row.cells[i] = cell
-            return cell
-    start, period = row.tail
-    return row.cells[i if i < start else start + (i - start) % period]
+    below = i < 8 * _width(za.index)
+    if not below and row.tail is None:
+        try:
+            _fill(za, row)
+        except ValueError:
+            row.tail = False
+        else:
+            return _cell(za, support, i)
+    cell = _intern(za.index, _duration_reach(za, row.ids, Fraction(i, 2)).hits)
+    if below:
+        row.cells[i] = cell
+    return cell
 
 
 def _total_row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> tuple[tuple, tuple[int, int]]:
@@ -726,17 +743,20 @@ def estimate(za: ZoneAutomaton, model: TFA, obs: TimedObservation) -> Estimate:
     return _cell(za, support, _gap_cell(_exact(obs.query_time), anchor)).estimate
 
 
-@dataclass(frozen=True)
-class BeliefState:
+class BeliefState(NamedTuple):
     """Everything the online estimator remembers: the extended states
-    consistent with the observations so far, and the time of the last one."""
+    consistent with the observations so far, and the time of the last one.
+    An immutable named tuple; the library makes it with ``tuple.__new__``."""
 
     support: frozenset[ExtendedState]
-    anchor_time: Fraction
+    anchor_time: Rational
+
+
+_new = tuple.__new__
 
 
 def belief_init(za: ZoneAutomaton) -> BeliefState:
-    return BeliefState(support=za.initial, anchor_time=Fraction(0))
+    return _new(BeliefState, (za.initial, Fraction(0)))
 
 
 def belief_advance(
@@ -748,7 +768,11 @@ def belief_advance(
     if event not in model.observable:
         raise ValueError(f"event {event!r} is not observable")
     require_valid(model, require_ro=True)
-    return BeliefState(support=_cell(za, belief.support, i).successor(event), anchor_time=time)
+    cell = _cell(za, belief.support, i)
+    nxt = cell.successors.get(event)
+    if nxt is None:
+        nxt = cell.successor(event)
+    return _new(BeliefState, (nxt, time))
 
 
 def belief_query(

@@ -143,10 +143,18 @@ def validate(model: TFA, require_ro: bool = False) -> list[Diagnostic]:
     the diagnostics are computed once per flag and cached on the instance;
     each call returns a fresh list.
     """
-    cache = model.__dict__.setdefault("_diagnostics", {})
-    if require_ro not in cache:
-        cache[require_ro] = tuple(_diagnose(model, require_ro))
-    return list(cache[require_ro])
+    return list(_diagnostics(model, require_ro))
+
+
+def _diagnostics(model: TFA, require_ro: bool) -> tuple[Diagnostic, ...]:
+    """The diagnostics of ``model`` as the tuple cached on the instance,
+    computed on the first call per flag."""
+    try:
+        return model.__dict__["_diagnostics"][require_ro]
+    except KeyError:
+        cache = model.__dict__.setdefault("_diagnostics", {})
+        diags = cache[require_ro] = tuple(_diagnose(model, require_ro))
+        return diags
 
 
 def _diagnose(model: TFA, require_ro: bool) -> list[Diagnostic]:
@@ -202,7 +210,9 @@ class ModelError(ValueError):
 
 
 def require_valid(model: TFA, require_ro: bool = False) -> None:
-    diags = validate(model, require_ro=require_ro)
+    """Raise ``ModelError`` when ``model`` has diagnostics.  Reads the cached
+    tuple, so a call on a model already checked makes no list."""
+    diags = _diagnostics(model, require_ro)
     if diags:
         raise ModelError(diags)
 

@@ -16,12 +16,14 @@ that reach the same extended states are one object, holding the estimate
 and the successor support per observable event; the builder computes the
 successors of every cell, which is how it finds the next supports.  A
 session op maps its time to the cell index with the integer arithmetic of
-``estimation._gap_cell`` and reads the row at that index (``_cell_at``).
+``estimation._gap_cell`` and reads the row at that index (``_cell_at``):
+one lookup gives the support's cells with its tail, the empty support's
+included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,8 +45,9 @@ def _cell_span(i: int) -> Interval:
 
 
 # The answer for the empty support, which a session reaches after an
-# inconsistent observation and which has no row.
-_EMPTY_CELL = Cell(frozenset(), ZoneIndex())
+# inconsistent observation and which has no table; it has no successors.
+_NO_SUPPORT: Support = frozenset()
+_EMPTY_CELL = Cell(_NO_SUPPORT, ZoneIndex())
 
 
 @dataclass
@@ -54,23 +57,29 @@ class OfflineObserver:
     tables: dict  # Support -> tuple[Cell, ...], the first start + period cells
     tails: dict  # Support -> (start, period) of its row, in cells
     initial_support: Support
+    # Support -> (cells, start, period), the empty support included: what a
+    # session op reads, in one lookup.  Made from ``tables`` and ``tails``
+    # at construction.
+    _rows: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._rows = {s: (row, *self.tails[s]) for s, row in self.tables.items()}
+        self._rows[_NO_SUPPORT] = ((_EMPTY_CELL,), 0, 1)
 
     def _cell_at(self, support: Support, i: int) -> Cell:
         """The cell answering every elapsed time in unit cell ``i`` after the
         support was formed."""
-        if not support:
-            return _EMPTY_CELL
-        row = self.tables.get(support)
-        if row is None:
+        entry = self._rows.get(support)
+        if entry is None:
             raise ValueError("support is not reachable in this observer")
-        start, period = self.tails[support]
+        row, start, period = entry
         return row[i if i < start else start + (i - start) % period]
 
     def _successor_at(self, support: Support, event: str, i: int) -> Support:
         if event not in self.model.observable:
             raise ValueError(f"event {event!r} is not observable")
         # The builder computed every row cell's successors; the empty cell has none.
-        return self._cell_at(support, i).successors.get(event, frozenset())
+        return self._cell_at(support, i).successors.get(event, _NO_SUPPORT)
 
     def cell_for(self, support: Support, dt: Rational) -> Cell:
         """The cell answering ``dt`` after the support was formed."""

@@ -125,12 +125,13 @@ class ZoneIndex:
     what it reaches in each unit cell of elapsed time, ``cells`` maps each
     set of reached ids to its one shared cell, and ``supports`` maps each
     support met to its one shared frozenset, so that lookups of equal
-    supports are identity hits.
+    supports are identity hits.  ``width`` is the cells' dependency width,
+    set on first use (0 until then).
     """
 
     __slots__ = (
         "ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "rows", "cells",
-        "supports",
+        "supports", "width",
     )
 
     def __init__(self) -> None:
@@ -146,6 +147,7 @@ class ZoneIndex:
         self.rows: dict = {}
         self.cells: dict = {}
         self.supports: dict = {}
+        self.width = 0
 
     def stretch(self, r: int, all_events: bool) -> tuple:
         """The stretch table of root ``r`` (see the class docstring)."""

@@ -4,8 +4,10 @@ Every op maps the elapsed time ``time - anchor`` to its unit cell with
 ``_gap_cell``, on numerators and denominators, and then reads the memo: no
 ``Fraction`` is subtracted or compared between a timestamp and its cell.
 These tests pin the arithmetic against ``Fraction`` subtraction, check that
-a warm op runs no ``Fraction`` arithmetic at all, and pin each API's error
-for a time before its anchor.
+a warm op runs no ``Fraction`` arithmetic and no model validation beyond
+reading the cached diagnostics, and pin each API's errors: for a time
+before its anchor, for a model that fails the check, and the contract of the
+``BeliefState`` record.
 """
 
 from fractions import Fraction
@@ -14,7 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zonewatch.model
 from zonewatch import (
+    ID_RESET,
+    BeliefState,
+    ModelError,
     TimedObservation,
     belief_advance,
     belief_init,
@@ -23,11 +29,13 @@ from zonewatch import (
     build_zone_automaton,
     estimate,
     lambda_estimation,
+    validate,
 )
 from zonewatch.estimation import _cell_index, _gap_cell
 
 from conftest import make_fig1
 from test_acceptance import ring_model
+from test_model import replace_transition
 
 F = Fraction
 
@@ -88,8 +96,8 @@ def _replay(za, model, observer, streams):
     return answers
 
 
-def _boom(*args):
-    raise AssertionError("Fraction arithmetic on the warm op path")
+def _boom(*args, **kwargs):
+    raise AssertionError("Fraction arithmetic or a validation run on the warm op path")
 
 
 def test_warm_ops_do_no_fraction_arithmetic(monkeypatch):
@@ -105,6 +113,10 @@ def test_warm_ops_do_no_fraction_arithmetic(monkeypatch):
         with monkeypatch.context() as patch:
             for op in ("__sub__", "__rsub__", "__add__", "__radd__", "__lt__", "__le__", "__gt__", "__ge__"):
                 patch.setattr(Fraction, op, _boom)
+            # A warm op checks the model by reading its cached diagnostics,
+            # neither copying them through ``validate`` nor recomputing them.
+            patch.setattr(zonewatch.model, "validate", _boom)
+            patch.setattr(zonewatch.model, "_diagnose", _boom)
             got = _replay(za, model, observer, streams)
         assert got == want, name
         assert any(want[0]), name  # the first stream keeps a non-empty belief
@@ -177,3 +189,59 @@ def test_any_rational_time_gives_the_same_answers():
     assert all(a == answers[0] for a in answers)
     assert answers[0][1][0] == answers[0][2][0] == answers[0][3][0]
     assert answers[0][1][0] != answers[0][0][0]
+
+
+def _ro_broken(model):
+    """``model`` with its observable ``x1 -a-> x4`` keeping the clock."""
+    idx = next(i for i, t in enumerate(model.transitions) if (t.source, t.event) == ("x1", "a"))
+    return replace_transition(model, idx, reset=ID_RESET)
+
+
+def test_every_call_checks_the_model_it_is_given():
+    model = make_fig1()
+    broken = _ro_broken(model)
+    warm = build_zone_automaton(model)
+    build_offline_observer(warm, model)
+    belief = belief_init(warm)
+    for ts in (1, 3):
+        belief = belief_advance(warm, model, belief, "a", ts)
+    obs = TimedObservation((("a", F(1)),), F(2))
+    assert belief.support and estimate(warm, model, obs).extended
+    calls = [
+        lambda za: belief_advance(za, broken, belief_init(za), "a", 1),
+        lambda za: estimate(za, broken, obs),
+        lambda za: build_offline_observer(za, broken),
+    ]
+    # The zone automaton of the broken model, and one that has served calls
+    # on the valid model with every answer now in its memo.
+    for za in (build_zone_automaton(broken), warm):
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(ModelError) as err:
+                    call(za)
+                assert [d.code for d in err.value.diagnostics] == ["ro-violation"]
+    # A caller's changes to a returned list reach neither validate nor the check.
+    validate(broken, require_ro=True).clear()
+    assert [d.code for d in validate(broken, require_ro=True)] == ["ro-violation"]
+    for call in calls:
+        with pytest.raises(ModelError, match="ro-violation"):
+            call(warm)
+    assert belief_advance(warm, model, belief, "a", 4).anchor_time == 4
+
+
+def test_belief_state_is_an_immutable_named_record():
+    model = make_fig1()
+    za = build_zone_automaton(model)
+    belief = belief_advance(za, model, belief_init(za), "a", F(1))
+    support = belief.support
+    assert support and belief.anchor_time == 1
+    assert tuple(belief) == (support, 1)
+    assert BeliefState(support, F(1)) == BeliefState(support=support, anchor_time=F(1)) == belief
+    assert hash(BeliefState(support, 1)) == hash(belief)
+    assert BeliefState(support, 2) != belief
+    assert belief_init(za) == BeliefState(za.initial, F(0))
+    assert len({belief, BeliefState(support, 1), belief_init(za)}) == 2
+    for name, value in (("support", frozenset()), ("anchor_time", 2), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(belief, name, value)
+    assert isinstance(belief, tuple) and belief.support is support

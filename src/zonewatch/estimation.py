@@ -18,8 +18,11 @@ filled on first use: each id the stretch reaches, its distance range from
 the root's zone and the resetting edges out of it.  A queue item is a root
 with the range sum of the stretches completed before it; expanding it scans
 the root's table, and each resetting edge out of a reached id queues a new
-root.  Windows are range tuples (see ``intervals``).  Ids are mapped back to
-extended states only for answers and witness paths.
+root.  Windows are range tuples (see ``intervals``).  Each root keeps the
+unit cells (below) of every window queued there, and a window whose cells
+it already holds is not queued again, so a search queues at most ``roots *
+(2*ceil(dt) + 3)`` items: its cost is linear in the duration.  Ids are
+mapped back to extended states only for answers and witness paths.
 
 Every window has integer endpoints, so between two observations the answer
 depends only on the belief support and on the unit cell of the elapsed time
@@ -41,12 +44,14 @@ search for that one cell.  A miss past twice the first cut of
 stretch tables, fills the support's whole row up to its certified periodic
 tail, after which every elapsed time of that support is a row read.  So the
 memo holds at most ``max(8w, start + period)`` cells per support (``w`` the
-fixpoint's dependency width), whatever the stream's length.
+fixpoint's dependency width), whatever the stream's length.  When the
+fixpoint refuses (a period too long, or constants too large for its bit
+masks), every miss runs the search.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -108,19 +113,29 @@ _ZERO = (0, True, 0, True)
 
 @dataclass
 class _SearchOutcome:
+    """What one ``_duration_reach`` found, the queue it ran and its counters.
+
+    ``items`` is the queue, every ``_Item`` in the order queued, and
+    ``parents`` holds per item ``(position of the parent item, position of
+    the exit entry in the parent's stretch table, reset edge)``, or None at
+    a start; ``goal`` is ``(item position, table position)`` of the goal
+    hit.  Counters: items queued (``pushed``); table entries that passed
+    the lower-bound test (``expanded``); table scans cut by that test
+    (``pruned``); reset steps whose sum was capped (``capped``); the largest
+    frontier, ``len(items)`` minus the position popped (``max_queue``); and
+    windows not queued because their root had queued all their cells
+    already (``covered``)."""
+
     hits: set  # ids of the extended states where dt is realizable
-    # _Item -> (parent _Item, position of the exit entry in the parent's
-    # stretch table, reset edge), or None at a start.
-    parents: dict
-    goal: Optional[tuple[_Item, int]]  # the goal hit: item and table position
-    # Counters: distinct roots queued; table entries expanded (they passed
-    # the lower-bound test); table scans cut by that test; reset steps whose
-    # sum was capped; the largest queue.
+    items: list
+    parents: list
+    goal: Optional[tuple[int, int]]
     pushed: int
     expanded: int
     pruned: int
     capped: int
     max_queue: int
+    covered: int
 
 
 def _duration_reach(
@@ -141,32 +156,41 @@ def _duration_reach(
     sorted by the lower end of ``d``, so the scan stops at the first such
     entry.  Each clock-resetting edge out of an expanded entry queues its
     target with the entry's window as the new sum, capped just above
-    ``ceil(dt)``, which preserves membership of ``dt`` and makes the item
-    space finite even under unobservable cycles.  Window endpoints are
+    ``ceil(dt)``, which preserves membership of ``dt``.  Window endpoints are
     integers (or an infinite upper end), since zones have integer endpoints,
     so they are compared with ``floor(dt)`` and whether ``dt`` is an integer.
+
+    Each root keeps the unit cells of every window queued there (``[k,k]``
+    is cell ``2k``, ``(k,k+1)`` cell ``2k+1``) as a flat ascending list of
+    merged half-open cell ranges ``f0, e0, f1, e1, ...``.  A window inside
+    one range is dropped (``covered``): a Minkowski sum distributes over a
+    union, so its entries reach nothing the queued windows do not.  Any
+    other window is queued whole and merged in.  Every queued item so adds
+    a cell to its root, and the cap leaves a root at most ``2*ceil(dt) + 3``
+    cells, so the queue grows linearly with ``dt``.  A queued window's own
+    parent chain realizes every duration in it, which is what ``_unwind``
+    and ``_realize`` read back.
     """
     ix = za.index
     tables = ix.stretches[all_events]
     p, q = dt.numerator, dt.denominator
     floor, exact = p // q, q == 1
     ceiling = -(-p // q)
-    seen: dict = {}
-    queue: deque = deque()
-    for s in starts:
-        item = (s, 0, True, 0, True)
-        if item not in seen:
-            seen[item] = None
-            queue.append(item)
+    cells: dict = {}  # root -> its queued cells as merged ranges
+    queue: list[_Item] = []
+    parents: list = []
+    for s in dict.fromkeys(starts):
+        cells[s] = [0, 1]
+        queue.append((s, 0, True, 0, True))
+        parents.append(None)
 
     hits: set = set()
-    goal: Optional[tuple[_Item, int]] = None
-    expanded = pruned = capped = max_queue = 0
-    while queue and goal is None:
-        if len(queue) > max_queue:
-            max_queue = len(queue)
-        item = queue.popleft()
-        r, a_lo, a_lc, a_hi, a_hc = item
+    goal: Optional[tuple[int, int]] = None
+    pos = expanded = pruned = capped = max_queue = covered = 0
+    while pos < len(queue) and goal is None:
+        if len(queue) - pos > max_queue:
+            max_queue = len(queue) - pos
+        r, a_lo, a_lc, a_hi, a_hc = queue[pos]
         table = tables[r] or ix.stretch(r, all_events)
         for k, (s, d_lo, d_lc, d_hi, d_hc, resets, _, _) in enumerate(table):
             lo = a_lo + d_lo
@@ -180,18 +204,44 @@ def _duration_reach(
             if hi > floor or (hi == floor and exact and hi_c):
                 hits.add(s)
                 if s in goal_ids:
-                    goal = (item, k)
+                    goal = (pos, k)
                     break
             if resets:
                 if hi > ceiling:
                     capped += len(resets)
                     hi, hi_c = ceiling + 1, True
+                first, end = 2 * lo + (not lo_c), 2 * hi + hi_c  # cells first..end-1
                 for edge in resets:
-                    child = (edge[1], lo, lo_c, hi, hi_c)
-                    if child not in seen:
-                        seen[child] = (item, k, edge)
-                        queue.append(child)
-    return _SearchOutcome(hits, seen, goal, len(seen), expanded, pruned, capped, max_queue)
+                    t = edge[1]
+                    ranges = cells.get(t)
+                    if ranges is None:
+                        cells[t] = [first, end]
+                    elif len(ranges) == 2 and first <= ranges[1] and ranges[0] <= end:
+                        # The usual case, decided without a bisect: the
+                        # window meets the root's one range.
+                        f, e = ranges
+                        if f <= first and end <= e:
+                            covered += 1
+                            continue
+                        ranges[0] = f if f < first else first
+                        ranges[1] = e if e > end else end
+                    else:
+                        i = bisect_left(ranges, first) & -2
+                        if i < len(ranges) and ranges[i] <= first and end <= ranges[i + 1]:
+                            covered += 1
+                            continue
+                        j = bisect_right(ranges, end, i)
+                        j += j & 1
+                        if i < j:
+                            ranges[i:j] = (min(first, ranges[i]), max(end, ranges[j - 1]))
+                        else:
+                            ranges[i:i] = (first, end)
+                    queue.append((t, lo, lo_c, hi, hi_c))
+                    parents.append((pos, k, edge))
+        pos += 1
+    return _SearchOutcome(
+        hits, queue, parents, goal, len(queue), expanded, pruned, capped, max_queue, covered
+    )
 
 
 # -- duration cells -------------------------------------------------------------
@@ -309,6 +359,10 @@ def _root_period(roots: dict, w: int, limit: int) -> Optional[tuple[int, int]]:
 # its square in the worst case, and only silent cycles of exact, mutually
 # prime durations push the period this far.
 _MAX_CUT = 1 << 16
+# No cut passes this many cells, whatever the width: a mask of them is
+# 128 KiB, and filling a row from such masks takes tens of seconds.  Larger
+# constants are refused before any mask is built.
+_MAX_CELLS = 1 << 20
 
 
 def _width(ix) -> int:
@@ -332,19 +386,27 @@ def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int
     root masks the same way a root's does, so the hit masks repeat from
     ``w`` cells after the roots do.  The period is then cut to the smallest
     divisor of ``p`` and the start moved back as far as the hit masks allow.
-    Raises ``InvariantError`` on a window with a non-integer endpoint.
+    Raises ``ValueError`` when the first cut ``4w`` passes ``_MAX_CELLS``,
+    before any mask is built, or when no cut within the bound certifies a
+    tail; ``InvariantError`` on a window with a non-integer endpoint.
     """
     ix = za.index
     starts = list(starts)
     w = _width(ix)
+    bound = min(max(_MAX_CUT, 16 * w), _MAX_CELLS)
     limit = 4 * w
+    if limit > bound:
+        raise ValueError(
+            f"a constant of {w // 2 - 1} needs {limit} cells of silent durations, "
+            f"more than the {_MAX_CELLS} that are tabulated"
+        )
     while True:
         roots, hits = _reach_cells(ix, starts, limit)
         tail = _root_period(roots, w, limit)
         if tail is not None:
             break
         limit *= 2
-        if limit > max(_MAX_CUT, 16 * w):
+        if limit > bound:
             raise ValueError(
                 f"no periodic tail of the silent durations within {limit // 2} cells: "
                 "exact-duration silent cycles make the period too long to tabulate"
@@ -592,32 +654,30 @@ def t_reachable(
     )
     if outcome.goal is None:
         return False, None
-    return True, _realize(_unwind(za, outcome.parents, outcome.goal), duration)
+    return True, _realize(_unwind(za, outcome), duration)
 
 
-def _unwind(
-    za: ZoneAutomaton, parents: dict, goal: tuple[_Item, int]
-) -> list[tuple[ExtendedState, Optional[tuple]]]:
-    """The zone path of an all-events search ending at table entry ``goal``:
-    each extended state with the ``(label, Transition or None)`` step that
+def _unwind(za: ZoneAutomaton, outcome: _SearchOutcome) -> list[tuple[ExtendedState, Optional[tuple]]]:
+    """The zone path of an all-events search ending at its goal entry: each
+    extended state with the ``(label, Transition or None)`` step that
     entered it (None at the start).  Follows the entry predecessors back to
-    each stretch root and the parent links from root to root."""
+    each stretch root and the parent links from item to item."""
     ix = za.index
     ext = ix.ext
     chain: list[tuple[ExtendedState, Optional[tuple]]] = []
-    item, k = goal
+    pos, k = outcome.goal
     while True:
-        table = ix.stretch(item[0], True)
+        table = ix.stretch(outcome.items[pos][0], True)
         row_of = {row[0]: row for row in table}
         s, *_, pred, edge = table[k]
         while pred >= 0:
             chain.append((ext[s], (TAU, None) if edge is None else (edge[0], edge[3])))
             s, *_, pred, edge = row_of[pred]
-        link = parents[item]
+        link = outcome.parents[pos]
         if link is None:
             chain.append((ext[s], None))
             break
-        item, k, edge = link
+        pos, k, edge = link
         chain.append((ext[s], (edge[0], edge[3])))
     chain.reverse()
     return chain

@@ -150,6 +150,51 @@ def test_wide_id_guard_exits_2_in_bounded_time(tmp_path, fig1_path):
         assert done.stderr.startswith("error: wide-id-guard: clock-preserving transition (x0,b,x2)"), argv
 
 
+def test_huge_resetting_guard_ends_in_bounded_time(tmp_path):
+    # A resetting guard of [0,10^20] needs more cells of silent durations
+    # than the duration tables hold.  The observer, which must tabulate
+    # every row, exits 64 with an error line; estimate and watch answer from
+    # the duration search instead.  Child processes run under a time and
+    # memory cap, so that a missing check fails the test instead of
+    # exhausting the host.
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "states": ["s", "t"], "alphabet": ["a", "u"], "observable": ["a"], "initial": ["s"],
+        "transitions": [
+            {"from": "s", "event": "u", "to": "t", "guard": f"[0,{10 ** 20}]", "reset": "[0,0]"},
+            {"from": "t", "event": "a", "to": "s", "guard": "[1,2]", "reset": "[0,0]"},
+        ],
+    }))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from zonewatch.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def run(*argv, stdin=""):
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv], input=stdin, capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+
+    done = run("observer", str(path), "--out", str(tmp_path / "obs.json"))
+    assert done.returncode == 64, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: a constant of {10 ** 20} needs "), done.stderr
+    assert not (tmp_path / "obs.json").exists()
+    done = run("estimate", str(path), "--obs", "a@1", "--time", str(10 ** 24))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "s t\n", "")
+    done = run("watch", str(path), stdin=f"obs a 1\nquery 100000000\nquery {10 ** 24}\nquit\n")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\ns t\ns t\n", "")
+
+
 # -- reach ---------------------------------------------------------------------
 
 def test_reach_yes_with_witness(capsys, fig1_path):

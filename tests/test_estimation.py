@@ -316,30 +316,31 @@ def test_lambda_estimation_matches_unobservable_grid_oracle(fig1):
 
 # Per case: its answer (the extended estimate in zone order, or whether the
 # target is reachable), then per call of the duration search (pushed,
-# expanded, pruned, capped, max_queue): distinct stretch roots queued, table
-# entries that passed the lower-bound test, table scans cut by that test,
-# reset steps whose sum was capped, and the largest queue.
+# expanded, pruned, capped, max_queue, covered): items queued, table entries
+# that passed the lower-bound test, table scans cut by that test, reset steps
+# whose sum was capped, the largest frontier, and items dropped because their
+# root had every cell of their window queued already.
 SEARCH_COUNTS = [
     ("fig1", "estimate", "a@1,a@3", "4", (
         "(x2,[1,1]) (x3,[1,1])",
-        [(2, 8, 2, 0, 1), (3, 15, 2, 0, 2), (1, 4, 1, 0, 1)])),
+        [(2, 8, 2, 0, 1, 0), (3, 15, 2, 0, 2, 0), (1, 4, 1, 0, 1, 0)])),
     ("fig1", "estimate", "", "5", (
         "(x0,(3,inf)) (x1,(1,3]) (x1,(3,inf)) (x2,(2,inf)) (x3,(2,inf))",
-        [(3, 21, 0, 0, 2)])),
+        [(3, 21, 0, 0, 2, 0)])),
     ("fig1", "estimate", "a@2", "13/2", (
         "(x2,(2,inf)) (x3,(2,inf)) (x4,(1,inf))",
-        [(3, 16, 3, 1, 2), (3, 18, 0, 0, 2)])),
-    ("fig1", "reach", ("x0", "x4"), "4", (True, [(37, 123, 1, 2, 18)])),
-    ("fig1", "reach", ("x0", "x3"), "7/2", (True, [(10, 14, 0, 0, 5)])),
-    ("fig1", "reach", ("x1", "x0"), "3", (False, [(30, 165, 9, 45, 15)])),
+        [(3, 16, 3, 1, 2, 0), (3, 18, 0, 0, 2, 0)])),
+    ("fig1", "reach", ("x0", "x4"), "4", (True, [(24, 104, 1, 1, 11, 21)])),
+    ("fig1", "reach", ("x0", "x3"), "7/2", (True, [(10, 14, 0, 0, 5, 0)])),
+    ("fig1", "reach", ("x1", "x0"), "3", (False, [(15, 76, 2, 17, 6, 25)])),
     ("ring8", "estimate", "a@1", "2", (
         " ".join(f"(s{i},[0,0]) (s{i},(0,1])" for i in range(8)),
-        [(24, 48, 24, 24, 4), (24, 48, 24, 24, 4)])),
+        [(24, 48, 24, 24, 4, 25), (24, 48, 24, 24, 4, 25)])),
     ("ring8", "estimate", "", "9", (
         " ".join(f"(s{i},[0,0]) (s{i},(0,1]) (s{i},(1,inf))" for i in range(8)),
-        [(88, 264, 0, 24, 8)])),
-    ("ring8", "reach", ("s0", "s7"), "5", (True, [(63, 150, 0, 6, 13)])),
-    ("ring8", "reach", ("s3", "s2"), "15/2", (True, [(67, 153, 0, 0, 15)])),
+        [(88, 264, 0, 24, 8, 89)])),
+    ("ring8", "reach", ("s0", "s7"), "5", (True, [(38, 90, 0, 4, 8, 27)])),
+    ("ring8", "reach", ("s3", "s2"), "15/2", (True, [(39, 90, 0, 0, 8, 35)])),
 ]
 
 
@@ -356,7 +357,7 @@ def test_search_counters_pinned(monkeypatch, fig1, name, kind, arg, time, expect
 
     def counted(*args, **kwargs):
         out = search(*args, **kwargs)
-        calls.append((out.pushed, out.expanded, out.pruned, out.capped, out.max_queue))
+        calls.append((out.pushed, out.expanded, out.pruned, out.capped, out.max_queue, out.covered))
         return out
 
     monkeypatch.setattr(estimation, "_duration_reach", counted)
@@ -434,6 +435,82 @@ def test_stretch_search_matches_node_search():
                     if ok:
                         assert_witness_replays(model, witness, source, target, dt)
     assert compared > 3000
+
+
+def test_stretch_search_matches_node_search_where_cycles_repeat():
+    # At these durations silent resetting cycles come round several times,
+    # so roots are reached again with windows their queued cells already
+    # cover, and the search drops those items.  The hits and every witness
+    # must still match the per-node reference.  Models of six states are
+    # left out: the reference's cost grows with the square of the duration.
+    from node_search import node_reach
+
+    import zonewatch.estimation as estimation
+
+    durations = [F(7), F(12), F(25, 2)]
+    compared = covered = 0
+    for name, model, _ in _differential_models()[:41]:
+        if len(model.states) > 5 and name != "ring8":
+            continue
+        za = build_zone_automaton(model)
+        ix = za.index
+        start_sets = [sorted(ix.id_of[v] for v in za.initial)]
+        start_sets += [list(ix.ids[x]) for x in sorted(model.states)]
+        want = {}
+        for starts in start_sets:
+            for dt in durations:
+                for all_events in (False, True):
+                    out = estimation._duration_reach(za, starts, dt, all_events)
+                    want[tuple(starts), dt, all_events] = node_reach(za, starts, dt, all_events)
+                    assert out.hits == want[tuple(starts), dt, all_events], (name, starts, dt, all_events)
+                    compared += 1
+                    covered += out.covered
+        for source in sorted(model.states):
+            for dt in durations:
+                reached = want[tuple(ix.ids[source]), dt, True]
+                for target in sorted(model.states):
+                    ok, witness = t_reachable(za, model, source, target, dt)
+                    assert ok == bool(reached.intersection(ix.ids[target])), (name, source, target, dt)
+                    if ok:
+                        assert_witness_replays(model, witness, source, target, dt)
+    assert compared > 900 and covered > 0
+
+
+def _gated_ring(gate: int):
+    """A silent ring ``s0 -> ... -> s7 -> s0``, alternately fast (``[0,1]``)
+    and slow (``[1,2]``), with a silent exit from ``s0`` to ``d`` only once
+    the clock has reached ``gate``.  Every transition resets the clock."""
+    from zonewatch import model_from_dict
+
+    def tr(src, event, dst, lo, hi):
+        return {"from": src, "event": event, "to": dst, "guard": f"[{lo},{hi}]", "reset": "[0,0]"}
+
+    transitions = [tr(f"s{i}", "u", f"s{(i + 1) % 8}", i % 2, i % 2 + 1) for i in range(8)]
+    transitions += [tr("s0", "a", "s1", 0, 1), tr("s0", "v", "d", gate, gate + 1), tr("d", "w", "s1", 0, 1)]
+    return model_from_dict({
+        "states": [f"s{i}" for i in range(8)] + ["d"],
+        "alphabet": ["a", "u", "v", "w"],
+        "observable": ["a"],
+        "initial": ["s0"],
+        "transitions": transitions,
+    })
+
+
+def test_no_answer_queues_linearly_many_items():
+    # A "no" explores every run up to the duration.  Each queued item adds
+    # at least one unit cell to its root, and a root's cells stop at the
+    # cap, so the items stay within roots * (2D + 3) whatever the duration.
+    import zonewatch.estimation as estimation
+
+    model = _gated_ring(10000)
+    za = build_zone_automaton(model)
+    ix = za.index
+    for d in (640, 1280):
+        out = estimation._duration_reach(za, ix.ids["s1"], F(d), True, ix.ids["d"])
+        assert out.goal is None
+        roots = len({item[0] for item in out.items})
+        assert out.pushed <= roots * (2 * d + 3), (d, out.pushed, roots)
+    assert t_reachable(za, model, "s1", "d", F(1280)) == (False, None)
 
 
 def test_cell_window_sum_matches_interval_sum():

@@ -3,7 +3,6 @@
 from .intervals import (
     INF,
     Interval,
-    TimePoint,
     add,
     contains,
     distance,

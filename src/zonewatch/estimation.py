@@ -12,17 +12,25 @@ keeps the windows exact; summing per-segment (or per-edge) distances would
 over-approximate.
 
 The search runs over stretches, not single steps.  Everything a stretch
-can reach depends only on the id where it starts (its root), so the integer
-index the zone automaton carries (``ZoneIndex``) keeps one table per root,
-filled on first use: each id the stretch reaches, its distance range from
-the root's zone and the resetting edges out of it.  A queue item is a root
-with the range sum of the stretches completed before it; expanding it scans
-the root's table, and each resetting edge out of a reached id queues a new
-root.  Windows are range tuples (see ``intervals``).  Each root keeps the
-unit cells (below) of every window queued there, and a window whose cells
-it already holds is not queued again, so a search queues at most ``roots *
+can reach depends only on where it starts (its root), so the integer index
+the zone automaton carries (``ZoneIndex``) keeps one table per root, filled
+on first use: each id the stretch reaches, its distance range from the
+root and the resets out of it.  A root is a run of consecutive zones of one
+state, not a single zone: a clock-resetting transition enters every zone of
+its reset range at once, with the same window, and a belief support starts
+one run per block of consecutive zones it holds.  The run's table gives
+each reached id the distance from the hull of the members that reach it,
+which is the union of their own distances, so one queue item and one table
+stand for the whole range, and the cost grows with the reset ranges, not
+with the square of the zones they span.  A queue item is a root with the
+range sum of the stretches completed before it; expanding it scans the
+root's table, and each reset run out of a reached id queues a new root.
+Windows are range tuples (see ``intervals``).  Each root keeps the unit
+cells (below) of every window queued there, and a window whose cells it
+already holds is not queued again, so a search queues at most ``roots *
 (2*ceil(dt) + 3)`` items: its cost is linear in the duration.  Ids are
-mapped back to extended states only for answers and witness paths.
+mapped back to extended states only for answers and witness paths, where
+each stretch is re-rooted at a single zone.
 
 Every window has integer endpoints, so between two observations the answer
 depends only on the belief support and on the unit cell of the elapsed time
@@ -62,6 +70,7 @@ from .intervals import (
     Interval,
     Rational,
     add,
+    contains,
     distance,
     format_time,
     intersect,
@@ -104,8 +113,9 @@ class Estimate:
 
 # -- duration-tracking search -------------------------------------------------
 
-# A queue item: the root id of a reset-free stretch, then the (capped) range
-# sum ``lo, lo_closed, hi, hi_closed`` of the stretches completed before it.
+# A queue item: the root (run key) of a reset-free stretch, then the (capped)
+# range sum ``lo, lo_closed, hi, hi_closed`` of the stretches completed before
+# it.
 _Item = tuple[int, int, bool, int, bool]
 
 _ZERO = (0, True, 0, True)
@@ -117,7 +127,7 @@ class _SearchOutcome:
 
     ``items`` is the queue, every ``_Item`` in the order queued, and
     ``parents`` holds per item ``(position of the parent item, position of
-    the exit entry in the parent's stretch table, reset edge)``, or None at
+    the exit entry in the parent's stretch table, reset run)``, or None at
     a start; ``goal`` is ``(item position, table position)`` of the goal
     hit.  Counters: items queued (``pushed``); table entries that passed
     the lower-bound test (``expanded``); table scans cut by that test
@@ -144,18 +154,21 @@ def _duration_reach(
     dt: Fraction,
     all_events: bool = False,
     goal_ids: Sequence[int] = (),
+    budget: Optional[int] = None,
 ) -> _SearchOutcome:
     """All extended-state ids reachable from ``starts`` by a run of duration
     ``dt`` over silent events (over every event with ``all_events``).  The
-    search stops at the first entry realizing ``dt`` at an id in ``goal_ids``.
+    search stops at the first entry realizing ``dt`` at an id in ``goal_ids``,
+    and raises ``ValueError`` once it has queued more than ``budget`` items.
 
-    A queue item is a stretch root ``r`` with the sum ``acc`` of the
-    completed stretches; the window of an entry ``(s, d)`` of ``r``'s
+    A queue item is a stretch root ``r``, a run of zones (``ZoneIndex``),
+    with the sum ``acc`` of the completed stretches; the start roots are the
+    runs of ``starts``.  The window of an entry ``(s, d)`` of ``r``'s
     stretch table (``ZoneIndex.stretch``) is ``acc (+) d``.  Windows whose
     lower bound already exceeds ``dt`` can never recover, and the table is
     sorted by the lower end of ``d``, so the scan stops at the first such
-    entry.  Each clock-resetting edge out of an expanded entry queues its
-    target with the entry's window as the new sum, capped just above
+    entry.  Each reset run out of an expanded entry queues that run with
+    the entry's window as the new sum, capped just above
     ``ceil(dt)``, which preserves membership of ``dt``.  Window endpoints are
     integers (or an infinite upper end), since zones have integer endpoints,
     so they are compared with ``floor(dt)`` and whether ``dt`` is an integer.
@@ -179,9 +192,9 @@ def _duration_reach(
     cells: dict = {}  # root -> its queued cells as merged ranges
     queue: list[_Item] = []
     parents: list = []
-    for s in dict.fromkeys(starts):
-        cells[s] = [0, 1]
-        queue.append((s, 0, True, 0, True))
+    for r in ix.start_runs(starts):
+        cells[r] = [0, 1]
+        queue.append((r, 0, True, 0, True))
         parents.append(None)
 
     hits: set = set()
@@ -190,8 +203,13 @@ def _duration_reach(
     while pos < len(queue) and goal is None:
         if len(queue) - pos > max_queue:
             max_queue = len(queue) - pos
+        if budget is not None and len(queue) > budget:
+            raise ValueError(
+                f"no answer at an elapsed time of {format_time(dt)}: the silent durations "
+                f"have no tail that can be tabulated, and the search passed {budget} items"
+            )
         r, a_lo, a_lc, a_hi, a_hc = queue[pos]
-        table = tables[r] or ix.stretch(r, all_events)
+        table = tables.get(r) or ix.stretch(r, all_events)
         for k, (s, d_lo, d_lc, d_hi, d_hc, resets, _, _) in enumerate(table):
             lo = a_lo + d_lo
             lo_c = a_lc and d_lc
@@ -211,8 +229,8 @@ def _duration_reach(
                     capped += len(resets)
                     hi, hi_c = ceiling + 1, True
                 first, end = 2 * lo + (not lo_c), 2 * hi + hi_c  # cells first..end-1
-                for edge in resets:
-                    t = edge[1]
+                for run in resets:
+                    t = run[1]
                     ranges = cells.get(t)
                     if ranges is None:
                         cells[t] = [first, end]
@@ -237,7 +255,7 @@ def _duration_reach(
                         else:
                             ranges[i:i] = (first, end)
                     queue.append((t, lo, lo_c, hi, hi_c))
-                    parents.append((pos, k, edge))
+                    parents.append((pos, k, run))
         pos += 1
     return _SearchOutcome(
         hits, queue, parents, goal, len(queue), expanded, pruned, capped, max_queue, covered
@@ -292,31 +310,31 @@ def _add_window(mask: int, d: Sequence, even: int, full: int) -> int:
 def _reach_cells(ix, starts: Iterable[int], limit: int) -> tuple[dict, dict]:
     """The cells ``0..limit`` of every silent duration from ``starts``: the
     mask of each stretch root (the durations at which a stretch can begin
-    there) and of each reached id, both keyed by id.
+    there), keyed by run key, and of each reached id, keyed by id.
 
-    A worklist fixpoint over root masks: start roots hold cell 0, and
-    expanding a root adds each entry's window to the bits the root gained
-    since its last expansion, into the mask of each reset target.  A target
+    A worklist fixpoint over root masks: the runs of ``starts`` hold cell
+    0, and expanding a root adds each entry's window to the bits the root
+    gained since its last expansion, into the mask of each reset run.  A target
     is queued again only when its mask gains bits.  Cutting at ``limit`` is
     exact for every cell up to ``limit``, since durations only grow.
     """
     full = (2 << limit) - 1
     even = ((1 << 2 * (limit // 2 + 1)) - 1) // 3  # 0b0101...01
     tables = ix.stretches[False]
-    roots = dict.fromkeys(starts, 1)
+    roots = dict.fromkeys(ix.start_runs(starts), 1)
     pending = dict(roots)  # root -> bits not yet expanded
     while pending:
         r, delta = pending.popitem()
-        for _, *d, resets, _, _ in tables[r] or ix.stretch(r, False):
+        for _, *d, resets, _, _ in tables.get(r) or ix.stretch(r, False):
             if not resets:
                 continue
             cells = _add_window(delta, d, even, full)
-            for edge in resets:
-                old = roots.get(edge[1], 0)
+            for run in resets:
+                old = roots.get(run[1], 0)
                 gain = cells & ~old
                 if gain:
-                    roots[edge[1]] = old | gain
-                    pending[edge[1]] = pending.get(edge[1], 0) | gain
+                    roots[run[1]] = old | gain
+                    pending[run[1]] = pending.get(run[1], 0) | gain
     hits: dict = {}
     for r, mask in roots.items():
         for s, *d, _, _, _ in tables[r]:
@@ -363,6 +381,10 @@ _MAX_CUT = 1 << 16
 # 128 KiB, and filling a row from such masks takes tens of seconds.  Larger
 # constants are refused before any mask is built.
 _MAX_CELLS = 1 << 20
+# A search for a cell past ``_MAX_CELLS`` on a row with no tabulated tail
+# queues at most this many items (about 16 MB of queue), so a long gap ends
+# in an error instead of running for hours.
+_MAX_ITEMS = 1 << 16
 
 
 def _width(ix) -> int:
@@ -478,12 +500,6 @@ class _Row:
         self.tail: Optional[tuple[int, int]] | bool = None
 
 
-def _cell_index(t: Fraction) -> int:
-    """The unit cell holding time ``t``: ``[k,k]`` is cell ``2k``, ``(k,k+1)``
-    cell ``2k+1``.  The tests' reference for ``_gap_cell``."""
-    return 2 * (t.numerator // t.denominator) + (t.denominator != 1)
-
-
 def _exact(t: Rational) -> Rational:
     """``t`` itself when it is a ``Fraction`` or an ``int``, else ``Fraction(t)``."""
     return t if isinstance(t, (Fraction, int)) else Fraction(t)
@@ -557,21 +573,26 @@ def _miss(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
     (``4w`` time units, twice the fixpoint's first cut; ``w`` is the
     dependency width) runs the duration search for that one cell and stores
     it: a short gap costs one search, never a fixpoint.
-    A miss at or past it fills the whole row, since the search grows with
-    ``dt`` and the fixpoint does not.  If the fixpoint refuses,
-    the search answers and the cell is not stored, so a row never holds more
-    than ``max(8w, start + period)`` cells.
+    A miss at or past it, or past ``_MAX_CELLS``, fills the whole row, since
+    the search grows with ``dt`` and the fixpoint does not.  If the fixpoint
+    refuses, the search answers, and a cell at or past ``8w`` is not stored,
+    so a row never holds more than ``max(8w, start + period)`` cells.  Past ``_MAX_CELLS``
+    that search may queue only ``_MAX_ITEMS`` items, and raises
+    ``ValueError`` beyond them: wide windows still answer any gap at once,
+    but a gap crossed in exact silent steps would cost time linear in it.
     """
     row = _row(za, support)
     below = i < 8 * _width(za.index)
-    if not below and row.tail is None:
+    far = i >= _MAX_CELLS
+    if row.tail is None and (far or not below):
         try:
             _fill(za, row)
         except ValueError:
             row.tail = False
         else:
             return _cell(za, support, i)
-    cell = _intern(za.index, _duration_reach(za, row.ids, Fraction(i, 2)).hits)
+    outcome = _duration_reach(za, row.ids, Fraction(i, 2), budget=_MAX_ITEMS if far else None)
+    cell = _intern(za.index, outcome.hits)
     if below:
         row.cells[i] = cell
     return cell
@@ -654,33 +675,75 @@ def t_reachable(
     )
     if outcome.goal is None:
         return False, None
-    return True, _realize(_unwind(za, outcome), duration)
+    return True, _realize(_unwind(za, outcome, duration), duration)
 
 
-def _unwind(za: ZoneAutomaton, outcome: _SearchOutcome) -> list[tuple[ExtendedState, Optional[tuple]]]:
-    """The zone path of an all-events search ending at its goal entry: each
-    extended state with the ``(label, Transition or None)`` step that
-    entered it (None at the start).  Follows the entry predecessors back to
-    each stretch root and the parent links from item to item."""
+def _unwind(
+    za: ZoneAutomaton, outcome: _SearchOutcome, total: Fraction
+) -> list[tuple[ExtendedState, Optional[tuple]]]:
+    """The zone path of an all-events search ending at its goal entry, for
+    a run of duration ``total``: each extended state with the ``(label,
+    Transition or None)`` step that entered it (None at the start).
+
+    Follows the parent links from item to item back to a start, which gives
+    each stretch's run and exit id, and fixes each stretch's duration in
+    its run window as ``_realize`` does.  A run's window is the union of its
+    members' windows, so some member ``j`` reaching the exit id has that
+    duration in its own window; the stretch is re-rooted there, and its
+    zone path read off the predecessors in the table of ``(j, j)``.  Each
+    member of a reset run is a target of the reset, and each member of a
+    start run a start, so the path is a run of the zone automaton."""
     ix = za.index
     ext = ix.ext
-    chain: list[tuple[ExtendedState, Optional[tuple]]] = []
+    stretches = []  # (run key, exit entry, reset run entering it or None), goal first
     pos, k = outcome.goal
     while True:
-        table = ix.stretch(outcome.items[pos][0], True)
-        row_of = {row[0]: row for row in table}
-        s, *_, pred, edge = table[k]
-        while pred >= 0:
-            chain.append((ext[s], (TAU, None) if edge is None else (edge[0], edge[3])))
-            s, *_, pred, edge = row_of[pred]
+        key = outcome.items[pos][0]
+        exit_entry = ix.stretch(key, True)[k]
         link = outcome.parents[pos]
+        stretches.append((key, exit_entry, None if link is None else link[2]))
         if link is None:
-            chain.append((ext[s], None))
             break
-        pos, k, edge = link
-        chain.append((ext[s], (edge[0], edge[3])))
-    chain.reverse()
+        pos, k, _ = link
+    stretches.reverse()
+    durations = _split([entry[1:5] for _, entry, _ in stretches], total)
+    chain: list[tuple[ExtendedState, Optional[tuple]]] = []
+    for (key, exit_entry, reset), d in zip(stretches, durations):
+        a, b = ix.run(key)
+        for j in range(a, b + 1):
+            row_of = {row[0]: row for row in ix.stretch(j, True)}
+            row = row_of.get(exit_entry[0])
+            if row is not None and contains(row[1:5], d):
+                break
+        else:
+            raise InvariantError("no member of a stretch's run realizes its duration")
+        steps = []
+        s, *_, pred, edge = row
+        while pred >= 0:
+            steps.append((ext[s], (TAU, None) if edge is None else (edge[0], edge[3])))
+            s, *_, pred, edge = row_of[pred]
+        steps.append((ext[s], None if reset is None else (reset[0], reset[3])))
+        chain += reversed(steps)
     return chain
+
+
+def _split(windows: Sequence[tuple], total: Fraction) -> list[Fraction]:
+    """A duration in each window, the earliest the later windows allow,
+    summing to ``total``; raises ``InvariantError`` when ``total`` is not in
+    the sum of the windows."""
+    suffix: list[tuple] = [_ZERO] * len(windows)
+    for i in range(len(windows) - 1, 0, -1):
+        suffix[i - 1] = add(windows[i], suffix[i])
+    durations: list[Fraction] = []
+    remaining = total
+    for w, rest in zip(windows, suffix):
+        feasible = intersect(w, sub_from(remaining, rest))
+        if feasible is None:
+            raise InvariantError("search certified an unrealizable duration split")
+        d = pick(feasible)
+        durations.append(d)
+        remaining -= d
+    return durations
 
 
 def _realize(path: Sequence[tuple[ExtendedState, Optional[tuple]]], total: Fraction) -> Witness:
@@ -714,20 +777,7 @@ def _realize(path: Sequence[tuple[ExtendedState, Optional[tuple]]], total: Fract
             cur["exit"] = v.zone
     stretches.append(cur)
 
-    windows = [distance(s["entry"], s["exit"]) for s in stretches]
-    suffix: list[tuple] = [_ZERO] * len(windows)
-    for i in range(len(windows) - 1, 0, -1):
-        suffix[i - 1] = add(windows[i], suffix[i])
-
-    durations: list[Fraction] = []
-    remaining = total
-    for w, rest in zip(windows, suffix):
-        feasible = intersect(w, sub_from(remaining, rest))
-        if feasible is None:
-            raise InvariantError("search certified an unrealizable duration split")
-        d = pick(feasible)
-        durations.append(d)
-        remaining -= d
+    durations = _split([distance(s["entry"], s["exit"]) for s in stretches], total)
 
     run_steps: list[RunStep] = []
     entry_clocks: list[Fraction] = []

@@ -24,7 +24,6 @@ from typing import Optional, Union
 
 INF = math.inf
 
-TimePoint = Fraction
 Rational = Union[int, Fraction]
 
 _DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")

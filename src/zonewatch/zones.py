@@ -108,17 +108,33 @@ class ZoneIndex:
 
     ``ids`` maps each state to the range of its ids.
 
-    ``stretches`` holds the stretch table of each root id, over silent moves
+    ``stretches`` holds the stretch table of each root, over silent moves
     (``stretches[False]``) and over all events (``stretches[True]``); each
-    is filled on first use by ``stretch``.  A reset-free stretch entered at
-    root ``r`` reaches the ids linked to ``r`` by ``tau`` steps and
-    clock-preserving edges.  Its table has one entry ``(s, d_lo, d_lo_closed,
-    d_hi, d_hi_closed, resets, pred, edge)`` per such id ``s``: the distance
-    range from ``r``'s zone to ``s``'s zone, the clock-resetting edges out
-    of ``s``, and the id ``s`` was first reached from with the edge taken
-    (``None`` for ``tau``; ``pred`` is -1 at the root).  Entries are sorted
-    by the lower end of the distance, open after closed, which only grows
-    along a stretch; the root is entry 0.
+    is filled on first use by ``stretch``.  A root is a run ``(a, b)`` of
+    consecutive ids of one state: a stretch beginning with the clock
+    anywhere in the zones of ``a..b``.  Resets enter runs, since a
+    clock-resetting transition fans out to every zone of its reset range,
+    and a belief support starts one run per maximal block of consecutive
+    ids of a state; a single id ``j`` is the run ``(j, j)``.  A run is
+    keyed by the int ``a + n*(b - a)`` (``n`` ids), so the key of ``(j,
+    j)`` is ``j``; ``run`` maps a key back.
+
+    A reset-free stretch reaches the ids linked to a member by ``tau``
+    steps and clock-preserving edges.  Its table has one entry ``(s, d_lo,
+    d_lo_closed, d_hi, d_hi_closed, resets, pred, edge)`` per such id
+    ``s``: the durations from the run to ``s``, the reset runs out of
+    ``s``, and the id ``s`` was first reached from with the edge taken
+    (``None`` for ``tau``; ``pred`` is -1 at the members).  The members
+    that reach ``s`` are a prefix ``a..top`` (the clock only rises within a
+    stretch, and a member reaches the next one by ``tau``), so the
+    durations are the distance range from the hull of the zones of
+    ``a..top`` to ``s``'s zone, which is the union of the members' own
+    ranges.  Entries are sorted by the lower end of the distance, open
+    after closed, which only grows along a stretch.  A reset run has the
+    shape of an edge, ``(label, key, True, Transition)``: the targets of
+    one resetting transition out of ``s`` are consecutive ids of its
+    target state, one run.  ``resets`` keeps the reset runs of each id
+    met, per mode.
 
     ``rows``, ``cells`` and ``supports`` are the estimation memo, filled on
     first use by ``zonewatch.estimation``: ``rows`` maps a belief support to
@@ -130,8 +146,8 @@ class ZoneIndex:
     """
 
     __slots__ = (
-        "ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "rows", "cells",
-        "supports", "width",
+        "ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "resets", "rows",
+        "cells", "supports", "width",
     )
 
     def __init__(self) -> None:
@@ -143,40 +159,89 @@ class ZoneIndex:
         self.tau: list[int] = []
         self.events: list[tuple] = []
         self.silent: list[tuple] = []
-        self.stretches: tuple[list, list] = ([], [])
+        self.stretches: tuple[dict, dict] = ({}, {})
+        self.resets: tuple[dict, dict] = ({}, {})
         self.rows: dict = {}
         self.cells: dict = {}
         self.supports: dict = {}
         self.width = 0
 
-    def stretch(self, r: int, all_events: bool) -> tuple:
-        """The stretch table of root ``r`` (see the class docstring)."""
+    def run(self, key: int) -> tuple[int, int]:
+        """The run ``(a, b)`` of a key."""
+        span, a = divmod(key, len(self.ext))
+        return a, a + span
+
+    def start_runs(self, ids) -> list[int]:
+        """The keys of the maximal runs of consecutive ids of one state
+        among ``ids``, ascending."""
+        tau, n = self.tau, len(self.ext)
+        keys: list[int] = []
+        prev = -1
+        for i in sorted(set(ids)):
+            if keys and tau[prev] == i:
+                keys[-1] += n
+            else:
+                keys.append(i)
+            prev = i
+        return keys
+
+    def stretch(self, key: int, all_events: bool) -> tuple:
+        """The stretch table of the run ``key`` (see the class docstring)."""
         tables = self.stretches[all_events]
-        table = tables[r]
+        table = tables.get(key)
         if table is None:
-            table = tables[r] = self._fill(r, self.events if all_events else self.silent)
+            table = tables[key] = self._fill(key, all_events)
         return table
 
-    def _fill(self, r: int, moves: list) -> tuple:
+    def _fill(self, key: int, all_events: bool) -> tuple:
         zone, ranges, tau = self.zone, self.ranges, self.tau
-        entry = ranges[zone[r]]
-        link = {r: (-1, None)}  # id -> (id it was reached from, edge)
-        order = [r]
-        for s in order:  # breadth first; ``order`` grows as it is walked
-            nxt = tau[s]
-            if nxt >= 0 and nxt not in link:
-                link[nxt] = (s, None)
-                order.append(nxt)
-            for edge in moves[s]:
-                if not edge[2] and edge[1] not in link:
-                    link[edge[1]] = (s, edge)
-                    order.append(edge[1])
-        table = [
-            (s, *distance(entry, ranges[zone[s]]), tuple([e for e in moves[s] if e[2]]), *link[s])
-            for s in order
-        ]
-        table.sort(key=lambda row: (row[1], not row[2]))  # stable: the root stays first
+        moves = self.events if all_events else self.silent
+        resets = self.resets[all_events]
+        a, b = self.run(key)
+        lo, lo_closed = ranges[zone[a]][:2]
+        link: dict = {}  # id -> (id it was reached from, edge)
+        table = []
+        # Breadth first from each member, the highest first: an id that a
+        # lower member meets again, and all it leads to, was reached by a
+        # higher one, and ``j`` is the largest member reaching what it
+        # reaches first.
+        for j in range(b, a - 1, -1):
+            link[j] = (-1, None)
+            order = [j]
+            for s in order:  # ``order`` grows as it is walked
+                nxt = tau[s]
+                if nxt >= 0 and nxt not in link:
+                    link[nxt] = (s, None)
+                    order.append(nxt)
+                for edge in moves[s]:
+                    if not edge[2] and edge[1] not in link:
+                        link[edge[1]] = (s, edge)
+                        order.append(edge[1])
+            high = ranges[zone[j]]
+            hull = (lo, lo_closed, high[2], high[3])
+            for s in order:
+                runs = resets.get(s)
+                if runs is None:
+                    runs = resets[s] = self._reset_runs(moves[s])
+                table.append((s, *distance(hull, ranges[zone[s]]), runs, *link[s]))
+        table.sort(key=lambda row: (row[1], not row[2]))
         return tuple(table)
+
+    def _reset_runs(self, moves: tuple) -> tuple:
+        """The reset runs of ``moves``: one per resetting transition, over
+        its consecutive target ids."""
+        runs: list = []
+        n = len(self.ext)
+        last = -1
+        for label, t, resets, tr in moves:
+            if not resets:
+                continue
+            if runs and t == last + 1 and runs[-1][3] is tr:
+                runs[-1][1] += n
+            else:
+                runs.append([label, t, True, tr])
+            last = t
+        return tuple([tuple(r) for r in runs])
 
 
 @dataclass(frozen=True)
@@ -276,7 +341,6 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
         moves = tuple([e for group in per.values() for e in group]) if per else ()
         ix.events.append(moves)
         ix.silent.append(tuple([e for e in moves if e[0] not in observable]) if moves else ())
-    ix.stretches = ([None] * len(ix.ext), [None] * len(ix.ext))
     return ZoneAutomaton(
         states=frozenset(ix.id_of),
         initial=frozenset(ix.ext[ix.ids[x][0]] for x in model.initial),

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,12 @@ def make_fig1() -> TFA:
         ),
         initial=frozenset({"x0"}),
     )
+
+
+def cell_index(t: Fraction) -> int:
+    """The unit cell holding time ``t``: ``[k,k]`` is cell ``2k``, ``(k,k+1)``
+    cell ``2k+1``.  The reference for ``zonewatch.estimation._gap_cell``."""
+    return 2 * (t.numerator // t.denominator) + (t.denominator != 1)
 
 
 @pytest.fixture(scope="session")

@@ -150,25 +150,14 @@ def test_wide_id_guard_exits_2_in_bounded_time(tmp_path, fig1_path):
         assert done.stderr.startswith("error: wide-id-guard: clock-preserving transition (x0,b,x2)"), argv
 
 
-def test_huge_resetting_guard_ends_in_bounded_time(tmp_path):
-    # A resetting guard of [0,10^20] needs more cells of silent durations
-    # than the duration tables hold.  The observer, which must tabulate
-    # every row, exits 64 with an error line; estimate and watch answer from
-    # the duration search instead.  Child processes run under a time and
-    # memory cap, so that a missing check fails the test instead of
-    # exhausting the host.
+def _run_capped(*argv, stdin=""):
+    """``zonewatch`` in a child process under a 1 GiB address-space cap and
+    a 60 s timeout, so that a missing bound fails the test instead of
+    exhausting the host."""
     import os
     import subprocess
     import sys
 
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({
-        "states": ["s", "t"], "alphabet": ["a", "u"], "observable": ["a"], "initial": ["s"],
-        "transitions": [
-            {"from": "s", "event": "u", "to": "t", "guard": f"[0,{10 ** 20}]", "reset": "[0,0]"},
-            {"from": "t", "event": "a", "to": "s", "guard": "[1,2]", "reset": "[0,0]"},
-        ],
-    }))
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -177,13 +166,26 @@ def test_huge_resetting_guard_ends_in_bounded_time(tmp_path):
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], input=stdin, capture_output=True, text=True,
+        env=env, timeout=60,
+    )
 
-    def run(*argv, stdin=""):
-        return subprocess.run(
-            [sys.executable, "-c", script, *argv], input=stdin, capture_output=True, text=True,
-            env=env, timeout=60,
-        )
 
+def test_huge_resetting_guard_ends_in_bounded_time(tmp_path):
+    # A resetting guard of [0,10^20] needs more cells of silent durations
+    # than the duration tables hold.  The observer, which must tabulate
+    # every row, exits 64 with an error line; estimate and watch answer from
+    # the duration search instead.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "states": ["s", "t"], "alphabet": ["a", "u"], "observable": ["a"], "initial": ["s"],
+        "transitions": [
+            {"from": "s", "event": "u", "to": "t", "guard": f"[0,{10 ** 20}]", "reset": "[0,0]"},
+            {"from": "t", "event": "a", "to": "s", "guard": "[1,2]", "reset": "[0,0]"},
+        ],
+    }))
+    run = _run_capped
     done = run("observer", str(path), "--out", str(tmp_path / "obs.json"))
     assert done.returncode == 64, done.stderr
     assert done.stdout == ""
@@ -193,6 +195,29 @@ def test_huge_resetting_guard_ends_in_bounded_time(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "s t\n", "")
     done = run("watch", str(path), stdin=f"obs a 1\nquery 100000000\nquery {10 ** 24}\nquit\n")
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\ns t\ns t\n", "")
+
+
+def test_exact_steps_past_the_cell_cap_end_in_an_error(tmp_path):
+    # The same huge guard, but a silent gap is crossed in exact unit steps
+    # (the loop t -c-> t at [1,1]), so a search costs time linear in the
+    # gap.  Past the tabulated cells it ends in an error line: a query at
+    # 10^9 took hours before.  Shorter gaps are still answered.
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({
+        "states": ["s", "t"], "alphabet": ["a", "c", "u"], "observable": ["a"], "initial": ["s"],
+        "transitions": [
+            {"from": "s", "event": "u", "to": "t", "guard": "[1,1]", "reset": "[0,0]"},
+            {"from": "t", "event": "c", "to": "t", "guard": "[1,1]", "reset": "[0,0]"},
+            {"from": "t", "event": "a", "to": "s", "guard": f"[0,{10 ** 20}]", "reset": "[0,0]"},
+        ],
+    }))
+    error = "error: no answer at an elapsed time of 1000000000.0: the silent durations have no tail"
+    done = _run_capped("watch", str(path), stdin="obs a 1\nquery 1001\nquery 1000000001\nquit\n")
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout.startswith("ok\ns t\n" + error), done.stdout
+    done = _run_capped("estimate", str(path), "--obs", "a@1", "--time", "1000000001")
+    assert (done.returncode, done.stdout) == (64, "")
+    assert done.stderr.startswith(error), done.stderr
 
 
 # -- reach ---------------------------------------------------------------------

@@ -330,17 +330,17 @@ SEARCH_COUNTS = [
     ("fig1", "estimate", "a@2", "13/2", (
         "(x2,(2,inf)) (x3,(2,inf)) (x4,(1,inf))",
         [(3, 16, 3, 1, 2, 0), (3, 18, 0, 0, 2, 0)])),
-    ("fig1", "reach", ("x0", "x4"), "4", (True, [(24, 104, 1, 1, 11, 21)])),
-    ("fig1", "reach", ("x0", "x3"), "7/2", (True, [(10, 14, 0, 0, 5, 0)])),
-    ("fig1", "reach", ("x1", "x0"), "3", (False, [(15, 76, 2, 17, 6, 25)])),
+    ("fig1", "reach", ("x0", "x4"), "4", (True, [(11, 49, 0, 1, 6, 6)])),
+    ("fig1", "reach", ("x0", "x3"), "7/2", (True, [(5, 15, 0, 0, 1, 1)])),
+    ("fig1", "reach", ("x1", "x0"), "3", (False, [(4, 22, 0, 9, 1, 8)])),
     ("ring8", "estimate", "a@1", "2", (
         " ".join(f"(s{i},[0,0]) (s{i},(0,1])" for i in range(8)),
         [(24, 48, 24, 24, 4, 25), (24, 48, 24, 24, 4, 25)])),
     ("ring8", "estimate", "", "9", (
         " ".join(f"(s{i},[0,0]) (s{i},(0,1]) (s{i},(1,inf))" for i in range(8)),
         [(88, 264, 0, 24, 8, 89)])),
-    ("ring8", "reach", ("s0", "s7"), "5", (True, [(38, 90, 0, 4, 8, 27)])),
-    ("ring8", "reach", ("s3", "s2"), "15/2", (True, [(39, 90, 0, 0, 8, 35)])),
+    ("ring8", "reach", ("s0", "s7"), "5", (True, [(30, 69, 0, 4, 7, 19)])),
+    ("ring8", "reach", ("s3", "s2"), "15/2", (True, [(31, 69, 0, 0, 7, 26)])),
 ]
 
 
@@ -476,6 +476,164 @@ def test_stretch_search_matches_node_search_where_cycles_repeat():
     assert compared > 900 and covered > 0
 
 
+# -- run roots vs the per-node reference and the grid oracle -------------------
+
+def _run_models(count: int) -> list:
+    """Random models with a clock-preserving transition and a resetting one
+    whose reset range spans several zones of its target, so that searches
+    enter runs of several ids."""
+    models = []
+    seed = 0
+    while len(models) < count:
+        config = RandomModelConfig(
+            state_count=2 + seed % 4,
+            max_constant=2 + seed % 3,
+            transition_density=0.15 + 0.05 * (seed % 3),
+            reset_id_probability=0.4,
+            require_ro=seed % 2 == 0,
+            rng_seed=5000 + seed,
+        )
+        seed += 1
+        model = random_model(config)
+        za = build_zone_automaton(model)
+        wide = any(
+            t.resets_clock and za.zone_of(t.target, t.reset.lo) != za.zone_of(t.target, t.reset.hi)
+            for t in model.transitions
+        )
+        if wide and any(not t.resets_clock for t in model.transitions):
+            models.append((f"random{seed - 1}", model))
+    return models
+
+
+def _periodic_model():
+    """Exact silent cycles of 4 and 2 + 6 time units, so the durations repeat
+    every 2 time units; a reset range over several zones leads off them."""
+    from zonewatch import model_from_dict
+
+    def tr(src, event, dst, guard, reset):
+        return {"from": src, "event": event, "to": dst, "guard": guard, "reset": reset}
+
+    return model_from_dict({
+        "states": ["x", "l", "m", "k", "j"],
+        "alphabet": ["a", "u", "w"],
+        "observable": ["a"],
+        "initial": ["x"],
+        "transitions": [
+            tr("x", "u", "l", "[1,1]", "[0,0]"),
+            tr("l", "u", "l", "[4,4]", "[0,0]"),
+            tr("l", "w", "m", "[2,2]", "id"),
+            tr("m", "u", "l", "[6,6]", "[0,0]"),
+            tr("l", "w", "k", "[1,1]", "[0,2]"),
+            tr("k", "u", "j", "[1,1]", "[0,0]"),
+            tr("m", "a", "x", "[0,5]", "[0,0]"),
+        ],
+    })
+
+
+def test_run_roots_match_node_search():
+    # A reset fans out to every zone of its range, and the search roots the
+    # next stretch at the whole run of them; a support starts one root per
+    # run of consecutive zones.  The hits must equal the per-node reference,
+    # which roots each zone separately, and every witness must replay,
+    # including those the search re-roots at a member above the run's first.
+    import random
+
+    from node_search import node_reach
+
+    import zonewatch.estimation as estimation
+
+    durations = [F(0), F(1, 2), F(1), F(5, 2), F(4), F(13, 2)]
+    compared = runs = inner = 0
+    for name, model in _run_models(24):
+        za = build_zone_automaton(model)
+        ix = za.index
+        n = len(ix.ext)
+        rng = random.Random(name)
+        start_sets = [sorted(ix.id_of[v] for v in za.initial)]
+        start_sets += [list(ix.ids[x]) for x in sorted(model.states)]
+        start_sets += [sorted(rng.sample(range(n), min(n, 4))) for _ in range(2)]
+        for starts in start_sets:
+            for dt in durations:
+                for all_events in (False, True):
+                    got = estimation._duration_reach(za, starts, dt, all_events).hits
+                    assert got == node_reach(za, starts, dt, all_events), (name, starts, dt, all_events)
+                    compared += 1
+        runs += sum(key >= n for tables in ix.stretches for key in tables)  # runs of several ids
+        for source in sorted(model.states):
+            for dt in durations:
+                reached = node_reach(za, ix.ids[source], dt, all_events=True)
+                for target in sorted(model.states):
+                    ok, witness = t_reachable(za, model, source, target, dt)
+                    assert ok == bool(reached.intersection(ix.ids[target])), (name, source, target, dt)
+                    if not ok:
+                        continue
+                    assert_witness_replays(model, witness, source, target, dt)
+                    out = estimation._duration_reach(za, ix.ids[source], dt, True, ix.ids[target])
+                    path = estimation._unwind(za, out, dt)
+                    inner += sum(
+                        step[1] is not None
+                        and step[1].resets_clock
+                        and v.zone != za.zone_of(v.state, step[1].reset.lo)
+                        for v, step in path[1:]
+                    )
+    assert compared > 2000 and runs > 100 and inner > 50, (compared, runs, inner)
+
+
+def test_duration_cells_match_references_past_the_tail():
+    # The fixpoint's rows over run roots, read past their certified tail:
+    # the extended states equal the per-node search and the states equal
+    # the grid oracle.
+    from node_search import node_reach
+    from zonewatch import brute_consistent_states
+
+    from zonewatch.estimation import _duration_cells, _ids
+
+    checked = periods = 0
+    for name, model in _run_models(12) + [("periodic", _periodic_model())]:
+        za = build_zone_automaton(model)
+        ix = za.index
+        starts = _ids(za, za.initial)
+        hits, start, period = _duration_cells(za, starts)
+        periods += period > 1
+        for c in range(start + period, start + 2 * period + 2):
+            i = start + (c - start) % period
+            t = F(c, 2)  # a time in cell c
+            got = {s for s, mask in hits.items() if mask >> i & 1}
+            assert got == node_reach(za, starts, t), (name, c)
+            want = brute_consistent_states(model, GridConfig(horizon=t), TimedObservation((), t))
+            assert {ix.ext[s].state for s in got} == want, (name, c)
+            checked += 1
+    assert checked > 40 and periods > 0
+
+
+def test_reset_range_is_one_root():
+    # A reset range over K point zones of the target is one root: one
+    # stretch table covers it, where rooting each zone separately built K
+    # overlapping tables of up to 2K entries each.
+    from zonewatch import model_from_dict
+
+    k = 200
+    transitions = [{"from": "s", "event": "a", "to": "t", "guard": "[0,1]", "reset": f"[0,{k}]"}]
+    transitions += [
+        {"from": "t", "event": f"u{i}", "to": "s", "guard": f"[{i},{i}]", "reset": "[0,0]"}
+        for i in range(1, k + 1)
+    ]
+    model = model_from_dict({
+        "states": ["s", "t"],
+        "alphabet": ["a"] + [f"u{i}" for i in range(1, k + 1)],
+        "observable": ["a"],
+        "initial": ["s"],
+        "transitions": transitions,
+    })
+    za = build_zone_automaton(model)
+    belief = belief_advance(za, model, belief_init(za), "a", F(1))
+    assert len(belief.support) == 2 * k  # [0,1), [1,1], (1,2), ..., [k,k]
+    for dt in (F(0), F(1, 2), F(4), F(401, 2)):
+        assert belief_query(za, model, belief, 1 + dt).discrete == {"s", "t"}
+    tables = za.index.stretches[False]
+    assert sum(len(table) for table in tables.values()) < 10 * k, len(tables)
+
+
 def _gated_ring(gate: int):
     """A silent ring ``s0 -> ... -> s7 -> s0``, alternately fast (``[0,1]``)
     and slow (``[1,2]``), with a silent exit from ``s0`` to ``d`` only once
@@ -498,8 +656,9 @@ def _gated_ring(gate: int):
 
 def test_no_answer_queues_linearly_many_items():
     # A "no" explores every run up to the duration.  Each queued item adds
-    # at least one unit cell to its root, and a root's cells stop at the
-    # cap, so the items stay within roots * (2D + 3) whatever the duration.
+    # at least one unit cell to its root (a run key), and a root's cells stop
+    # at the cap, so the items stay within roots * (2D + 3) whatever the
+    # duration.
     import zonewatch.estimation as estimation
 
     model = _gated_ring(10000)

@@ -31,9 +31,9 @@ from zonewatch import (
     lambda_estimation,
     validate,
 )
-from zonewatch.estimation import _cell_index, _gap_cell
+from zonewatch.estimation import _gap_cell
 
-from conftest import make_fig1
+from conftest import cell_index, make_fig1
 from test_acceptance import ring_model
 from test_model import replace_transition
 
@@ -48,7 +48,7 @@ _times = st.one_of(_ints, _fractions)
 @given(_times, _times)
 def test_gap_cell_matches_fraction_subtraction(t, a):
     if t >= a:
-        assert _gap_cell(t, a) == _cell_index(F(t) - F(a))
+        assert _gap_cell(t, a) == cell_index(F(t) - F(a))
     else:
         with pytest.raises(ValueError, match="elapsed time must be non-negative"):
             _gap_cell(t, a)
@@ -60,7 +60,7 @@ def test_gap_cell_on_equal_denominators(a, k):
     # The shortcut for equal denominators, also where the difference is an
     # integer or the fractions are not in lowest terms relative to each other.
     for t in (a + k, a + F(k, a.denominator)):
-        assert _gap_cell(t, a) == _cell_index(t - a)
+        assert _gap_cell(t, a) == cell_index(t - a)
 
 
 # -- the warm op path -------------------------------------------------------------

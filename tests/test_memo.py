@@ -23,7 +23,7 @@ from zonewatch import (
 )
 from zonewatch.oracle import RandomModelConfig, random_model
 
-from conftest import make_fig1
+from conftest import cell_index, make_fig1
 
 F = Fraction
 HUGE = F(10**9)
@@ -60,10 +60,10 @@ def _fresh(za, support, dt):
 def _fresh_by_fixpoint(za, support, dt):
     """The estimate at ``dt`` from one ``_duration_cells`` on ``za``: the
     reference at times too large for a search."""
-    from zonewatch.estimation import _cell_index, _duration_cells, _ids
+    from zonewatch.estimation import _duration_cells, _ids
 
     hits, start, period = _duration_cells(za, _ids(za, support))
-    i = _cell_index(dt)
+    i = cell_index(dt)
     i = i if i < start else start + (i - start) % period
     return frozenset(za.index.ext[s] for s, mask in hits.items() if mask >> i & 1)
 
@@ -192,6 +192,33 @@ def test_refused_tail_is_answered_by_the_search(monkeypatch):
     row = za.index.rows[za.initial]
     assert row.tail is False
     assert list(row.cells) == [7]  # past-cut answers are not stored
+
+
+def test_exact_steps_past_the_cell_cap_are_refused_at_once():
+    # The constant [0,10^20] is too large to tabulate, and the loop t -c-> t
+    # crosses a silent gap in exact unit steps, one queued item per step.
+    # Below the cell cap the search answers as the reference does; past it
+    # the search stops after a bounded number of items, in well under a
+    # second here, where it ran for hours at 10^9.
+    import time
+
+    from node_search import node_estimate
+
+    def tr(src, event, dst, guard):
+        return {"from": src, "event": event, "to": dst, "guard": guard, "reset": "[0,0]"}
+
+    model = model_from_dict({
+        "states": ["s", "t"], "alphabet": ["a", "c", "u"], "observable": ["a"], "initial": ["s"],
+        "transitions": [tr("s", "u", "t", "[1,1]"), tr("t", "c", "t", "[1,1]"), tr("t", "a", "s", f"[0,{10 ** 20}]")],
+    })
+    za, ref = build_zone_automaton(model), build_zone_automaton(model)
+    belief = belief_advance(za, model, belief_init(za), "a", F(1))
+    assert belief_query(za, model, belief, F(1001)).extended == node_estimate(ref, [("a", F(1))], F(1001))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="no answer at an elapsed time of 1000000000.0"):
+        belief_query(za, model, belief, HUGE + 1)
+    assert time.perf_counter() - started < 20
+    assert za.index.rows[belief.support].tail is False
 
 
 @pytest.mark.parametrize("name", ["fig1", "ring8"])

@@ -50,8 +50,14 @@ made by ``tuple.__new__``.  A miss at a small elapsed time runs the
 search for that one cell.  A miss past twice the first cut of
 ``_duration_cells``, a fixpoint over bit masks of unit cells on the same
 stretch tables, fills the support's whole row up to its certified periodic
-tail, after which every elapsed time of that support is a row read.  So the
-memo holds at most ``max(8w, start + period)`` cells per support (``w`` the
+tail, after which every elapsed time of that support is a row read.  The
+fixpoint reads each root's table in cell form (each distinct window as cell
+shifts, made once per root), and runs once per start run, not per support:
+it is OR-linear in its starts, so a support's masks are the ORs of its start
+runs' masks, which the index memoises at the largest cut computed.  The row
+is filled one run of equal cells at a time, the runs read off one boundary
+mask.  So the memo holds at most ``min(8w, _ROW_CELLS)`` searched cells, or
+the ``start + period`` cells of a total row, per support (``w`` the
 fixpoint's dependency width), whatever the stream's length.  When the
 fixpoint refuses (a period too long, or constants too large for its bit
 masks), every miss runs the search.
@@ -285,15 +291,19 @@ def _smear(mask: int, lo: int, hi: Optional[int], full: int) -> int:
     mask = (mask << lo) & full
     width, n = 1, hi - lo + 1
     while width < n:
-        step = min(width, n - width)
+        step = width if 2 * width <= n else n - width
         mask = (mask | mask << step) & full
         width += step
     return mask
 
 
-def _add_window(mask: int, d: Sequence, even: int, full: int) -> int:
-    """The cells of ``mask`` plus the window ``d``, cut to the cells of
-    ``full``; ``even`` has the even cells of ``full``."""
+def _shifts(d: Sequence) -> tuple:
+    """The cell shifts of the window ``d``: ``(e_lo, e_hi, o_lo, o_hi,
+    same_parity)``, where even cells move by ``e_lo..e_hi``, odd cells by
+    ``o_lo..o_hi`` (a None upper end is unbounded), and ``same_parity`` says
+    both ranges are equal, as for a closed window.  Raises
+    ``InvariantError`` on a non-integer endpoint, since the cells would then
+    not be exact."""
     d_lo, d_lc, d_hi, d_hc = d
     if not isinstance(d_lo, int) or not (d_hi == INF or isinstance(d_hi, int)):
         raise InvariantError(f"duration window ({d_lo}, {d_hi}) has a non-integer endpoint")
@@ -302,45 +312,110 @@ def _add_window(mask: int, d: Sequence, even: int, full: int) -> int:
     else:
         e_hi, o_hi = 2 * d_hi - (not d_hc), 2 * d_hi
     e_lo, o_lo = 2 * d_lo + (not d_lc), 2 * d_lo
-    if e_lo == o_lo and e_hi == o_hi:  # a closed window shifts both parities alike
+    return e_lo, e_hi, o_lo, o_hi, e_lo == o_lo and e_hi == o_hi
+
+
+def _shift(mask: int, shifts: tuple, even: int, full: int) -> int:
+    """The cells of ``mask`` plus the window of ``shifts`` (see ``_shifts``),
+    cut to the cells of ``full``; ``even`` has the even cells of ``full``."""
+    e_lo, e_hi, o_lo, o_hi, same = shifts
+    if same:
         return _smear(mask, e_lo, e_hi, full)
     return _smear(mask & even, e_lo, e_hi, full) | _smear(mask & ~even, o_lo, o_hi, full)
 
 
-def _reach_cells(ix, starts: Iterable[int], limit: int) -> tuple[dict, dict]:
-    """The cells ``0..limit`` of every silent duration from ``starts``: the
-    mask of each stretch root (the durations at which a stretch can begin
-    there), keyed by run key, and of each reached id, keyed by id.
+def _cell_table(ix, r: int) -> tuple[tuple, tuple]:
+    """The silent stretch table of root ``r`` in cell form, ``(exits,
+    hits)``, made on first use and kept in ``ix.cell_tables``: ``exits``
+    holds ``(shifts, reset run keys)`` and ``hits`` holds ``(shifts, ids)``,
+    one pair per distinct window of the table."""
+    exits: dict = {}  # window -> reset run keys, as dict keys
+    hits: dict = {}  # window -> ids
+    for entry in ix.stretches[False].get(r) or ix.stretch(r, False):
+        d = entry[1:5]
+        hits.setdefault(d, []).append(entry[0])
+        if entry[5]:
+            keys = exits.setdefault(d, {})
+            for run in entry[5]:
+                keys[run[1]] = None
+    table = ix.cell_tables[r] = (
+        tuple([(_shifts(d), tuple(keys)) for d, keys in exits.items()]),
+        tuple([(_shifts(d), tuple(ids)) for d, ids in hits.items()]),
+    )
+    return table
 
-    A worklist fixpoint over root masks: the runs of ``starts`` hold cell
-    0, and expanding a root adds each entry's window to the bits the root
-    gained since its last expansion, into the mask of each reset run.  A target
-    is queued again only when its mask gains bits.  Cutting at ``limit`` is
+
+def _run_cells(ix, r: int, limit: int) -> tuple[dict, dict]:
+    """The cells ``0..limit`` of every silent duration from the start run
+    ``r``: the mask of each stretch root (the durations at which a stretch
+    can begin there), keyed by run key, and of each reached id, keyed by id.
+
+    A worklist fixpoint over root masks: ``r`` holds cell 0, and expanding
+    a root shifts the bits it gained since its last expansion by each exit
+    window of its cell table, into the mask of each reset run.  A target is
+    queued again only when its mask gains bits.  Cutting at ``limit`` is
     exact for every cell up to ``limit``, since durations only grow.
     """
     full = (2 << limit) - 1
     even = ((1 << 2 * (limit // 2 + 1)) - 1) // 3  # 0b0101...01
-    tables = ix.stretches[False]
-    roots = dict.fromkeys(ix.start_runs(starts), 1)
-    pending = dict(roots)  # root -> bits not yet expanded
+    tables = ix.cell_tables
+    roots = {r: 1}
+    pending = {r: 1}  # root -> bits not yet expanded
     while pending:
-        r, delta = pending.popitem()
-        for _, *d, resets, _, _ in tables.get(r) or ix.stretch(r, False):
-            if not resets:
+        q, delta = pending.popitem()
+        for shifts, keys in (tables.get(q) or _cell_table(ix, q))[0]:
+            cells = _shift(delta, shifts, even, full)
+            if not cells:
                 continue
-            cells = _add_window(delta, d, even, full)
-            for run in resets:
-                old = roots.get(run[1], 0)
+            for t in keys:
+                old = roots.get(t, 0)
                 gain = cells & ~old
                 if gain:
-                    roots[run[1]] = old | gain
-                    pending[run[1]] = pending.get(run[1], 0) | gain
+                    roots[t] = old | gain
+                    pending[t] = pending.get(t, 0) | gain
     hits: dict = {}
-    for r, mask in roots.items():
-        for s, *d, _, _, _ in tables[r]:
-            cells = _add_window(mask, d, even, full)
+    for q, mask in roots.items():
+        for shifts, ids in tables[q][1]:
+            cells = _shift(mask, shifts, even, full)
             if cells:
-                hits[s] = hits.get(s, 0) | cells
+                for s in ids:
+                    hits[s] = hits.get(s, 0) | cells
+    return roots, hits
+
+
+def _reach_cells(ix, starts: Iterable[int], limit: int) -> tuple[dict, dict]:
+    """The cells ``0..limit`` of every silent duration from ``starts``: the
+    root masks and the hit masks of ``_run_cells``, ORed over the maximal
+    start runs of ``starts``.
+
+    The fixpoint is OR-linear in its starts (a window sum distributes over
+    a union), so the masks from a set of starts are the ORs of the masks
+    from each start run.  Each start run's masks are memoised in
+    ``ix.fixpoints`` at the largest cut computed so far; a smaller cut is
+    that entry's masks ANDed with its cells, which is exact because cutting
+    is.  Supports that share a start run share its fixpoint.  The returned
+    dicts may be the memo's own and must not be changed.
+    """
+    memo = ix.fixpoints
+    runs = []
+    for r in ix.start_runs(starts):
+        entry = memo.get(r)
+        if entry is None or entry[0] < limit:
+            entry = memo[r] = (limit, *_run_cells(ix, r, limit))
+        runs.append(entry)
+    if len(runs) == 1 and runs[0][0] == limit:
+        return runs[0][1], runs[0][2]
+    full = (2 << limit) - 1
+    roots: dict = {}
+    hits: dict = {}
+    for cut, run_roots, run_hits in runs:
+        for out, masks in ((roots, run_roots), (hits, run_hits)):
+            for k, m in masks.items():
+                if cut > limit:
+                    m &= full
+                    if not m:
+                        continue
+                out[k] = out.get(k, 0) | m
     return roots, hits
 
 
@@ -385,6 +460,10 @@ _MAX_CELLS = 1 << 20
 # queues at most this many items (about 16 MB of queue), so a long gap ends
 # in an error instead of running for hours.
 _MAX_ITEMS = 1 << 16
+# A row that is not total stores at most this many searched cells, whatever
+# the constants: ``8w`` alone would let a row of a huge constant keep one
+# cell per distinct cell queried.
+_ROW_CELLS = 1 << 12
 
 
 def _width(ix) -> int:
@@ -540,12 +619,29 @@ def _row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> _Row:
 
 def _fill(za: ZoneAutomaton, row: _Row) -> None:
     """Make ``row`` total from one ``_duration_cells``; raises ``ValueError``
-    when the durations have no tail it can tabulate."""
+    when the durations have no tail it can tabulate.
+
+    The row is a run of equal cells wherever no id's mask changes, so the
+    run starts are the bits of one boundary mask, bit 0 plus the OR over
+    ids of ``h ^ (h << 1)``, and each run makes one interned ``Cell``: the
+    cost follows the runs, not the cells times the ids.  The row stays a
+    dense tuple, one entry per cell, so a read is one index."""
     hits, start, period = _duration_cells(za, row.ids)
     ix = za.index
-    row.cells = tuple(
-        _intern(ix, [s for s, mask in hits.items() if mask >> i & 1]) for i in range(start + period)
-    )
+    n = start + period
+    edges = 1
+    for h in hits.values():
+        edges |= h ^ (h << 1)
+    bits = bin(edges & ((1 << n) - 1))[:1:-1]  # character i is bit i
+    cells: list = []
+    i = 0
+    while i < n:
+        j = bits.find("1", i + 1)
+        if j < 0:
+            j = n
+        cells += [_intern(ix, [s for s, h in hits.items() if h >> i & 1])] * (j - i)
+        i = j
+    row.cells = tuple(cells)
     row.tail = (start, period)
 
 
@@ -572,11 +668,13 @@ def _miss(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
     are the same for every time in the cell.  A miss below cell ``8w``
     (``4w`` time units, twice the fixpoint's first cut; ``w`` is the
     dependency width) runs the duration search for that one cell and stores
-    it: a short gap costs one search, never a fixpoint.
+    it while the row holds fewer than ``_ROW_CELLS`` cells: a short gap
+    costs one search, never a fixpoint.
     A miss at or past it, or past ``_MAX_CELLS``, fills the whole row, since
     the search grows with ``dt`` and the fixpoint does not.  If the fixpoint
     refuses, the search answers, and a cell at or past ``8w`` is not stored,
-    so a row never holds more than ``max(8w, start + period)`` cells.  Past ``_MAX_CELLS``
+    so a row never holds more than ``min(8w, _ROW_CELLS)`` searched cells,
+    or its ``start + period`` cells once total.  Past ``_MAX_CELLS``
     that search may queue only ``_MAX_ITEMS`` items, and raises
     ``ValueError`` beyond them: wide windows still answer any gap at once,
     but a gap crossed in exact silent steps would cost time linear in it.
@@ -593,7 +691,7 @@ def _miss(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
             return _cell(za, support, i)
     outcome = _duration_reach(za, row.ids, Fraction(i, 2), budget=_MAX_ITEMS if far else None)
     cell = _intern(za.index, outcome.hits)
-    if below:
+    if below and len(row.cells) < _ROW_CELLS:
         row.cells[i] = cell
     return cell
 

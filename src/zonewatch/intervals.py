@@ -26,18 +26,27 @@ INF = math.inf
 
 Rational = Union[int, Fraction]
 
-_DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
-_FRACTION_RE = re.compile(r"^\d+/\d+$")
-
 
 def parse_time(text: str) -> Fraction:
-    """Parse a non-negative decimal (or ``a/b``) time point exactly."""
+    """Parse a non-negative decimal (or ``a/b``) time point exactly: digits,
+    optionally a dot and more digits, or digits, a slash and digits, with
+    surrounding whitespace ignored.  Digits are Unicode decimal digits, as
+    ``int`` reads them."""
     text = text.strip()
-    if _DECIMAL_RE.match(text) or _FRACTION_RE.match(text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in time point: {text!r}") from None
+    num, slash, den = text.partition("/")
+    if slash:
+        if num.isdecimal() and den.isdecimal():
+            try:
+                return Fraction(int(num), int(den))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in time point: {text!r}") from None
+    else:
+        whole, dot, frac = num.partition(".")
+        if whole.isdecimal() and (not dot or frac.isdecimal()):
+            if not dot:
+                return Fraction(int(whole))
+            scale = 10 ** len(frac)
+            return Fraction(int(whole) * scale + int(frac), scale)
     raise ValueError(f"not a non-negative decimal time point: {text!r}")
 
 

@@ -10,7 +10,9 @@ For every reachable belief support the builder makes the support's row
 total with one cell-mask fixpoint (``_duration_cells``), which gives the
 cells at which each extended state is reachable for every elapsed time at
 once: a prefix of ``start`` cells, then a tail of ``period`` cells that
-repeats forever, certified by the fixpoint.  So each row holds ``start +
+repeats forever, certified by the fixpoint.  Underneath, the fixpoint runs
+once per start run of the support and is memoised on the index, so
+supports that share a start run share that work.  So each row holds ``start +
 period`` cells, and any elapsed time is answered by one table read.  Cells
 that reach the same extended states are one object, holding the estimate
 and the successor support per observable event; the builder computes the
@@ -164,8 +166,9 @@ def build_offline_observer(
 ) -> OfflineObserver:
     """Tabulate estimates and belief successors for every reachable support
     and every elapsed time: make each support's memo row total, one
-    cell-mask fixpoint per support not yet total, and compute the successors
-    of every cell.
+    cell-mask fixpoint per support not yet total (its masks ORed from one
+    memoised fixpoint per start run), and compute the successors of every
+    cell.
 
     ``horizon`` is checked (at least 1) and kept, but sizes nothing: every
     row ends at its certified tail.  Raises ``ValueError`` when a support's

@@ -143,11 +143,18 @@ class ZoneIndex:
     support met to its one shared frozenset, so that lookups of equal
     supports are identity hits.  ``width`` is the cells' dependency width,
     set on first use (0 until then).
+
+    ``cell_tables`` and ``fixpoints`` are the caches of the cell-mask
+    fixpoint, also filled on first use by ``zonewatch.estimation``:
+    ``cell_tables`` maps a root to its silent stretch table in cell form
+    (each distinct window as cell shifts, with the reset runs and the ids it
+    reaches), and ``fixpoints`` maps a start run to ``(cut, root masks, hit
+    masks)``, its fixpoint at the largest cut computed so far.
     """
 
     __slots__ = (
         "ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "resets", "rows",
-        "cells", "supports", "width",
+        "cells", "supports", "width", "cell_tables", "fixpoints",
     )
 
     def __init__(self) -> None:
@@ -165,6 +172,8 @@ class ZoneIndex:
         self.cells: dict = {}
         self.supports: dict = {}
         self.width = 0
+        self.cell_tables: dict = {}
+        self.fixpoints: dict = {}
 
     def run(self, key: int) -> tuple[int, int]:
         """The run ``(a, b)`` of a key."""

@@ -675,7 +675,7 @@ def test_no_answer_queues_linearly_many_items():
 def test_cell_window_sum_matches_interval_sum():
     # Adding a window to a mask of cells must give exactly the cells of the
     # interval sums, for each parity and openness of the window's ends.
-    from zonewatch.estimation import _add_window
+    from zonewatch.estimation import _shift, _shifts
     from zonewatch.intervals import add, contains, pick
     from zonewatch.observer import _cell_span
 
@@ -694,4 +694,40 @@ def test_cell_window_sum_matches_interval_sum():
                     want |= sum(
                         1 << i for i in range(limit + 1) if contains(total, pick(_cell_span(i)))
                     )
-            assert _add_window(mask, d, even, full) == want, (bin(mask), d)
+            assert _shift(mask, _shifts(d), even, full) == want, (bin(mask), d)
+
+
+def _exact_loop_model():
+    """The constant [0,10^20] is too large to tabulate, and the loop
+    ``t -c-> t`` crosses a silent gap in exact unit steps."""
+    from zonewatch import model_from_dict
+
+    def tr(src, event, dst, guard):
+        return {"from": src, "event": event, "to": dst, "guard": guard, "reset": "[0,0]"}
+
+    return model_from_dict({
+        "states": ["s", "t"], "alphabet": ["a", "c", "u"], "observable": ["a"], "initial": ["s"],
+        "transitions": [tr("s", "u", "t", "[1,1]"), tr("t", "c", "t", "[1,1]"), tr("t", "a", "s", f"[0,{10 ** 20}]")],
+    })
+
+
+def test_searched_cells_a_row_stores_are_bounded(monkeypatch):
+    # The fixpoint is never tried below 8w, and w follows the constant of
+    # 10^20, so every miss here searches.  The row keeps at most
+    # ``_ROW_CELLS`` of the searched cells, and the answers past that bound
+    # still equal the per-node reference.
+    import zonewatch.estimation as estimation
+    from node_search import node_estimate
+
+    monkeypatch.setattr(estimation, "_ROW_CELLS", 8)
+    model = _exact_loop_model()
+    za, ref = build_zone_automaton(model), build_zone_automaton(model)
+    belief = belief_advance(za, model, belief_init(za), "a", F(1))
+    row = za.index.rows[belief.support]
+    for k in range(60):
+        t = 1 + F(k, 3)
+        for _ in ("cold", "warm"):
+            got = belief_query(za, model, belief, t).extended
+            assert got == node_estimate(ref, [("a", F(1))], t), t
+        assert len(row.cells) <= 8
+    assert len(row.cells) == 8 and row.tail is None

@@ -1,3 +1,4 @@
+import re
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -96,6 +97,54 @@ def test_parse_time_rejects_a_zero_denominator():
     for text in ["1/0", "0/0", " 3/00 "]:
         with pytest.raises(ValueError, match="zero denominator"):
             parse_time(text)
+
+
+_DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
+_FRACTION_RE = re.compile(r"^\d+/\d+$")
+
+
+def _regex_parse_time(text: str) -> Fraction:
+    """The regex-based ``parse_time`` that the ``partition`` one replaced,
+    kept as its reference."""
+    text = text.strip()
+    if _DECIMAL_RE.match(text) or _FRACTION_RE.match(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in time point: {text!r}") from None
+    raise ValueError(f"not a non-negative decimal time point: {text!r}")
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "value", value, type(value)
+
+
+_TIME_EDGES = [
+    "1/0", ".5", "5.", "1e3", "-1", "+1", "\u0663/\u0664", "\u0663.\u0664", "1_000", "1 /2", "1/ 2",
+    " 3/4\n", "\t0.50 ", "00.10", "0/0", "1/2/3", "1.5/2", "1.2.3", "", " ", "inf", "nan",
+    "0x10", "1 2", "\u00b2", "1\u00b2", "12/00", "1" * 5000, "1." + "1" * 5000,
+    "1" * 3000 + "." + "1" * 3000, "1/" + "2" * 5000,
+]
+
+
+def test_parse_time_matches_the_regex_path_on_edge_cases():
+    # Digit strings past ``int``'s string-conversion limit, on Pythons that
+    # have one, fail in both paths with the same message.
+    for text in _TIME_EDGES:
+        assert _outcome(parse_time, text) == _outcome(_regex_parse_time, text), text[:20]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789./ \t\n-+e_\u0663\u0664\u00b2x", max_size=12))
+def test_parse_time_accepts_exactly_what_the_regex_path_accepts(text):
+    # Same value or the same error text, for every string of the characters
+    # that decide acceptance: ASCII and Arabic-Indic digits, a superscript
+    # two (a digit but not a decimal), separators, signs and whitespace.
+    assert _outcome(parse_time, text) == _outcome(_regex_parse_time, text)
 
 
 # -- add -------------------------------------------------------------------------

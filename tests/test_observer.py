@@ -300,6 +300,32 @@ def test_builder_runs_one_fixpoint_per_support(monkeypatch, fig1):
         assert sorted(calls) == sorted(tuple(_ids(za, s)) for s in observer.tables)
 
 
+def test_builder_runs_one_fixpoint_per_start_run_and_cut(monkeypatch, fig1):
+    # The fixpoint is OR-linear in its starts, so each support's masks are
+    # ORed from one memoised fixpoint per start run: a start run shared by
+    # several supports runs once at each cut, not once per support.
+    import zonewatch.estimation as estimation
+
+    calls = []
+    fixpoint = estimation._run_cells
+
+    def counted(ix, r, limit):
+        calls.append((r, limit))
+        return fixpoint(ix, r, limit)
+
+    monkeypatch.setattr(estimation, "_run_cells", counted)
+    shared = 0
+    for model in [fig1] + [random_model(RandomModelConfig(rng_seed=1400 + s)) for s in range(12)]:
+        za = build_zone_automaton(model)
+        calls.clear()
+        observer = build_offline_observer(za, model)
+        starts = [r for s in observer.tables for r in za.index.start_runs(_ids(za, s))]
+        assert len(calls) == len(set(calls))
+        assert {r for r, _ in calls} == set(starts)
+        shared += len(starts) - len(calls)
+    assert shared > 0
+
+
 def test_equal_cells_are_one_object(fig1, fig1_za):
     observer = build_offline_observer(fig1_za, fig1)
     for row in observer.tables.values():

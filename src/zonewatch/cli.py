@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import __version__
 from .intervals import parse_time
 from .model import TFA, load_model, parse_observation, validate
-from .zones import ZoneAutomaton, build_zones, build_zone_automaton, to_dot
+from .zones import ZoneAutomaton, build_zone_automaton, to_dot
 from .estimation import (
     belief_advance,
     belief_init,
@@ -91,13 +91,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_zones(args) -> int:
-    model = _valid_model(args.model)
+    model, za = _load_valid(args.model)
     states = [args.state] if args.state else sorted(model.states)
     for x in states:
         if x not in model.states:
             print(f"error: unknown state {x!r}", file=sys.stderr)
             return 2
-        print(f"{x}: " + " ".join(str(z) for z in build_zones(model, x)))
+        print(f"{x}: " + " ".join(str(z) for z in za.zones(x)))
     return 0
 
 
@@ -105,10 +105,14 @@ def cmd_za(args) -> int:
     _, za = _load_valid(args.model)
     for d in za.diagnostics:
         print(f"warning: {d}", file=sys.stderr)
-    tau_edges = sum(1 for e in za.edges if e.transition is None)
+    # Counted off the index: an event entry stands for every id of its run.
+    ix = za.index
+    n = len(ix.ext)
+    tau_edges = sum(1 for j in ix.tau if j >= 0)
+    event_edges = sum(key // n + 1 for moves in ix.events for _, key, _, _ in moves)
     print(
-        f"extended states: {len(za.states)}  edges: {len(za.edges)} "
-        f"(tau: {tau_edges}, event: {len(za.edges) - tau_edges})  "
+        f"extended states: {len(za.states)}  edges: {tau_edges + event_edges} "
+        f"(tau: {tau_edges}, event: {event_edges})  "
         f"initial: {len(za.initial)}"
     )
     if args.dot:

@@ -559,8 +559,14 @@ class Cell:
         """The support just after observing ``event`` in this cell."""
         nxt = self.successors.get(event)
         if nxt is None:
-            ext, events = self._ext, self._events
-            nxt = frozenset(ext[e[1]] for i in self.reached for e in events[i] if e[0] == event)
+            ext, events, n = self._ext, self._events, len(self._ext)
+            out: set = set()
+            for i in self.reached:
+                for e in events[i]:
+                    if e[0] == event:
+                        span, a = divmod(e[1], n)  # ``ZoneIndex.run``
+                        out.update(ext[a : a + span + 1])
+            nxt = frozenset(out)
             nxt = self.successors[event] = self._supports.setdefault(nxt, nxt)
         return nxt
 

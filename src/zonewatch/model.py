@@ -140,24 +140,31 @@ def validate(model: TFA, require_ro: bool = False) -> list[Diagnostic]:
     With ``require_ro`` the model must also reset the clock on every
     transition labelled by an observable event.  A clock-preserving guard
     may cover at most ``MAX_ID_REGIONS`` unit regions.  A model is immutable, so
-    the diagnostics are computed once per flag and cached on the instance;
-    each call returns a fresh list.
+    the diagnostics are computed once and cached on the instance; each call
+    returns a fresh list.
     """
     return list(_diagnostics(model, require_ro))
 
 
 def _diagnostics(model: TFA, require_ro: bool) -> tuple[Diagnostic, ...]:
-    """The diagnostics of ``model`` as the tuple cached on the instance,
-    computed on the first call per flag."""
+    """The diagnostics of ``model`` as the tuple cached on the instance.
+    The first call, whatever its flag, fills both flags' tuples from one
+    ``_diagnose`` pass: the ``ro-violation`` entries are the only ones that
+    depend on the flag, so the tuple without it is the other one with them
+    left out, in the same order."""
     try:
         return model.__dict__["_diagnostics"][require_ro]
     except KeyError:
-        cache = model.__dict__.setdefault("_diagnostics", {})
-        diags = cache[require_ro] = tuple(_diagnose(model, require_ro))
-        return diags
+        with_ro = tuple(_diagnose(model))
+        cache = model.__dict__["_diagnostics"] = {
+            True: with_ro,
+            False: tuple([d for d in with_ro if d.code != "ro-violation"]),
+        }
+        return cache[require_ro]
 
 
-def _diagnose(model: TFA, require_ro: bool) -> list[Diagnostic]:
+def _diagnose(model: TFA) -> list[Diagnostic]:
+    """Every diagnostic of ``model``, ``ro-violation`` entries included."""
     out: list[Diagnostic] = []
     if not model.initial:
         out.append(Diagnostic("empty-initial", "the set of initial states is empty"))
@@ -194,7 +201,7 @@ def _diagnose(model: TFA, require_ro: bool) -> list[Diagnostic]:
         if key in seen:
             out.append(Diagnostic("duplicate-transition", f"transition {t} appears more than once"))
         seen.add(key)
-        if require_ro and t.event in model.observable and not t.resets_clock:
+        if t.event in model.observable and not t.resets_clock:
             out.append(
                 Diagnostic("ro-violation", f"observable transition {t} does not reset the clock")
             )
@@ -349,15 +356,27 @@ def _names(doc: dict, key: str) -> frozenset[str]:
 
 
 def model_from_dict(doc: dict) -> TFA:
-    """Read the JSON document form; raises ``ValueError`` on a malformed one."""
+    """Read the JSON document form; raises ``ValueError`` on a malformed one.
+    Each distinct interval text is parsed once per document, and equal
+    texts share one ``Interval``."""
+    parsed: dict[str, Interval] = {}
+
+    def interval(text) -> Interval:
+        if not isinstance(text, str):  # not hashable, maybe; refused by parse_interval
+            return parse_interval(text)
+        iv = parsed.get(text)
+        if iv is None:
+            iv = parsed[text] = parse_interval(text)
+        return iv
+
     try:
         transitions = tuple(
             Transition(
                 source=_name(tr["from"], "'from'"),
                 event=_name(tr["event"], "'event'"),
                 target=_name(tr["to"], "'to'"),
-                guard=parse_interval(tr["guard"]),
-                reset=ID_RESET if tr["reset"] == ID_RESET else parse_interval(tr["reset"]),
+                guard=interval(tr["guard"]),
+                reset=ID_RESET if tr["reset"] == ID_RESET else interval(tr["reset"]),
             )
             for tr in doc["transitions"]
         )

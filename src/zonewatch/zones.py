@@ -9,8 +9,10 @@ guard and reset endpoints, so their cost grows with the number of endpoints,
 not with the size of the constants.  The zone automaton is an NFA over
 (state, zone) pairs whose ``tau`` edges model time elapsing into the next
 zone and whose event edges follow the guards and reset policies of the
-underlying model.  It is stored as the integer tables of ``ZoneIndex``;
-``ZoneAutomaton.edges`` derives ``Edge`` objects from them on first use.
+underlying model.  It is stored as the integer tables of ``ZoneIndex``, where
+a clock-resetting transition out of a zone is one entry holding the run of
+its target zones; ``ZoneAutomaton.edges`` expands them into ``Edge`` objects
+on first use.
 """
 
 from __future__ import annotations
@@ -50,43 +52,68 @@ def build_zones(model: TFA, state: str) -> list[Interval]:
 
     The zones are the maximal runs of clock values with the same enabled
     input and output transitions, in which no clock-preserving transition
-    is enabled at more than one unit region.  The ranges that matter at the
-    state are the guards of its output transitions, the guards of its
-    clock-preserving input transitions and the reset ranges of its
-    clock-resetting input transitions.  On the cell axis (``[k,k]`` is cell
-    ``2k``, ``(k,k+1)`` is cell ``2k+1``) a closed range ``[a,b]`` covers
-    cells ``2a..2b``, so a zone starts only at cell 0, at ``2a`` or
-    ``2b+1`` of a range, and at every cell covered by a clock-preserving
-    transition, where each unit region is a zone of its own.  The zones are
-    read off the sorted starts up to ``[M,M]`` (``M`` the largest endpoint
-    of the ranges), and the unbounded tail ``(M,inf)`` is appended.  For
-    initial states the point zone ``[0,0]`` is always kept separate, by a
-    start at cell 1: the clock starts at exactly 0, and the initial
-    extended state must carry that information.  The cost is ``O(k log k)`` in the number ``k`` of
-    starts, whatever the size of the constants; ``validate`` bounds the
-    starts a clock-preserving guard adds (``MAX_ID_REGIONS``).
+    is enabled at more than one unit region.  They are read off the
+    state's ``_zone_starts``: the zone of cells ``first..nxt-1`` for each
+    pair of consecutive starts, then the unbounded tail from the last one.
     """
     if state not in model.states:
         raise ValueError(f"unknown state {state!r}")
-    ranges = [(t.guard, t.resets_clock) for t in model.outgoing(state)]
-    ranges += [(t.reset, True) if t.resets_clock else (t.guard, False) for t in model.incoming(state)]
-    high = max((r.hi for r, _ in ranges), default=0)
-    starts = {1} if state in model.initial else set()
-    for (lo, _, hi, _), resets in ranges:
-        if resets:
-            starts.add(2 * lo)
-            starts.add(2 * hi + 1)
-        else:
-            starts.update(range(2 * lo, 2 * hi + 2))
-    bounds = [c for c in sorted(starts) if 0 < c <= 2 * high]
-    bounds.append(2 * high + 1)
-    zones: list[Interval] = []
-    first = 0
-    for nxt in bounds:  # the zone of cells first..nxt-1
-        zones.append(Interval(first >> 1, not first & 1, nxt >> 1, bool(nxt & 1)))
-        first = nxt
-    zones.append(Interval.above(high))
+    starts = _zone_starts(model)[state]
+    zones = [_zone(first, nxt) for first, nxt in zip(starts, starts[1:])]
+    zones.append(_zone(starts[-1], None))
     return zones
+
+
+def _zone_starts(model: TFA) -> dict[str, list[int]]:
+    """The first cell of each zone of each state, ascending.
+
+    The ranges that matter at a state are the guards of its output
+    transitions, the guards of its clock-preserving input transitions and
+    the reset ranges of its clock-resetting input transitions.  On the cell
+    axis (``[k,k]`` is cell ``2k``, ``(k,k+1)`` is cell ``2k+1``) a closed
+    range ``[a,b]`` covers cells ``2a..2b``, so a zone starts only at cell
+    0, at ``2a`` or ``2b+1`` of a range, and at every cell covered by a
+    clock-preserving transition, where each unit region is a zone of its
+    own.  The starts are kept up to ``[M,M]`` (``M`` the largest endpoint of
+    the state's ranges), and the last start, ``2M+1``, is that of the
+    unbounded tail ``(M,inf)``.  For initial states the point zone ``[0,0]``
+    is always kept separate, by a start at cell 1: the clock starts at
+    exactly 0, and the initial extended state must carry that information.
+    One pass over the transitions; the cost is ``O(k log k)`` in the number
+    ``k`` of starts, whatever the size of the constants, and ``validate``
+    bounds the starts a clock-preserving guard adds (``MAX_ID_REGIONS``).
+    """
+    cuts: dict[str, set] = {x: set() for x in model.states}
+    high = dict.fromkeys(model.states, 0)
+    for x in model.initial:
+        if x in cuts:
+            cuts[x].add(1)
+    for t in model.transitions:
+        resets = t.resets_clock
+        for x, (lo, _, hi, _) in ((t.source, t.guard), (t.target, t.reset if resets else t.guard)):
+            cells = cuts.get(x)
+            if cells is None:  # an unknown state, which ``validate`` reports
+                continue
+            if resets:
+                cells.add(2 * lo)
+                cells.add(2 * hi + 1)
+            else:
+                cells.update(range(2 * lo, 2 * hi + 2))
+            if hi > high[x]:
+                high[x] = hi
+    starts = {}
+    for x, cells in cuts.items():
+        last = 2 * high[x] + 1
+        starts[x] = [0, *sorted(c for c in cells if 0 < c < last), last]
+    return starts
+
+
+def _zone(first: int, nxt: Optional[int]) -> Interval:
+    """The zone of cells ``first..nxt-1``, or of every cell from ``first``
+    on when ``nxt`` is None."""
+    if nxt is None:
+        return Interval.above(first >> 1)
+    return Interval(first >> 1, not first & 1, nxt >> 1, bool(nxt & 1))
 
 
 class ZoneIndex:
@@ -99,12 +126,17 @@ class ZoneIndex:
     - ``ext``: the ExtendedState of each id; ``id_of`` maps it back;
     - ``zone``: its zone id, and ``ranges``: each zone id's Interval;
     - ``tau``: the id of the time-elapse successor, -1 for the unbounded zone;
-    - ``events``: event edges ``(label, target id, resets_clock,
-      Transition)``, grouped by label in order of first appearance, and
-      ``silent``: those whose label is unobservable.
+    - ``events``: one entry ``(label, key, resets_clock, Transition)`` per
+      transition enabled in the zone, grouped by label in order of first
+      appearance, and ``silent``: those whose label is unobservable.  The
+      ``key`` is that of the run of target ids (see below): a
+      clock-resetting transition leads to every zone of its reset range,
+      which are consecutive ids of its target state, and a clock-preserving
+      one to the single id of the same zone there, its own key.
 
-    These tables are the only stored form of the edges: ``ZoneAutomaton.edges``
-    is derived from ``tau`` and ``events``.
+    These tables are the only stored form of the edges, so their size
+    follows the transitions, not the product of guard and reset zones:
+    ``ZoneAutomaton.edges`` expands them into ``Edge`` objects.
 
     ``ids`` maps each state to the range of its ids.
 
@@ -112,12 +144,11 @@ class ZoneIndex:
     (``stretches[False]``) and over all events (``stretches[True]``); each
     is filled on first use by ``stretch``.  A root is a run ``(a, b)`` of
     consecutive ids of one state: a stretch beginning with the clock
-    anywhere in the zones of ``a..b``.  Resets enter runs, since a
-    clock-resetting transition fans out to every zone of its reset range,
-    and a belief support starts one run per maximal block of consecutive
-    ids of a state; a single id ``j`` is the run ``(j, j)``.  A run is
-    keyed by the int ``a + n*(b - a)`` (``n`` ids), so the key of ``(j,
-    j)`` is ``j``; ``run`` maps a key back.
+    anywhere in the zones of ``a..b``.  Resets enter runs, and a belief
+    support starts one run per maximal block of consecutive ids of a
+    state; a single id ``j`` is the run ``(j, j)``.  A run is keyed by the
+    int ``a + n*(b - a)`` (``n`` ids), so the key of ``(j, j)`` is ``j``;
+    ``run`` maps a key back.
 
     A reset-free stretch reaches the ids linked to a member by ``tau``
     steps and clock-preserving edges.  Its table has one entry ``(s, d_lo,
@@ -130,11 +161,9 @@ class ZoneIndex:
     durations are the distance range from the hull of the zones of
     ``a..top`` to ``s``'s zone, which is the union of the members' own
     ranges.  Entries are sorted by the lower end of the distance, open
-    after closed, which only grows along a stretch.  A reset run has the
-    shape of an edge, ``(label, key, True, Transition)``: the targets of
-    one resetting transition out of ``s`` are consecutive ids of its
-    target state, one run.  ``resets`` keeps the reset runs of each id
-    met, per mode.
+    after closed, which only grows along a stretch.  The reset runs out of
+    ``s`` are its ``events`` (or ``silent``) entries that reset the clock;
+    ``resets`` keeps them per id met, per mode.
 
     ``rows``, ``cells`` and ``supports`` are the estimation memo, filled on
     first use by ``zonewatch.estimation``: ``rows`` maps a belief support to
@@ -231,26 +260,10 @@ class ZoneIndex:
             for s in order:
                 runs = resets.get(s)
                 if runs is None:
-                    runs = resets[s] = self._reset_runs(moves[s])
+                    runs = resets[s] = tuple([edge for edge in moves[s] if edge[2]])
                 table.append((s, *distance(hull, ranges[zone[s]]), runs, *link[s]))
         table.sort(key=lambda row: (row[1], not row[2]))
         return tuple(table)
-
-    def _reset_runs(self, moves: tuple) -> tuple:
-        """The reset runs of ``moves``: one per resetting transition, over
-        its consecutive target ids."""
-        runs: list = []
-        n = len(self.ext)
-        last = -1
-        for label, t, resets, tr in moves:
-            if not resets:
-                continue
-            if runs and t == last + 1 and runs[-1][3] is tr:
-                runs[-1][1] += n
-            else:
-                runs.append([label, t, True, tr])
-            last = t
-        return tuple([tuple(r) for r in runs])
 
 
 @dataclass(frozen=True)
@@ -265,13 +278,15 @@ class ZoneAutomaton:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """Every time-elapse and event edge, derived from ``index`` on first
+        """Every time-elapse and event edge, expanded from ``index`` on first
         use; the order is unspecified."""
         ix = self.index
         ext = ix.ext
         out = [Edge(ext[i], TAU, ext[j], None) for i, j in enumerate(ix.tau) if j >= 0]
         for i, moves in enumerate(ix.events):
-            out += [Edge(ext[i], label, ext[j], t) for label, j, _, t in moves]
+            for label, key, _, t in moves:
+                a, b = ix.run(key)
+                out += [Edge(ext[i], label, ext[j], t) for j in range(a, b + 1)]
         return tuple(out)
 
     def zones(self, state: str) -> tuple[Interval, ...]:
@@ -294,90 +309,105 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     """Construct the zone automaton of a well-formed model, with its index.
 
     Event edges follow each transition from every source zone inside its
-    guard: a clock-resetting transition fans out to every target zone inside
+    guard: a clock-resetting transition leads to every target zone inside
     its reset range, while a clock-preserving one keeps the zone unchanged.
-    A clock-preserving edge whose zone is missing at the target state is
-    dropped and reported as a diagnostic.  Edges are stored only in the
-    index tables; no ``Edge`` object is made until ``edges`` is read.
+    Each source zone stores one entry per transition, and a resetting
+    transition's entry holds the run key of its target zones, so the build
+    does not fan out the product of guard and reset zones.  A
+    clock-preserving edge whose zone is missing at the target state is
+    dropped and reported as a diagnostic.  Each distinct zone ``Interval``
+    is made once, keyed by its cells, and no ``Edge`` object is made until
+    ``edges`` is read.
     """
     require_valid(model)
-    zones_by_state = {x: tuple(build_zones(model, x)) for x in model.states}
+    starts = _zone_starts(model)
     ix = ZoneIndex()
-    zone_ids: dict[Interval, int] = {}
-    for x in sorted(zones_by_state):
-        zs = zones_by_state[x]
-        first = len(ix.ext)
-        ix.ids[x] = range(first, first + len(zs))
-        for k, z in enumerate(zs):
-            v = ExtendedState(x, z)
-            ix.id_of[v] = len(ix.ext)
-            ix.ext.append(v)
-            zid = zone_ids.setdefault(z, len(zone_ids))
-            if zid == len(ix.ranges):
-                ix.ranges.append(z)
-            ix.zone.append(zid)
-            ix.tau.append(len(ix.ext) if k + 1 < len(zs) else -1)
-    # Each zone's first cell.  A guard is cut into zones at its source state
-    # and a reset range at its target state, so the zones inside either are
-    # those whose first cell lies in the range: one bisection per end.
-    firsts = {x: [2 * z.lo + (not z.lo_closed) for z in zs] for x, zs in zones_by_state.items()}
+    ext, zone, ranges, tau = ix.ext, ix.zone, ix.ranges, ix.tau
+    zone_ids: dict[tuple, int] = {}  # (first cell, next zone's first cell or None) -> zone id
+    zones_of: dict[str, tuple[Interval, ...]] = {}
+    for x in sorted(starts):
+        cells = starts[x]
+        first = len(ext)
+        for key in zip(cells, cells[1:] + [None]):
+            zid = zone_ids.get(key)
+            if zid is None:
+                zid = zone_ids[key] = len(ranges)
+                ranges.append(_zone(*key))
+            zone.append(zid)
+        zs = zones_of[x] = tuple([ranges[z] for z in zone[first:]])
+        ext += [tuple.__new__(ExtendedState, (x, z)) for z in zs]
+        ix.ids[x] = range(first, len(ext))
+        tau += range(first + 1, len(ext))
+        tau.append(-1)
+    ix.id_of = {v: i for i, v in enumerate(ext)}
+    n = len(ext)
 
+    # A guard is cut into zones at its source state and a reset range at its
+    # target state, so the zones inside either are those whose first cell
+    # lies in the range: one bisection per end.
     def inside(x: str, r: Interval) -> range:
-        ids, cells = ix.ids[x], firsts[x]
-        return ids[bisect_left(cells, 2 * r.lo) : bisect_right(cells, 2 * r.hi)]
+        cells = starts[x]
+        return ix.ids[x][bisect_left(cells, 2 * r.lo) : bisect_right(cells, 2 * r.hi)]
 
-    # Per source id, event edges grouped by label in order of first appearance.
-    out: list[dict[str, list]] = [{} for _ in ix.ext]
+    # Per source id, the entries grouped by label in order of first appearance.
+    out: dict[int, dict[str, list]] = {}
+    by_zone: dict[str, dict[int, int]] = {}  # state -> zone id -> id
     diagnostics: list[str] = []
     for t in model.transitions:
-        resets = t.resets_clock
-        if resets:
+        sources = inside(t.source, t.guard)
+        if t.resets_clock:
             targets = inside(t.target, t.reset)
-        for src in inside(t.source, t.guard):
-            if not resets:
-                i = ix.id_of.get(ExtendedState(t.target, ix.ext[src].zone))
-                if i is None:
-                    diagnostics.append(
-                        f"clock-preserving transition {t}: source zone {ix.ext[src].zone} "
-                        f"is not a zone of {t.target!r}"
-                    )
-                    continue
-                targets = (i,)
-            per = out[src].setdefault(t.event, [])
-            per += [(t.event, i, resets, t) for i in targets]
+            entry = (t.event, targets[0] + n * (len(targets) - 1), True, t)
+            for src in sources:
+                out.setdefault(src, {}).setdefault(t.event, []).append(entry)
+            continue
+        at = by_zone.get(t.target)
+        if at is None:
+            at = by_zone[t.target] = {zone[i]: i for i in ix.ids[t.target]}
+        for src in sources:
+            i = at.get(zone[src])
+            if i is None:
+                diagnostics.append(
+                    f"clock-preserving transition {t}: source zone {ext[src].zone} "
+                    f"is not a zone of {t.target!r}"
+                )
+            else:
+                out.setdefault(src, {}).setdefault(t.event, []).append((t.event, i, False, t))
     observable = model.observable
-    for per in out:
-        moves = tuple([e for group in per.values() for e in group]) if per else ()
-        ix.events.append(moves)
-        ix.silent.append(tuple([e for e in moves if e[0] not in observable]) if moves else ())
+    events, silent = [()] * n, [()] * n
+    for src, per in out.items():
+        moves = events[src] = tuple([e for group in per.values() for e in group])
+        silent[src] = tuple([e for e in moves if e[0] not in observable])
+    ix.events, ix.silent = events, silent
     return ZoneAutomaton(
         states=frozenset(ix.id_of),
-        initial=frozenset(ix.ext[ix.ids[x][0]] for x in model.initial),
-        zones_by_state=zones_by_state,
+        initial=frozenset(ext[ix.ids[x][0]] for x in model.initial),
+        zones_by_state={x: zones_of[x] for x in model.states},
         diagnostics=tuple(diagnostics),
         index=ix,
     )
 
 
 def to_dot(za: ZoneAutomaton) -> str:
-    """Render the zone automaton as Graphviz DOT with deterministic ordering."""
-
-    def node_id(v: ExtendedState) -> str:
-        return f"{v.state} {v.zone}"
-
+    """Render the zone automaton as Graphviz DOT with deterministic ordering:
+    nodes and edges in id order, which is ``ext_sort_key`` order, edges by
+    source, label and target."""
+    ix = za.index
+    names = [f"{v.state} {v.zone}" for v in ix.ext]
     lines = ["digraph zone_automaton {", "  rankdir=LR;"]
-    for v in sorted(za.states, key=ext_sort_key):
-        attrs = ' shape=doublecircle' if v in za.initial else ""
-        lines.append(f'  "{node_id(v)}"{attrs};')
-    def edge_key(e: Edge) -> tuple:
-        return ext_sort_key(e.source) + (e.label,) + ext_sort_key(e.target)
-
-    for e in sorted(za.edges, key=edge_key):
-        if e.label == TAU:
-            lines.append(f'  "{node_id(e.source)}" -> "{node_id(e.target)}" [style=dashed];')
+    for i, v in enumerate(ix.ext):
+        attrs = " shape=doublecircle" if v in za.initial else ""
+        lines.append(f'  "{names[i]}"{attrs};')
+    edges = [(i, TAU, j) for i, j in enumerate(ix.tau) if j >= 0]
+    for i, moves in enumerate(ix.events):
+        for label, key, _, _ in moves:
+            a, b = ix.run(key)
+            edges += [(i, label, j) for j in range(a, b + 1)]
+    edges.sort()
+    for i, label, j in edges:
+        if label == TAU:
+            lines.append(f'  "{names[i]}" -> "{names[j]}" [style=dashed];')
         else:
-            lines.append(
-                f'  "{node_id(e.source)}" -> "{node_id(e.target)}" [label="{e.label}"];'
-            )
+            lines.append(f'  "{names[i]}" -> "{names[j]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

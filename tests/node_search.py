@@ -15,12 +15,19 @@ from fractions import Fraction
 from zonewatch.intervals import INF, distance
 
 
+def targets(ix, key: int) -> range:
+    """The ids of the run ``key`` of an ``events`` entry."""
+    a, b = ix.run(key)
+    return range(a, b + 1)
+
+
 def node_reach(za, starts, dt: Fraction, all_events: bool = False) -> set[int]:
     """The ids reachable from ``starts`` in exactly ``dt`` over silent events
     (over every event with ``all_events``)."""
     ix = za.index
     zone_of, ranges, tau = ix.zone, ix.ranges, ix.tau
-    moves = ix.events if all_events else ix.silent
+    table = ix.events if all_events else ix.silent
+    moves = {}  # id -> its edges (target, resets_clock), runs expanded on first visit
     p, q = dt.numerator, dt.denominator  # dt is compared as x*q against p
     ceiling = -(-p // q)
     dist = {}
@@ -47,7 +54,10 @@ def node_reach(za, starts, dt: Fraction, all_events: bool = False) -> set[int]:
         children = []
         if tau[s] >= 0:
             children.append((tau[s], entry, acc))
-        for _, target, resets, _ in moves[s]:
+        out = moves.get(s)
+        if out is None:
+            out = moves[s] = [(t, e[2]) for e in table[s] for t in targets(ix, e[1])]
+        for target, resets in out:
             if not resets:
                 children.append((target, entry, acc))
             elif hi > ceiling:
@@ -70,7 +80,7 @@ def node_support(za, events) -> frozenset:
     anchor = Fraction(0)
     for event, ts in events:
         hits = node_reach(za, support, ts - anchor)
-        support = sorted({e[1] for i in hits for e in ix.events[i] if e[0] == event})
+        support = sorted({j for i in hits for e in ix.events[i] if e[0] == event for j in targets(ix, e[1])})
         anchor = ts
     return frozenset(ix.ext[i] for i in support)
 

@@ -5,13 +5,11 @@ kept as the reference of the differential tests.  The clock axis at a state
 is cut into all ``2M+1`` unit regions up to the largest relevant constant
 ``M``, the enabled input and output transitions are computed per region,
 and consecutive regions merge while those sets are equal and none of their
-transitions preserves the clock.  ``reference_edges`` builds the edge set of
-the zone automaton eagerly, as ``build_zone_automaton`` once did.
+transitions preserves the clock.
 """
 
 from zonewatch.intervals import Interval, subset
-from zonewatch.model import TAU, TFA, Transition
-from zonewatch.zones import Edge, ExtendedState
+from zonewatch.model import TFA, Transition
 
 
 def regions(model: TFA, state: str) -> list[Interval]:
@@ -83,22 +81,3 @@ def reference_zones(model: TFA, state: str) -> list[Interval]:
         first = zones[0]
         zones[0:1] = [Interval.point(0), Interval(0, False, first.hi, first.hi_closed)]
     return zones
-
-
-def reference_edges(model: TFA, zones_by_state: dict) -> set[Edge]:
-    """The time-elapse and event edges over the given zones, built eagerly."""
-    edges = set()
-    for x, zs in zones_by_state.items():
-        for z1, z2 in zip(zs, zs[1:]):
-            edges.add(Edge(ExtendedState(x, z1), TAU, ExtendedState(x, z2), None))
-    for t in model.transitions:
-        for z in zones_by_state[t.source]:
-            if not subset(z, t.guard):
-                continue
-            if t.resets_clock:
-                targets = [z2 for z2 in zones_by_state[t.target] if subset(z2, t.reset)]
-            else:
-                targets = [z2 for z2 in zones_by_state[t.target] if z2 == z]
-            for z2 in targets:
-                edges.add(Edge(ExtendedState(t.source, z), t.event, ExtendedState(t.target, z2), t))
-    return edges

@@ -84,6 +84,36 @@ def test_za_summary_and_dot(capsys, tmp_path, fig1_path):
     assert '"x0 [0,0]" -> "x0 (0,1)" [style=dashed];' in text
 
 
+def test_za_counts_edges_off_the_index(capsys, tmp_path, fig1_path):
+    # The summary counts the edges off the run-encoded tables; it must agree
+    # with the expanded ``za.edges``, and so must the DOT file's edge lines.
+    from zonewatch import build_zone_automaton, dump_model, load_model
+
+    paths = [fig1_path]
+    for seed in range(40):
+        config = RandomModelConfig(
+            state_count=2 + seed % 5,
+            max_constant=1 + seed % 6,
+            require_ro=seed % 2 == 0,
+            transition_density=0.2,
+            rng_seed=4400 + seed,
+        )
+        path = tmp_path / f"random{seed}.json"
+        path.write_text(dump_model(random_model(config)))
+        paths.append(str(path))
+    for path in paths:
+        za = build_zone_automaton(load_model(path))
+        tau = sum(1 for e in za.edges if e.transition is None)
+        dot_path = str(tmp_path / "za.dot")
+        code, out, _ = run_cli(capsys, "za", path, "--dot", dot_path)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            f"extended states: {len(za.states)}  edges: {len(za.edges)} "
+            f"(tau: {tau}, event: {len(za.edges) - tau})  initial: {len(za.initial)}"
+        ), path
+        assert sum(" -> " in line for line in open(dot_path)) == len(za.edges), path
+
+
 def test_za_unwritable_dot_exits_64(capsys, tmp_path, fig1_path):
     dot_path = tmp_path / "missing" / "za.dot"
     code, _, err = run_cli(capsys, "za", fig1_path, "--dot", str(dot_path))

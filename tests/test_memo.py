@@ -52,8 +52,9 @@ def _fresh(za, support, dt):
     hits = _duration_reach(za, _ids(za, support), dt).hits
     succ = {}
     for i in hits:
-        for label, target, _, _ in ix.events[i]:
-            succ.setdefault(label, set()).add(ix.ext[target])
+        for label, key, _, _ in ix.events[i]:
+            a, b = ix.run(key)
+            succ.setdefault(label, set()).update(ix.ext[a : b + 1])
     return frozenset(ix.ext[i] for i in hits), succ
 
 

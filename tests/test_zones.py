@@ -17,10 +17,10 @@ from zonewatch.zones import ExtendedState
 from zonewatch.oracle import RandomModelConfig, random_model
 
 from conftest import make_fig1
+from edge_fanout import fanout_edges, fanout_successor
 from region_merge import (
     input_transitions_at,
     output_transitions_at,
-    reference_edges,
     reference_zones,
     regions,
 )
@@ -185,7 +185,80 @@ def test_edges_match_eager_construction():
     for model in sweep_cases():
         za = build_zone_automaton(model)
         assert len(set(za.edges)) == len(za.edges)
-        assert set(za.edges) == reference_edges(model, za.zones_by_state)
+        assert set(za.edges) == fanout_edges(model, za)
+
+
+def test_run_encoded_edges_match_the_fanout():
+    # Each event entry holds a run of target ids; expanding the runs, through
+    # ``za.edges`` and through ``Cell.successor``, must give exactly the edges
+    # fanned out one at a time from the transitions and the zones.
+    import random
+
+    from zonewatch.estimation import Cell
+
+    rng = random.Random(14)
+    seen = {"id": 0, "multi-zone reset": 0, "models": 0}
+    models = [make_fig1()] + [
+        random_model(
+            RandomModelConfig(
+                state_count=2 + k % 5,
+                max_constant=1 + k % 6,
+                require_ro=k % 2 == 0,
+                reset_id_probability=(0.2, 0.5)[k % 2],
+                transition_density=0.2,
+                rng_seed=1400 + k,
+            )
+        )
+        for k in range(110)
+    ]
+    for model in models:
+        za = build_zone_automaton(model)
+        ix = za.index
+        n = len(ix.ext)
+        edges = fanout_edges(model, za)
+        assert len(za.edges) == len(edges) and set(za.edges) == edges
+        for moves in ix.events:
+            seen["id"] += sum(1 for e in moves if not e[2])
+            seen["multi-zone reset"] += sum(1 for e in moves if e[1] >= n)
+        supports = [{i} for i in range(n)] + [set(r) for r in ix.ids.values()]
+        supports += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(20)]
+        for ids in supports:
+            cell = Cell(frozenset(ids), ix)
+            reached = {ix.ext[i] for i in ids}
+            for event in sorted(model.alphabet):
+                assert cell.successor(event) == fanout_successor(edges, reached, event), (model, ids, event)
+        seen["models"] += 1
+    assert seen["models"] >= 101 and seen["id"] >= 100 and seen["multi-zone reset"] >= 100, seen
+
+
+def square_model(k: int) -> TFA:
+    """A point guard ``[i,i]`` out of ``s`` for each ``i <= k`` cuts ``s``
+    into ``2k+2`` zones, and the self-loop ``u`` with guard and reset
+    ``[0,k]`` leads from each of the ``2k+1`` bounded ones to each."""
+    u = Transition("s", "u", "s", Interval.closed(0, k), Interval.closed(0, k))
+    return TFA(
+        states=frozenset({"s", "t"}),
+        alphabet=frozenset({"a", "u"} | {f"c{i}" for i in range(k + 1)}),
+        observable=frozenset({"a"}),
+        transitions=tuple(
+            Transition("s", f"c{i}", "t", Interval.point(i), Interval.point(0)) for i in range(k + 1)
+        )
+        + (u, Transition("t", "a", "s", Interval.closed(0, 1), Interval.point(0))),
+        initial=frozenset({"s"}),
+    )
+
+
+def test_event_tables_grow_with_the_transitions():
+    # One entry per source zone and transition: 2k+1 for u, k+1 for the
+    # point guards and 2 for a, out of t's zones [0,0] and (0,1], where one
+    # edge per target stored (2k+1)^2 for u alone.
+    k = 200
+    za = build_zone_automaton(square_model(k))
+    assert za.zones("t") == (I("[0,0]"), I("(0,1]"), I("(1,inf)"))
+    entries = sum(map(len, za.index.events))
+    assert entries == (2 * k + 1) + (k + 1) + 2 < 10 * k
+    tau = (2 * k + 1) + 2
+    assert len(za.edges) == tau + (2 * k + 1) ** 2 + (k + 1) + 2
 
 
 def wide_guard_model(c: int) -> TFA:
@@ -291,3 +364,24 @@ def test_dot_export(fig1_za):
     lines = dot.splitlines()
     assert lines[0] == "digraph zone_automaton {"
     assert lines[-1] == "}"
+
+
+def test_dot_lists_nodes_and_edges_in_zone_order():
+    # Nodes in ``ext_sort_key`` order, edges by source, label and target in
+    # that order, as a sort of the expanded ``za.edges`` gives them.
+    from zonewatch.zones import ext_sort_key
+
+    for model in [make_fig1()] + list(random_models(10, state_count=4, require_ro=False)):
+        za = build_zone_automaton(model)
+        lines = to_dot(za).splitlines()
+        nodes = [f"{v.state} {v.zone}" for v in sorted(za.states, key=ext_sort_key)]
+        assert lines[2 : 2 + len(nodes)] == [
+            f'  "{name}"{" shape=doublecircle" if v in za.initial else ""};'
+            for name, v in zip(nodes, sorted(za.states, key=ext_sort_key))
+        ]
+        edges = sorted(za.edges, key=lambda e: ext_sort_key(e.source) + (e.label,) + ext_sort_key(e.target))
+        assert lines[2 + len(nodes) : -1] == [
+            f'  "{e.source.state} {e.source.zone}" -> "{e.target.state} {e.target.zone}" '
+            + ("[style=dashed];" if e.label == TAU else f'[label="{e.label}"];')
+            for e in edges
+        ]

@@ -77,7 +77,6 @@ from .intervals import (
     Rational,
     add,
     contains,
-    distance,
     format_time,
     intersect,
     pick,
@@ -187,8 +186,8 @@ def _duration_reach(
     other window is queued whole and merged in.  Every queued item so adds
     a cell to its root, and the cap leaves a root at most ``2*ceil(dt) + 3``
     cells, so the queue grows linearly with ``dt``.  A queued window's own
-    parent chain realizes every duration in it, which is what ``_unwind``
-    and ``_realize`` read back.
+    parent chain realizes every duration in it, which is what ``_witness``
+    reads back.
     """
     ix = za.index
     tables = ix.stretches[all_events]
@@ -779,56 +778,7 @@ def t_reachable(
     )
     if outcome.goal is None:
         return False, None
-    return True, _realize(_unwind(za, outcome, duration), duration)
-
-
-def _unwind(
-    za: ZoneAutomaton, outcome: _SearchOutcome, total: Fraction
-) -> list[tuple[ExtendedState, Optional[tuple]]]:
-    """The zone path of an all-events search ending at its goal entry, for
-    a run of duration ``total``: each extended state with the ``(label,
-    Transition or None)`` step that entered it (None at the start).
-
-    Follows the parent links from item to item back to a start, which gives
-    each stretch's run and exit id, and fixes each stretch's duration in
-    its run window as ``_realize`` does.  A run's window is the union of its
-    members' windows, so some member ``j`` reaching the exit id has that
-    duration in its own window; the stretch is re-rooted there, and its
-    zone path read off the predecessors in the table of ``(j, j)``.  Each
-    member of a reset run is a target of the reset, and each member of a
-    start run a start, so the path is a run of the zone automaton."""
-    ix = za.index
-    ext = ix.ext
-    stretches = []  # (run key, exit entry, reset run entering it or None), goal first
-    pos, k = outcome.goal
-    while True:
-        key = outcome.items[pos][0]
-        exit_entry = ix.stretch(key, True)[k]
-        link = outcome.parents[pos]
-        stretches.append((key, exit_entry, None if link is None else link[2]))
-        if link is None:
-            break
-        pos, k, _ = link
-    stretches.reverse()
-    durations = _split([entry[1:5] for _, entry, _ in stretches], total)
-    chain: list[tuple[ExtendedState, Optional[tuple]]] = []
-    for (key, exit_entry, reset), d in zip(stretches, durations):
-        a, b = ix.run(key)
-        for j in range(a, b + 1):
-            row_of = {row[0]: row for row in ix.stretch(j, True)}
-            row = row_of.get(exit_entry[0])
-            if row is not None and contains(row[1:5], d):
-                break
-        else:
-            raise InvariantError("no member of a stretch's run realizes its duration")
-        steps = []
-        s, *_, pred, edge = row
-        while pred >= 0:
-            steps.append((ext[s], (TAU, None) if edge is None else (edge[0], edge[3])))
-            s, *_, pred, edge = row_of[pred]
-        steps.append((ext[s], None if reset is None else (reset[0], reset[3])))
-        chain += reversed(steps)
-    return chain
+    return True, _witness(za, outcome, duration)
 
 
 def _split(windows: Sequence[tuple], total: Fraction) -> list[Fraction]:
@@ -850,80 +800,88 @@ def _split(windows: Sequence[tuple], total: Fraction) -> list[Fraction]:
     return durations
 
 
-def _realize(path: Sequence[tuple[ExtendedState, Optional[tuple]]], total: Fraction) -> Witness:
-    """Extract a concrete legal timed run from a zone-run search path.
+def _witness(za: ZoneAutomaton, outcome: _SearchOutcome, total: Fraction) -> Witness:
+    """The witness of an all-events search ending at its goal entry, for a
+    run of duration ``total``.
 
-    First splits the path into reset-free stretches and fixes each stretch's
-    duration so they sum to ``total`` (always feasible: the search certified
-    ``total`` is in the interval sum of the stretch windows).  Then picks the
-    entry clock of each stretch and monotone firing clocks for the
-    clock-preserving events inside it.  Raises ``InvariantError`` when a
-    choice is infeasible, which means the path was not certified for ``total``.
+    Follows the parent links from item to item back to a start, which gives
+    each stretch's run, its exit id and the reset run entering it, and
+    splits ``total`` over the stretches' run windows.  A run's window is the
+    union of its members' windows, so some member ``j`` reaching the exit id
+    has the stretch's duration ``d`` in its own window; the stretch is
+    re-rooted there, and its zone path read off the predecessors in the
+    table of ``(j, j)``.  Each member of a reset run is a target of the
+    reset, and each member of a start run a start, so the steps are a run of
+    the zone automaton.  The entry clock is picked in ``j``'s zone so that
+    the clock ends in the exit zone after ``d``, which also fixes the clock
+    of the reset step entering ``j``, and each clock-preserving event fires
+    at the earliest clock its zone allows after the previous one.  Raises
+    ``InvariantError`` when a choice is infeasible, which means the search
+    did not certify ``total``.
     """
-    start = path[0][0]
-    steps_out = tuple((action[0], v) for v, action in path[1:])
-
-    # Split into stretches: (entry zone, [(event, firing zone, target state)...],
-    # exit zone, terminal reset transition or None).
-    stretches: list[dict] = []
-    cur = {"entry": start.zone, "events": [], "exit": start.zone, "state0": start.state}
-    for (v, action), (prev, _) in zip(path[1:], path[:-1]):
-        label, tr = action
-        if label == TAU:
-            cur["exit"] = v.zone
-        elif tr is not None and tr.resets_clock:
-            cur["exit"] = prev.zone
-            cur["terminal"] = (label, v.state)
-            stretches.append(cur)
-            cur = {"entry": v.zone, "events": [], "exit": v.zone, "state0": v.state}
-        else:
-            cur["events"].append((label, prev.zone, v.state))
-            cur["exit"] = v.zone
-    stretches.append(cur)
-
-    durations = _split([distance(s["entry"], s["exit"]) for s in stretches], total)
-
+    ix = za.index
+    ext = ix.ext
+    stretches = []  # (run key, exit entry, reset run entering it or None), goal first
+    pos, k = outcome.goal
+    while True:
+        key = outcome.items[pos][0]
+        link = outcome.parents[pos]
+        stretches.append((key, ix.stretch(key, True)[k], None if link is None else link[2]))
+        if link is None:
+            break
+        pos, k, _ = link
+    stretches.reverse()
+    durations = _split([entry[1:5] for _, entry, _ in stretches], total)
+    steps: list[tuple[str, ExtendedState]] = []
     run_steps: list[RunStep] = []
-    entry_clocks: list[Fraction] = []
-    stretch_start_time = Fraction(0)
-    for s, d in zip(stretches, durations):
-        feas = intersect(s["entry"], shift(s["exit"], -d))
-        if feas is None:
+    elapsed = Fraction(0)  # when the stretch begins
+    for (key, exit_entry, reset), d in zip(stretches, durations):
+        a, b = ix.run(key)
+        for j in range(a, b + 1):
+            row_of = {row[0]: row for row in ix.stretch(j, True)}
+            row = row_of.get(exit_entry[0])
+            if row is not None and contains(row[1:5], d):
+                break
+        else:
+            raise InvariantError("no member of a stretch's run realizes its duration")
+        path = [row]  # the stretch's rows from the exit back to ``j``
+        while path[-1][6] >= 0:
+            path.append(row_of[path[-1][6]])
+        path.reverse()
+        feasible = intersect(ext[j].zone, shift(ext[row[0]].zone, -d))
+        if feasible is None:
             raise InvariantError("stretch duration outside its distance window")
-        entry_clock = pick(feas)
-        if entry_clocks:
-            # Rewrite the pending reset step with the clock actually chosen.
-            last = run_steps[-1]
-            run_steps[-1] = RunStep(last.event, last.time, last.state, entry_clock)
-        entry_clocks.append(entry_clock)
+        entry_clock = clock = pick(feasible)
         exit_clock = entry_clock + d
-        c_prev = entry_clock
-        for event, firing_zone, tgt in s["events"]:
-            feas_c = intersect(firing_zone, (c_prev, True, exit_clock, True))
-            if feas_c is None:
+        if reset is None:
+            start, start_clock = ext[j], entry_clock
+        else:
+            steps.append((reset[0], ext[j]))
+            run_steps.append(RunStep(reset[0], elapsed, ext[j].state, entry_clock))
+        for s, *_, edge in path[1:]:
+            v = ext[s]
+            if edge is None:
+                steps.append((TAU, v))
+                continue
+            steps.append((edge[0], v))
+            # A clock-preserving edge keeps the zone: ``v.zone`` is the
+            # zone it fires in.
+            feasible = intersect(v.zone, (clock, True, exit_clock, True))
+            if feasible is None:
                 raise InvariantError("no firing clock inside the stretch")
-            c = pick(feas_c)
-            run_steps.append(RunStep(event, stretch_start_time + (c - entry_clock), tgt, c))
-            c_prev = c
-        if "terminal" in s:
-            event, tgt = s["terminal"]
-            # Clock placeholder; the next iteration fills in the reset value.
-            run_steps.append(RunStep(event, stretch_start_time + d, tgt, Fraction(0)))
-        stretch_start_time += d
-
+            clock = pick(feasible)
+            run_steps.append(RunStep(edge[0], elapsed + (clock - entry_clock), v.state, clock))
+        elapsed += d
     run = TimedRun(
-        start_state=stretches[0]["state0"],
-        start_clock=entry_clocks[0],
-        start_time=Fraction(0),
-        steps=tuple(run_steps),
+        start_state=start.state, start_clock=start_clock, start_time=Fraction(0), steps=tuple(run_steps)
     )
     return Witness(
         start=start,
-        steps=steps_out,
+        steps=tuple(steps),
         duration=total,
         run=run,
         trailing_dwell=total - run.end_time,
-        final_zone=stretches[-1]["exit"],
+        final_zone=ext[row[0]].zone,
     )
 
 

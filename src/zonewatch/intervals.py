@@ -108,14 +108,6 @@ class Interval(namedtuple("Interval", "lo lo_closed hi hi_closed")):
         return Interval(a, False, b, False)
 
     @staticmethod
-    def open_closed(a: int, b: int) -> "Interval":
-        return Interval(a, False, b, True)
-
-    @staticmethod
-    def closed_open(a: int, b: int) -> "Interval":
-        return Interval(a, True, b, False)
-
-    @staticmethod
     def point(k: int) -> "Interval":
         return Interval(k, True, k, True)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .intervals import Interval, format_time, parse_interval, parse_time
 
@@ -21,8 +21,10 @@ ID_RESET = "id"
 TAU = "τ"
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(NamedTuple):
+    """A transition of the model: an immutable named tuple, which
+    ``model_from_dict`` makes with ``tuple.__new__``."""
+
     source: str
     event: str
     target: str
@@ -355,6 +357,9 @@ def _names(doc: dict, key: str) -> frozenset[str]:
     return frozenset(value)
 
 
+_new = tuple.__new__
+
+
 def model_from_dict(doc: dict) -> TFA:
     """Read the JSON document form; raises ``ValueError`` on a malformed one.
     Each distinct interval text is parsed once per document, and equal
@@ -371,12 +376,15 @@ def model_from_dict(doc: dict) -> TFA:
 
     try:
         transitions = tuple(
-            Transition(
-                source=_name(tr["from"], "'from'"),
-                event=_name(tr["event"], "'event'"),
-                target=_name(tr["to"], "'to'"),
-                guard=interval(tr["guard"]),
-                reset=ID_RESET if tr["reset"] == ID_RESET else interval(tr["reset"]),
+            _new(
+                Transition,
+                (
+                    _name(tr["from"], "'from'"),
+                    _name(tr["event"], "'event'"),
+                    _name(tr["to"], "'to'"),
+                    interval(tr["guard"]),
+                    ID_RESET if tr["reset"] == ID_RESET else interval(tr["reset"]),
+                ),
             )
             for tr in doc["transitions"]
         )

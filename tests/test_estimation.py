@@ -21,7 +21,7 @@ from zonewatch import (
     project,
     t_reachable,
 )
-from zonewatch.model import ID_RESET
+from zonewatch.model import ID_RESET, TAU
 from zonewatch.oracle import RandomModelConfig, _grid_points_in, _sample_runs, random_model
 from zonewatch.zones import ExtendedState, ext_sort_key
 
@@ -279,6 +279,47 @@ def test_t_reachable_matches_grid_oracle():
                         assert_witness_replays(model, witness, source, target, duration)
 
 
+def test_witness_steps_follow_the_run(fig1):
+    # The zone run of a witness and its timed run are built together; they
+    # must tell the same story: the events in order, each landing in the
+    # state and zone its zone step names, from a start clock in the start
+    # zone.
+    from test_acceptance import ring_model
+
+    models = [("fig1", fig1), ("ring8", ring_model(8))]
+    for seed in range(40):
+        config = RandomModelConfig(
+            state_count=2 + seed % 4,
+            max_constant=1 + seed % 3,
+            require_ro=seed % 2 == 0,
+            rng_seed=700 + seed,
+        )
+        models.append((f"random{seed}", random_model(config)))
+    durations = [F(0), F(1, 2), F(1), F(5, 2), F(4), F(13, 2)]
+    yes = preserved = 0
+    for name, model in models:
+        za = build_zone_automaton(model)
+        for source in sorted(model.states):
+            for target in sorted(model.states):
+                for dt in durations:
+                    ok, witness = t_reachable(za, model, source, target, dt)
+                    if not ok:
+                        continue
+                    yes += 1
+                    where = (name, source, target, dt)
+                    run = witness.run
+                    assert run.start_clock in witness.start.zone, where
+                    events = [(label, v) for label, v in witness.steps if label != TAU]
+                    assert [label for label, _ in events] == [s.event for s in run.steps], where
+                    for (_, v), step in zip(events, run.steps):
+                        assert step.state == v.state and step.clock in v.zone, where
+                    state = witness.start.state
+                    for label, v in events:
+                        preserved += not model.lookup(state, label, v.state).resets_clock
+                        state = v.state
+    assert yes > 1000 and preserved > 100, (yes, preserved)
+
+
 def test_lambda_estimation_matches_unobservable_grid_oracle(fig1):
     horizon = F(4)
     durations = [F(k, 2) for k in range(9)]
@@ -374,10 +415,10 @@ def test_realize_checks_survive_optimized_mode():
     # surface as an unrelated error (or a wrong witness).
     script = (
         "from fractions import Fraction\n"
-        "from zonewatch import ExtendedState, Interval, InvariantError\n"
-        "from zonewatch.estimation import _realize\n"
+        "from zonewatch import Interval, InvariantError\n"
+        "from zonewatch.estimation import _split\n"
         "try:\n"
-        "    _realize([(ExtendedState('x0', Interval.point(0)), None)], Fraction(5))\n"
+        "    _split([Interval.point(0)], Fraction(5))\n"
         "except InvariantError as exc:\n"
         "    print('InvariantError:', exc)\n"
     )
@@ -568,14 +609,15 @@ def test_run_roots_match_node_search():
                     if not ok:
                         continue
                     assert_witness_replays(model, witness, source, target, dt)
-                    out = estimation._duration_reach(za, ix.ids[source], dt, True, ix.ids[target])
-                    path = estimation._unwind(za, out, dt)
-                    inner += sum(
-                        step[1] is not None
-                        and step[1].resets_clock
-                        and v.zone != za.zone_of(v.state, step[1].reset.lo)
-                        for v, step in path[1:]
-                    )
+                    state = witness.start.state
+                    for label, v in witness.steps:
+                        tr = model.lookup(state, label, v.state)
+                        inner += (
+                            tr is not None
+                            and tr.resets_clock
+                            and v.zone != za.zone_of(v.state, tr.reset.lo)
+                        )
+                        state = v.state
     assert compared > 2000 and runs > 100 and inner > 50, (compared, runs, inner)
 
 

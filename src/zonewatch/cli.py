@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 1 inconsistent observation (empty estimate);
 2 validation failure, unusable model or unknown state; 64 malformed
-observation text, a bad ``--horizon``, a ``fuzz`` size below 1, or an
-output path (``za --dot``, ``observer --out``) that cannot be written.
+observation text, a negative ``fuzz --horizon``, a ``fuzz`` size below 1,
+or an output path (``za --dot``, ``observer --out``) that cannot be written.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def cmd_watch(args) -> int:
 def cmd_observer(args) -> int:
     model, za = _load_valid(args.model, require_ro=True)
     try:
-        observer = build_offline_observer(za, model, args.horizon)
-    except ValueError as exc:  # a horizon below 1, or a period too long to tabulate
+        observer = build_offline_observer(za, model)
+    except ValueError as exc:  # a period too long to tabulate
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     doc = observer.to_json_dict()
@@ -273,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("observer", help="precompute the estimation tables")
     sp.add_argument("model")
-    sp.add_argument(
-        "--horizon", type=int, default=None, help="accepted and checked (at least 1); sizes nothing"
-    )
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_observer)
 

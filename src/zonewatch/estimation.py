@@ -84,7 +84,7 @@ from .intervals import (
     sub_from,
 )
 from .model import TAU, TFA, TimedObservation, TimedRun, RunStep, require_valid
-from .zones import ExtendedState, ZoneAutomaton, ext_sort_key
+from .zones import ExtendedState, ZoneAutomaton, ext_json
 
 
 class InvariantError(RuntimeError):
@@ -111,7 +111,7 @@ class Estimate:
     def to_json_dict(self, anchor: Rational = 0) -> dict:
         return {
             "discrete": sorted(self.discrete),
-            "extended": [[v.state, str(v.zone)] for v in sorted(self.extended, key=ext_sort_key)],
+            "extended": ext_json(self.extended),
             "anchor": format_time(anchor),
         }
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .intervals import Interval, distance
 from .model import TAU, TFA, Transition, require_valid
@@ -37,6 +37,12 @@ class ExtendedState(NamedTuple):
 def ext_sort_key(v: ExtendedState) -> tuple:
     """Zone order: by state, then by zone; natural tuple order is not it."""
     return (v.state,) + v.zone.sort_key()
+
+
+def ext_json(states: Iterable[ExtendedState]) -> list[list[str]]:
+    """``[state, zone text]`` pairs in ``ext_sort_key`` order, as JSON output
+    lists extended states."""
+    return [[v.state, str(v.zone)] for v in sorted(states, key=ext_sort_key)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,12 +297,6 @@ class ZoneAutomaton:
 
     def zones(self, state: str) -> tuple[Interval, ...]:
         return self.zones_by_state[state]
-
-    def tau_successor(self, v: ExtendedState) -> Optional[ExtendedState]:
-        i = self.index.id_of.get(v)
-        if i is None or self.index.tau[i] < 0:
-            return None
-        return self.index.ext[self.index.tau[i]]
 
     def zone_of(self, state: str, clock) -> Interval:
         for z in self.zones_by_state[state]:

@@ -71,6 +71,12 @@ def node_reach(za, starts, dt: Fraction, all_events: bool = False) -> set[int]:
     return hits
 
 
+def node_step(za, hits, event: str) -> list[int]:
+    """The ids just after observing ``event`` from the ids ``hits``, ascending."""
+    ix = za.index
+    return sorted({j for i in hits for e in ix.events[i] if e[0] == event for j in targets(ix, e[1])})
+
+
 def node_support(za, events) -> frozenset:
     """The belief support after the observed ``(event, time)`` pairs, from
     ``node_reach`` alone: the memo-free reference for the belief API, batch
@@ -79,8 +85,7 @@ def node_support(za, events) -> frozenset:
     support = sorted(ix.id_of[v] for v in za.initial)
     anchor = Fraction(0)
     for event, ts in events:
-        hits = node_reach(za, support, ts - anchor)
-        support = sorted({j for i in hits for e in ix.events[i] if e[0] == event for j in targets(ix, e[1])})
+        support = node_step(za, node_reach(za, support, ts - anchor), event)
         anchor = ts
     return frozenset(ix.ext[i] for i in support)
 

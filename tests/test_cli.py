@@ -390,42 +390,17 @@ def test_watch_rejects_time_regression(capsys, monkeypatch, fig1_path):
 
 def test_observer_command(capsys, tmp_path, fig1_path):
     out_path = str(tmp_path / "observer.json")
-    code, out, _ = run_cli(
-        capsys, "observer", fig1_path, "--horizon", "4", "--out", out_path
-    )
+    code, out, _ = run_cli(capsys, "observer", fig1_path, "--out", out_path)
     assert code == 0
     doc = json.load(open(out_path))
-    assert doc["horizon"] == 4
+    assert "horizon" not in doc
+    assert all("tail" in s for s in doc["supports"])
     assert any(s["support"] == [["x0", "[0,0]"]] for s in doc["supports"])
-
-
-def test_observer_output_does_not_depend_on_horizon(capsys, tmp_path, fig1_path):
-    docs = []
-    for horizon in ["4", "100000"]:
-        out_path = str(tmp_path / f"observer-{horizon}.json")
-        code, _, _ = run_cli(capsys, "observer", fig1_path, "--horizon", horizon, "--out", out_path)
-        assert code == 0
-        docs.append(json.load(open(out_path)))
-    assert [doc.pop("horizon") for doc in docs] == [4, 100000]
-    assert docs[0] == docs[1]
-    assert all("tail" in s for s in docs[0]["supports"])
-
-
-def test_observer_bad_horizon_exits_64(capsys, tmp_path, fig1_path):
-    out_path = tmp_path / "observer.json"
-    code, _, err = run_cli(
-        capsys, "observer", fig1_path, "--horizon", "0", "--out", str(out_path)
-    )
-    assert code == 64
-    assert "horizon" in err
-    assert not out_path.exists()
 
 
 def test_observer_unwritable_out_exits_64(capsys, tmp_path, fig1_path):
     out_path = tmp_path / "missing" / "observer.json"
-    code, out, err = run_cli(
-        capsys, "observer", fig1_path, "--horizon", "2", "--out", str(out_path)
-    )
+    code, out, err = run_cli(capsys, "observer", fig1_path, "--out", str(out_path))
     assert code == 64
     assert out == ""
     assert err.startswith(f"error: cannot write {out_path}")
@@ -437,9 +412,7 @@ def test_observer_json_lists_supports_in_zone_order(capsys, tmp_path):
     model = random_model(RandomModelConfig(state_count=3, max_constant=2, rng_seed=4))
     model_path = write_model(tmp_path, model)
     out_path = str(tmp_path / "observer.json")
-    code, _, _ = run_cli(
-        capsys, "observer", model_path, "--horizon", "2", "--out", out_path
-    )
+    code, _, _ = run_cli(capsys, "observer", model_path, "--out", out_path)
     assert code == 0
     doc = json.load(open(out_path))
     keys = [

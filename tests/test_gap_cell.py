@@ -146,7 +146,7 @@ def test_times_before_the_anchor_keep_each_api_error():
     assert session.anchor_time == 1
     support = session.support
     for call in (
-        lambda: observer.cell_for(support, F(-1, 2)),
+        lambda: observer.lookup(support, F(-1, 2)),
         lambda: observer.lookup(support, -1),
         lambda: observer.successor(support, "a", F(-1, 3)),
         lambda: lambda_estimation(za, model, next(iter(za.initial)), F(-1, 2)),

@@ -25,6 +25,7 @@ from zonewatch.estimation import _ids
 from zonewatch.oracle import RandomModelConfig, _sample_runs, random_model
 
 from goldens import SUPPORT_AFTER_A1, TABLE_AFTER_A1, TABLE_NO_OBS, discrete
+from node_search import node_estimate, node_reach, node_step, node_support
 
 F = Fraction
 I = parse_interval
@@ -32,7 +33,7 @@ I = parse_interval
 
 @pytest.fixture(scope="module")
 def fig1_observer(fig1, fig1_za):
-    return build_offline_observer(fig1_za, fig1, horizon=4)
+    return build_offline_observer(fig1_za, fig1)
 
 
 def test_initial_support_table(fig1_observer, fig1_za):
@@ -63,7 +64,7 @@ def test_session_matches_batch(fig1, fig1_za, fig1_observer):
     session = fig1_observer.session()
     session.advance("a", F(1))
     session.advance("a", F(3))
-    for t in [F(3), F(7, 2), F(4), F(3) + fig1_observer.horizon]:
+    for t in [F(3), F(7, 2), F(4), F(7)]:
         got = session.query(t)
         want = estimate(fig1_za, fig1, TimedObservation((("a", F(1)), ("a", F(3))), t))
         assert got.extended == want.extended
@@ -104,13 +105,11 @@ def test_session_ops_past_the_tail_are_table_reads(monkeypatch, fig1, fig1_za, f
 def test_offline_online_agreement_on_random_models():
     # The observer and the belief API read one memo, so both are compared
     # with the per-node search too.
-    from node_search import node_estimate, node_support
-
     grid = GridConfig(horizon=F(4), max_events=4)
     for seed in range(10):
         model = random_model(RandomModelConfig(state_count=4, rng_seed=700 + seed))
         za = build_zone_automaton(model)
-        observer = build_offline_observer(za, model, horizon=5)
+        observer = build_offline_observer(za, model)
         for run in _sample_runs(model, grid, 3):
             word = project(run.word(), model)
             session = observer.session()
@@ -126,14 +125,14 @@ def test_offline_online_agreement_on_random_models():
 
 def test_observer_serialization(fig1_observer):
     doc = fig1_observer.to_json_dict()
-    assert doc["horizon"] == 4
+    assert "horizon" not in doc
     assert json.dumps(doc, sort_keys=True) == json.dumps(
         fig1_observer.to_json_dict(), sort_keys=True
     )
     initial = next(s for s in doc["supports"] if s["id"] == doc["initial"])
     assert initial["support"] == [["x0", "[0,0]"]]
-    # The row ends at its tail, whatever the horizon: from (5,6) on, every
-    # cell answers as (5,6) does.
+    # The row ends at its tail: from (5,6) on, every cell answers as (5,6)
+    # does.
     spans = [c["span"] for c in initial["cells"]]
     assert spans == [
         "[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]", "(2,3)",
@@ -148,7 +147,7 @@ def test_observer_serialization(fig1_observer):
 def test_session_rejects_unobservable_events_inside_and_beyond_horizon(fig1_observer):
     # "b" is a silent event of fig1, "zz" no event at all.
     for event in ["zz", "b"]:
-        for t in [F(1), F(1, 2), F(fig1_observer.horizon) + 5]:
+        for t in [F(1), F(1, 2), F(9)]:
             session = fig1_observer.session()
             with pytest.raises(ValueError, match="not observable"):
                 session.advance(event, t)
@@ -160,6 +159,15 @@ def _cell_times(i: int) -> list[Fraction]:
     return [k + F(1, 4), k + F(1, 2), k + F(3, 4)] if i % 2 else [k]
 
 
+def _node_answer(za, support, dt: Fraction, events) -> tuple[frozenset, dict]:
+    """The ids reached from ``support`` at elapsed time ``dt`` and the support
+    after each of ``events`` there, from ``node_reach`` alone: a reference
+    that reads no memo."""
+    ix = za.index
+    hits = node_reach(za, sorted(ix.id_of[v] for v in support), dt)
+    return frozenset(hits), {e: frozenset(ix.ext[j] for j in node_step(za, hits, e)) for e in events}
+
+
 def test_cells_match_online_answers_at_their_sample_points(fig1, fig1_za):
     cases = [(fig1, fig1_za)]
     for seed in range(20):
@@ -168,15 +176,22 @@ def test_cells_match_online_answers_at_their_sample_points(fig1, fig1_za):
         )
         cases.append((model, build_zone_automaton(model)))
     for model, za in cases:
-        observer = build_offline_observer(za, model, horizon=3)
+        observer = build_offline_observer(za, model)
+        events = sorted(model.observable)
         for support, row in observer.tables.items():
+            start, period = observer.tails[support]
             belief = BeliefState(support, F(0))
-            for i, cell in enumerate(row):
+            # The row's cells, then one period past its tail.
+            for i in range(start + 2 * period):
+                cell = row[i if i < start else start + (i - start) % period]
                 for t in _cell_times(i):
                     assert cell.estimate == belief_query(za, model, belief, t)
-                    for e in sorted(model.observable):
+                    reached, successors = _node_answer(za, support, t, events)
+                    assert cell.reached == reached
+                    for e in events:
                         got = cell.successors[e]
                         assert got == belief_advance(za, model, belief, e, t).support
+                        assert got == successors[e]
 
 
 def _loop7_model():
@@ -236,6 +251,7 @@ def test_total_tables_match_online(fig1, fig1_za):
     periods = set()
     for model, za in cases:
         observer = build_offline_observer(za, model)
+        events = sorted(model.observable)
         for support, row in observer.tables.items():
             start, period = observer.tails[support]
             assert len(row) == start + period
@@ -243,11 +259,43 @@ def test_total_tables_match_online(fig1, fig1_za):
             belief = BeliefState(support, F(0))
             last = 2 * (start + period) + 3
             for dt in sorted({F(k, 2) for k in range(last + 1)} | {F(k, 3) for k in range(last + 1)}):
-                assert observer.lookup(support, dt) == belief_query(za, model, belief, dt)
-                for e in sorted(model.observable):
+                got = observer.lookup(support, dt)
+                assert got == belief_query(za, model, belief, dt)
+                reached, successors = _node_answer(za, support, dt, events)
+                assert got.extended == frozenset(za.index.ext[i] for i in reached)
+                for e in events:
                     want = belief_advance(za, model, belief, e, dt).support
-                    assert observer.successor(support, e, dt) == want
+                    assert observer.successor(support, e, dt) == want == successors[e]
     assert 14 in periods
+
+
+def test_supports_the_builder_did_not_list_are_answered_from_the_memo(fig1):
+    za = build_zone_automaton(fig1)
+    observer = build_offline_observer(za, fig1)
+    unlisted = [frozenset({v}) for v in sorted(za.states) if frozenset({v}) not in observer.tables]
+    unlisted.append(frozenset(za.states))
+    assert len(unlisted) > 5
+    for support in unlisted:
+        for dt in sorted({F(k, 2) for k in range(25)} | {F(k, 3) for k in range(37)}):
+            reached, successors = _node_answer(za, support, dt, ["a"])
+            assert observer.lookup(support, dt).extended == frozenset(za.index.ext[i] for i in reached)
+            assert observer.successor(support, "a", dt) == successors["a"]
+
+    unknown = frozenset({ExtendedState("x0", I("[7,7]"))})
+    with pytest.raises(ValueError, match="unknown extended state"):
+        observer.lookup(unknown, 1)
+    with pytest.raises(ValueError, match="unknown extended state"):
+        observer.successor(unknown, "a", 1)
+
+    # No run of fig1 takes a at time 0, so the belief is empty from then on.
+    session = observer.session()
+    session.advance("a", 0)
+    assert session.support == frozenset()
+    for t in [F(1, 2), F(10**9)]:
+        assert session.query(t).empty
+    session.advance("a", 10**9)
+    assert session.support == frozenset()
+    assert session.query(10**9 + F(1, 2)).empty
 
 
 def test_builder_rejects_a_period_too_long_to_tabulate():
@@ -295,7 +343,7 @@ def test_builder_runs_one_fixpoint_per_support(monkeypatch, fig1):
         for m in (random_model(RandomModelConfig(rng_seed=1400 + s)) for s in range(5))
     ]:
         calls.clear()
-        observer = build_offline_observer(za, model, horizon=4)
+        observer = build_offline_observer(za, model)
         assert len(calls) == len(observer.tables)
         assert sorted(calls) == sorted(tuple(_ids(za, s)) for s in observer.tables)
 
@@ -346,7 +394,7 @@ def test_non_integer_window_raises_in_optimized_mode():
         "model = random_model(RandomModelConfig(rng_seed=1))\n"
         "zones.distance = lambda a, b: (Fraction(1, 2), True, 1, True)\n"
         "try:\n"
-        "    build_offline_observer(build_zone_automaton(model), model, 2)\n"
+        "    build_offline_observer(build_zone_automaton(model), model)\n"
         "except InvariantError as exc:\n"
         "    print('InvariantError:', exc)\n"
     )

@@ -11,26 +11,26 @@ interval where it ends.  Collapsing each stretch to one distance is what
 keeps the windows exact; summing per-segment (or per-edge) distances would
 over-approximate.
 
-The search runs over stretches, not single steps.  Everything a stretch
-can reach depends only on where it starts (its root), so the integer index
-the zone automaton carries (``ZoneIndex``) keeps one table per root, filled
-on first use: each id the stretch reaches, its distance range from the
-root and the resets out of it.  A root is a run of consecutive zones of one
-state, not a single zone: a clock-resetting transition enters every zone of
-its reset range at once, with the same window, and a belief support starts
-one run per block of consecutive zones it holds.  The run's table gives
-each reached id the distance from the hull of the members that reach it,
-which is the union of their own distances, so one queue item and one table
+Both searches below run over stretches, not single steps.  Everything a
+stretch can reach depends only on where it starts (its root), so the integer
+index the zone automaton carries (``ZoneIndex``) keeps one table per root,
+filled on first use: each id the stretch reaches, its distance range from
+the root and the resets out of it.  A root is a run of consecutive zones of
+one state, not a single zone: a clock-resetting transition enters every zone
+of its reset range at once, with the same window, and a belief support
+starts one run per block of consecutive zones it holds.  The run's table
+gives each reached id the distance from the hull of the members that reach
+it, which is the union of their own distances, so one root and one table
 stand for the whole range, and the cost grows with the reset ranges, not
-with the square of the zones they span.  A queue item is a root with the
-range sum of the stretches completed before it; expanding it scans the
-root's table, and each reset run out of a reached id queues a new root.
-Windows are range tuples (see ``intervals``).  Each root keeps the unit
-cells (below) of every window queued there, and a window whose cells it
-already holds is not queued again, so a search queues at most ``roots *
-(2*ceil(dt) + 3)`` items: its cost is linear in the duration.  Ids are
-mapped back to extended states only for answers and witness paths, where
-each stretch is re-rooted at a single zone.
+with the square of the zones they span.  Windows are range tuples (see
+``intervals``), and ids are mapped back to extended states only for answers
+and witness paths, where each stretch is re-rooted at a single zone.
+
+``t_reachable`` needs only the earliest arrival at its target, since a
+reached state can be held, so it expands each all-events root once, at a
+cost that does not depend on the duration.  A memo miss (below) needs every
+id reached at exactly its elapsed time, and ``_duration_reach`` finds them
+at a cost linear in it.
 
 Every window has integer endpoints, so between two observations the answer
 depends only on the belief support and on the unit cell of the elapsed time
@@ -69,6 +69,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .intervals import (
@@ -124,27 +125,19 @@ class Estimate:
 _Item = tuple[int, int, bool, int, bool]
 
 _ZERO = (0, True, 0, True)
+_START = (None, None, None)  # the link of a start root: no parent, no reset
 
 
 @dataclass
 class _SearchOutcome:
-    """What one ``_duration_reach`` found, the queue it ran and its counters.
-
-    ``items`` is the queue, every ``_Item`` in the order queued, and
-    ``parents`` holds per item ``(position of the parent item, position of
-    the exit entry in the parent's stretch table, reset run)``, or None at
-    a start; ``goal`` is ``(item position, table position)`` of the goal
-    hit.  Counters: items queued (``pushed``); table entries that passed
-    the lower-bound test (``expanded``); table scans cut by that test
-    (``pruned``); reset steps whose sum was capped (``capped``); the largest
-    frontier, ``len(items)`` minus the position popped (``max_queue``); and
-    windows not queued because their root had queued all their cells
-    already (``covered``)."""
+    """What one ``_duration_reach`` found and its counters: items queued
+    (``pushed``); table entries that passed the lower-bound test
+    (``expanded``); table scans cut by that test (``pruned``); reset steps
+    whose sum was capped (``capped``); the largest frontier, items queued
+    minus the position popped (``max_queue``); and windows not queued
+    because their root had queued all their cells already (``covered``)."""
 
     hits: set  # ids of the extended states where dt is realizable
-    items: list
-    parents: list
-    goal: Optional[tuple[int, int]]
     pushed: int
     expanded: int
     pruned: int
@@ -154,26 +147,21 @@ class _SearchOutcome:
 
 
 def _duration_reach(
-    za: ZoneAutomaton,
-    starts: Iterable[int],
-    dt: Fraction,
-    all_events: bool = False,
-    goal_ids: Sequence[int] = (),
-    budget: Optional[int] = None,
+    za: ZoneAutomaton, starts: Iterable[int], dt: Fraction, budget: Optional[int] = None
 ) -> _SearchOutcome:
     """All extended-state ids reachable from ``starts`` by a run of duration
-    ``dt`` over silent events (over every event with ``all_events``).  The
-    search stops at the first entry realizing ``dt`` at an id in ``goal_ids``,
-    and raises ``ValueError`` once it has queued more than ``budget`` items.
+    ``dt`` over silent events: the search behind a memo miss that the
+    fixpoint does not answer.  Raises ``ValueError`` once it has queued more
+    than ``budget`` items.
 
     A queue item is a stretch root ``r``, a run of zones (``ZoneIndex``),
     with the sum ``acc`` of the completed stretches; the start roots are the
     runs of ``starts``.  The window of an entry ``(s, d)`` of ``r``'s
-    stretch table (``ZoneIndex.stretch``) is ``acc (+) d``.  Windows whose
-    lower bound already exceeds ``dt`` can never recover, and the table is
-    sorted by the lower end of ``d``, so the scan stops at the first such
-    entry.  Each reset run out of an expanded entry queues that run with
-    the entry's window as the new sum, capped just above
+    silent stretch table (``ZoneIndex.stretch``) is ``acc (+) d``.  Windows
+    whose lower bound already exceeds ``dt`` can never recover, and the
+    table is sorted by the lower end of ``d``, so the scan stops at the
+    first such entry.  Each reset run out of an expanded entry queues that
+    run with the entry's window as the new sum, capped just above
     ``ceil(dt)``, which preserves membership of ``dt``.  Window endpoints are
     integers (or an infinite upper end), since zones have integer endpoints,
     so they are compared with ``floor(dt)`` and whether ``dt`` is an integer.
@@ -185,27 +173,22 @@ def _duration_reach(
     union, so its entries reach nothing the queued windows do not.  Any
     other window is queued whole and merged in.  Every queued item so adds
     a cell to its root, and the cap leaves a root at most ``2*ceil(dt) + 3``
-    cells, so the queue grows linearly with ``dt``.  A queued window's own
-    parent chain realizes every duration in it, which is what ``_witness``
-    reads back.
+    cells, so the queue grows linearly with ``dt``.
     """
     ix = za.index
-    tables = ix.stretches[all_events]
+    tables = ix.stretches[False]
     p, q = dt.numerator, dt.denominator
     floor, exact = p // q, q == 1
     ceiling = -(-p // q)
     cells: dict = {}  # root -> its queued cells as merged ranges
     queue: list[_Item] = []
-    parents: list = []
     for r in ix.start_runs(starts):
         cells[r] = [0, 1]
         queue.append((r, 0, True, 0, True))
-        parents.append(None)
 
     hits: set = set()
-    goal: Optional[tuple[int, int]] = None
     pos = expanded = pruned = capped = max_queue = covered = 0
-    while pos < len(queue) and goal is None:
+    while pos < len(queue):
         if len(queue) - pos > max_queue:
             max_queue = len(queue) - pos
         if budget is not None and len(queue) > budget:
@@ -214,8 +197,7 @@ def _duration_reach(
                 f"have no tail that can be tabulated, and the search passed {budget} items"
             )
         r, a_lo, a_lc, a_hi, a_hc = queue[pos]
-        table = tables.get(r) or ix.stretch(r, all_events)
-        for k, (s, d_lo, d_lc, d_hi, d_hc, resets, _, _) in enumerate(table):
+        for s, d_lo, d_lc, d_hi, d_hc, resets, _, _ in tables.get(r) or ix.stretch(r, False):
             lo = a_lo + d_lo
             lo_c = a_lc and d_lc
             if lo > floor or (lo == floor and exact and not lo_c):
@@ -226,9 +208,6 @@ def _duration_reach(
             hi_c = a_hc and d_hc
             if hi > floor or (hi == floor and exact and hi_c):
                 hits.add(s)
-                if s in goal_ids:
-                    goal = (pos, k)
-                    break
             if resets:
                 if hi > ceiling:
                     capped += len(resets)
@@ -260,11 +239,8 @@ def _duration_reach(
                         else:
                             ranges[i:i] = (first, end)
                     queue.append((t, lo, lo_c, hi, hi_c))
-                    parents.append((pos, k, run))
         pos += 1
-    return _SearchOutcome(
-        hits, queue, parents, goal, len(queue), expanded, pruned, capped, max_queue, covered
-    )
+    return _SearchOutcome(hits, len(queue), expanded, pruned, capped, max_queue, covered)
 
 
 # -- duration cells -------------------------------------------------------------
@@ -765,7 +741,19 @@ def t_reachable(
 ) -> tuple[bool, Optional[Witness]]:
     """Decide whether ``target`` can be reached from ``source`` (starting at
     any clock value) by an evolution of exactly the given duration, over any
-    events.  On success, also return a witness with a concrete legal run."""
+    events.  On success, also return a witness with a concrete legal run.
+
+    The model has no state invariants, so a reached state can be held: the
+    answer is yes exactly from the earliest arrival on.  A Dijkstra pass
+    over the all-events stretch roots pops them by the lower end of their
+    window sum, closed before open, and expands each once; a root's window
+    is its parent's exit window, which the chain of parents realizes.  No
+    window that starts past ``duration`` is queued; the answer is yes at
+    the first entry at ``target`` whose window holds it, else no.  The root
+    of the earliest arrival has one: its entries at the target's zones from
+    the arrival on follow each other by ``tau`` up to the unbounded one, so
+    their windows join into one interval from the arrival.
+    """
     duration = Fraction(duration)
     if duration < 0:
         raise ValueError("duration must be non-negative")
@@ -773,12 +761,32 @@ def t_reachable(
         if x not in model.states:
             raise ValueError(f"unknown state {x!r}")
     ix = za.index
-    outcome = _duration_reach(
-        za, ix.ids[source], duration, all_events=True, goal_ids=ix.ids[target]
-    )
-    if outcome.goal is None:
-        return False, None
-    return True, _witness(za, outcome, duration)
+    goal = ix.ids[target]
+    # (lower end, lower end open, push order, run key, window sum, link)
+    heap = [(0, False, i, key, _ZERO, _START) for i, key in enumerate(ix.start_runs(ix.ids[source]))]
+    pushes = len(heap)
+    links: dict = {}  # expanded run key -> (parent key, exit entry, reset run entering it)
+    while heap:
+        *_, key, acc, link = heappop(heap)
+        if key in links:
+            continue
+        links[key] = link
+        for entry in ix.stretch(key, True):
+            window = add(acc, entry[1:5])
+            if window[0] > duration or (window[0] == duration and not window[1]):
+                break
+            if entry[0] in goal and contains(window, duration):
+                stretches = [(key, entry, link[2])]  # goal first
+                while link is not _START:
+                    key, entry, _ = link
+                    link = links[key]
+                    stretches.append((key, entry, link[2]))
+                return True, _witness(za, stretches[::-1], duration)
+            for run in entry[5]:
+                if run[1] not in links:
+                    heappush(heap, (window[0], not window[1], pushes, run[1], window, (key, entry, run)))
+                    pushes += 1
+    return False, None
 
 
 def _split(windows: Sequence[tuple], total: Fraction) -> list[Fraction]:
@@ -800,16 +808,15 @@ def _split(windows: Sequence[tuple], total: Fraction) -> list[Fraction]:
     return durations
 
 
-def _witness(za: ZoneAutomaton, outcome: _SearchOutcome, total: Fraction) -> Witness:
-    """The witness of an all-events search ending at its goal entry, for a
-    run of duration ``total``.
+def _witness(za: ZoneAutomaton, stretches: list, total: Fraction) -> Witness:
+    """The witness of a run of duration ``total`` through ``stretches``,
+    each ``(run key, exit entry of its all-events stretch table, reset run
+    entering it)``, from a start (reset None) to the goal entry.
 
-    Follows the parent links from item to item back to a start, which gives
-    each stretch's run, its exit id and the reset run entering it, and
-    splits ``total`` over the stretches' run windows.  A run's window is the
-    union of its members' windows, so some member ``j`` reaching the exit id
-    has the stretch's duration ``d`` in its own window; the stretch is
-    re-rooted there, and its zone path read off the predecessors in the
+    Splits ``total`` over the stretches' exit windows.  A run's window is
+    the union of its members' windows, so some member ``j`` reaching the
+    exit id has the stretch's duration ``d`` in its own window; the stretch
+    is re-rooted there, and its zone path read off the predecessors in the
     table of ``(j, j)``.  Each member of a reset run is a target of the
     reset, and each member of a start run a start, so the steps are a run of
     the zone automaton.  The entry clock is picked in ``j``'s zone so that
@@ -821,16 +828,6 @@ def _witness(za: ZoneAutomaton, outcome: _SearchOutcome, total: Fraction) -> Wit
     """
     ix = za.index
     ext = ix.ext
-    stretches = []  # (run key, exit entry, reset run entering it or None), goal first
-    pos, k = outcome.goal
-    while True:
-        key = outcome.items[pos][0]
-        link = outcome.parents[pos]
-        stretches.append((key, ix.stretch(key, True)[k], None if link is None else link[2]))
-        if link is None:
-            break
-        pos, k, _ = link
-    stretches.reverse()
     durations = _split([entry[1:5] for _, entry, _ in stretches], total)
     steps: list[tuple[str, ExtendedState]] = []
     run_steps: list[RunStep] = []

@@ -147,7 +147,9 @@ class ZoneIndex:
     ``ids`` maps each state to the range of its ids.
 
     ``stretches`` holds the stretch table of each root, over silent moves
-    (``stretches[False]``) and over all events (``stretches[True]``); each
+    (``stretches[False]``, read by the estimation memo's search and
+    fixpoint) and over all events (``stretches[True]``, read only by
+    ``t_reachable`` and its witnesses); each
     is filled on first use by ``stretch``.  A root is a run ``(a, b)`` of
     consecutive ids of one state: a stretch beginning with the clock
     anywhere in the zones of ``a..b``.  Resets enter runs, and a belief

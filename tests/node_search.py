@@ -71,6 +71,24 @@ def node_reach(za, starts, dt: Fraction, all_events: bool = False) -> set[int]:
     return hits
 
 
+def graph_reach(za, starts) -> set[int]:
+    """The ids reachable from ``starts`` over the zone automaton's edges
+    (``tau`` and every event), at any duration: plain breadth-first
+    reachability."""
+    ix = za.index
+    succ = {}
+    for edge in za.edges:
+        succ.setdefault(ix.id_of[edge.source], []).append(ix.id_of[edge.target])
+    seen = set(starts)
+    queue = deque(seen)
+    while queue:
+        for t in succ.get(queue.popleft(), ()):
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
 def node_step(za, hits, event: str) -> list[int]:
     """The ids just after observing ``event`` from the ids ``hits``, ascending."""
     ix = za.index

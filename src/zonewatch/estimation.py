@@ -602,26 +602,42 @@ def _fill(za: ZoneAutomaton, row: _Row) -> None:
     """Make ``row`` total from one ``_duration_cells``; raises ``ValueError``
     when the durations have no tail it can tabulate.
 
-    The row is a run of equal cells wherever no id's mask changes, so the
-    run starts are the bits of one boundary mask, bit 0 plus the OR over
-    ids of ``h ^ (h << 1)``, and each run makes one interned ``Cell``: the
-    cost follows the runs, not the cells times the ids.  The row stays a
-    dense tuple, one entry per cell, so a read is one index."""
+    The row is a run of equal cells wherever no id's mask changes.  An id
+    enters or leaves the reached set at its flip cells, the bits of ``h ^
+    (h << 1)`` below ``start + period``, so one sweep over the flip cells in
+    order toggles one running set of ids and makes one interned ``Cell`` per
+    run: the cost follows the runs and the flips, not the runs times the
+    ids.  The row stays a dense tuple, one entry per cell, so a read is one
+    index."""
     hits, start, period = _duration_cells(za, row.ids)
     ix = za.index
     n = start + period
-    edges = 1
-    for h in hits.values():
-        edges |= h ^ (h << 1)
-    bits = bin(edges & ((1 << n) - 1))[:1:-1]  # character i is bit i
+    below = (1 << n) - 1
+    toggles: dict[int, list[int]] = {}  # flip cell -> the ids that flip there
+    for s, h in hits.items():
+        f = (h ^ (h << 1)) & below
+        if f.bit_count() > 8:
+            # Each step of the loop below costs the length of the mask, so
+            # a mask with many flips is read off its binary text instead.
+            bits = bin(f)[:1:-1]  # character i is bit i
+            i = bits.find("1")
+            while i >= 0:
+                toggles.setdefault(i, []).append(s)
+                i = bits.find("1", i + 1)
+            continue
+        while f:
+            low = f & -f
+            toggles.setdefault(low.bit_length() - 1, []).append(s)
+            f ^= low
     cells: list = []
+    reached: set = set()
     i = 0
-    while i < n:
-        j = bits.find("1", i + 1)
-        if j < 0:
-            j = n
-        cells += [_intern(ix, [s for s, h in hits.items() if h >> i & 1])] * (j - i)
-        i = j
+    for j in sorted(toggles):
+        if j > i:
+            cells += [_intern(ix, reached)] * (j - i)
+            i = j
+        reached.symmetric_difference_update(toggles[j])
+    cells += [_intern(ix, reached)] * (n - i)
     row.cells = tuple(cells)
     row.tail = (start, period)
 

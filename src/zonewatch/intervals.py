@@ -12,12 +12,15 @@ integer boundary must be decided exactly.
 
 Empty ranges are unrepresentable; ``intersect``, whose result may be empty,
 returns ``None`` instead.
+
+The text forms are read without a regex: ``parse_time`` and
+``parse_interval`` split the text with ``str.partition`` and test each
+number with ``str.isdecimal``.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
@@ -139,21 +142,20 @@ class Interval(namedtuple("Interval", "lo lo_closed hi hi_closed")):
         return (self.lo, not self.lo_closed, self.hi, self.hi_closed)
 
 
-_INTERVAL_RE = re.compile(r"^([\[(])\s*(\d+)\s*,\s*(\d+|inf)\s*([\])])$")
-
-
 def parse_interval(text: str) -> Interval:
-    """Parse the text form ``[a,b]``, ``(a,b)``, ``[a,b)``, ``(a,b]``, ``(a,inf)``."""
+    """Parse the text form ``[a,b]``, ``(a,b)``, ``[a,b)``, ``(a,b]``, ``(a,inf)``,
+    with whitespace ignored around the text and around each number.  The
+    text is split at its first comma, with no regex; digits are Unicode
+    decimal digits, as ``int`` reads them."""
     if not isinstance(text, str):
         raise ValueError(f"not an interval: {text!r}")
-    m = _INTERVAL_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"not an interval: {text!r}")
-    lo_closed = m.group(1) == "["
-    hi_closed = m.group(4) == "]"
-    lo = int(m.group(2))
-    hi: Union[int, float] = INF if m.group(3) == "inf" else int(m.group(3))
-    return Interval(lo, lo_closed, hi, hi_closed)
+    body = text.strip()
+    lo, comma, hi = body[1:-1].partition(",")
+    if comma and body[0] in "[(" and body[-1] in "])":
+        lo, hi = lo.strip(), hi.strip()
+        if lo.isdecimal() and (hi.isdecimal() or hi == "inf"):
+            return Interval(int(lo), body[0] == "[", INF if hi == "inf" else int(hi), body[-1] == "]")
+    raise ValueError(f"not an interval: {text!r}")
 
 
 # -- operations ---------------------------------------------------------------

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence, Union
 
-from .intervals import Interval, format_time, parse_interval, parse_time
+from .intervals import INF, Interval, format_time, parse_interval, parse_time
 
 ID_RESET = "id"
 
@@ -176,34 +176,38 @@ def _diagnose(model: TFA) -> list[Diagnostic]:
         out.append(Diagnostic("unknown-observable", f"observable event {e!r} is not in the alphabet"))
     if TAU in model.alphabet:
         out.append(Diagnostic("reserved-event", f"event name {TAU!r} is reserved"))
+    states, alphabet, observable = model.states, model.alphabet, model.observable
     seen: set = set()
     for t in model.transitions:
-        if t.source not in model.states:
-            out.append(Diagnostic("unknown-state", f"transition {t} leaves unknown state {t.source!r}"))
-        if t.target not in model.states:
-            out.append(Diagnostic("unknown-state", f"transition {t} enters unknown state {t.target!r}"))
-        if t.event not in model.alphabet:
-            out.append(Diagnostic("unknown-event", f"transition {t} uses unknown event {t.event!r}"))
-        if not (t.guard.lo_closed and t.guard.hi_closed and t.guard.is_bounded):
-            out.append(Diagnostic("guard-not-closed", f"guard {t.guard} of {t} must be closed and bounded"))
-        elif t.reset == ID_RESET and 2 * (t.guard.hi - t.guard.lo) + 1 > MAX_ID_REGIONS:
+        source, event, target, guard, reset = t
+        if source not in states:
+            out.append(Diagnostic("unknown-state", f"transition {t} leaves unknown state {source!r}"))
+        if target not in states:
+            out.append(Diagnostic("unknown-state", f"transition {t} enters unknown state {target!r}"))
+        if event not in alphabet:
+            out.append(Diagnostic("unknown-event", f"transition {t} uses unknown event {event!r}"))
+        lo, lo_closed, hi, hi_closed = guard
+        if not (lo_closed and hi_closed and hi != INF):
+            out.append(Diagnostic("guard-not-closed", f"guard {guard} of {t} must be closed and bounded"))
+        elif reset == ID_RESET and 2 * (hi - lo) + 1 > MAX_ID_REGIONS:
             out.append(
                 Diagnostic(
                     "wide-id-guard",
-                    f"clock-preserving transition {t} has guard {t.guard}, "
+                    f"clock-preserving transition {t} has guard {guard}, "
                     f"which covers more than {MAX_ID_REGIONS} unit regions",
                 )
             )
-        if isinstance(t.reset, Interval):
-            if not (t.reset.lo_closed and t.reset.hi_closed and t.reset.is_bounded):
-                out.append(Diagnostic("reset-not-closed", f"reset {t.reset} of {t} must be closed and bounded"))
-        elif t.reset != ID_RESET:
+        if isinstance(reset, Interval):
+            _, lo_closed, hi, hi_closed = reset
+            if not (lo_closed and hi_closed and hi != INF):
+                out.append(Diagnostic("reset-not-closed", f"reset {reset} of {t} must be closed and bounded"))
+        elif reset != ID_RESET:
             out.append(Diagnostic("bad-reset", f"reset of {t} must be an interval or {ID_RESET!r}"))
-        key = (t.source, t.event, t.target)
+        key = (source, event, target)
         if key in seen:
             out.append(Diagnostic("duplicate-transition", f"transition {t} appears more than once"))
         seen.add(key)
-        if t.event in model.observable and not t.resets_clock:
+        if event in observable and reset == ID_RESET:
             out.append(
                 Diagnostic("ro-violation", f"observable transition {t} does not reset the clock")
             )
@@ -344,10 +348,9 @@ def model_to_dict(model: TFA) -> dict:
     }
 
 
-def _name(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"malformed model document: {what} must be a name, not {value!r}")
-    return value
+def _name(value, what: str) -> NoReturn:
+    """Refuse ``value``, which is not a string, as the name ``what``."""
+    raise ValueError(f"malformed model document: {what} must be a name, not {value!r}")
 
 
 def _names(doc: dict, key: str) -> frozenset[str]:
@@ -365,34 +368,37 @@ def model_from_dict(doc: dict) -> TFA:
     Each distinct interval text is parsed once per document, and equal
     texts share one ``Interval``."""
     parsed: dict[str, Interval] = {}
-
-    def interval(text) -> Interval:
-        if not isinstance(text, str):  # not hashable, maybe; refused by parse_interval
-            return parse_interval(text)
-        iv = parsed.get(text)
-        if iv is None:
-            iv = parsed[text] = parse_interval(text)
-        return iv
-
+    transitions: list[Transition] = []
     try:
-        transitions = tuple(
-            _new(
-                Transition,
-                (
-                    _name(tr["from"], "'from'"),
-                    _name(tr["event"], "'event'"),
-                    _name(tr["to"], "'to'"),
-                    interval(tr["guard"]),
-                    ID_RESET if tr["reset"] == ID_RESET else interval(tr["reset"]),
-                ),
-            )
-            for tr in doc["transitions"]
-        )
+        for tr in doc["transitions"]:
+            source = tr["from"]
+            if not isinstance(source, str):
+                _name(source, "'from'")
+            event = tr["event"]
+            if not isinstance(event, str):
+                _name(event, "'event'")
+            target = tr["to"]
+            if not isinstance(target, str):
+                _name(target, "'to'")
+            # A value that is not a string, hashable or not, goes straight
+            # to ``parse_interval``, which refuses it.
+            text = tr["guard"]
+            guard = parsed.get(text) if isinstance(text, str) else None
+            if guard is None:
+                guard = parsed[text] = parse_interval(text)
+            text = tr["reset"]
+            if text == ID_RESET:
+                reset = ID_RESET
+            else:
+                reset = parsed.get(text) if isinstance(text, str) else None
+                if reset is None:
+                    reset = parsed[text] = parse_interval(text)
+            transitions.append(_new(Transition, (source, event, target, guard, reset)))
         return TFA(
             states=_names(doc, "states"),
             alphabet=_names(doc, "alphabet"),
             observable=_names(doc, "observable"),
-            transitions=transitions,
+            transitions=tuple(transitions),
             initial=_names(doc, "initial"),
         )
     except (KeyError, TypeError) as exc:

@@ -6,13 +6,15 @@ transition keeps each unit region (integer point or open unit segment) it
 covers a zone of its own; together with the unbounded tail the zones
 partition ``[0, inf)``.  They are read off one sweep over the state's sorted
 guard and reset endpoints, so their cost grows with the number of endpoints,
-not with the size of the constants.  The zone automaton is an NFA over
-(state, zone) pairs whose ``tau`` edges model time elapsing into the next
-zone and whose event edges follow the guards and reset policies of the
-underlying model.  It is stored as the integer tables of ``ZoneIndex``, where
-a clock-resetting transition out of a zone is one entry holding the run of
-its target zones; ``ZoneAutomaton.edges`` expands them into ``Edge`` objects
-on first use.
+not with the size of the constants.  Each zone is made from its cells, the
+first cell of its run and the first of the next, which make a valid
+``Interval`` by construction, so no zone is checked again.  The zone
+automaton is an NFA over (state, zone) pairs whose ``tau`` edges model time
+elapsing into the next zone and whose event edges follow the guards and
+reset policies of the underlying model.  It is stored as the integer tables
+of ``ZoneIndex``, where a clock-resetting transition out of a zone is one
+entry holding the run of its target zones; ``ZoneAutomaton.edges`` expands
+them into ``Edge`` objects on first use.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
-from .intervals import Interval, distance
-from .model import TAU, TFA, Transition, require_valid
+from .intervals import INF, Interval, distance
+from .model import ID_RESET, TAU, TFA, Transition, require_valid
 
 
 class ExtendedState(NamedTuple):
@@ -65,9 +68,7 @@ def build_zones(model: TFA, state: str) -> list[Interval]:
     if state not in model.states:
         raise ValueError(f"unknown state {state!r}")
     starts = _zone_starts(model)[state]
-    zones = [_zone(first, nxt) for first, nxt in zip(starts, starts[1:])]
-    zones.append(_zone(starts[-1], None))
-    return zones
+    return [_zone(first, nxt) for first, nxt in zip(starts, starts[1:] + [None])]
 
 
 def _zone_starts(model: TFA) -> dict[str, list[int]]:
@@ -80,46 +81,58 @@ def _zone_starts(model: TFA) -> dict[str, list[int]]:
     range ``[a,b]`` covers cells ``2a..2b``, so a zone starts only at cell
     0, at ``2a`` or ``2b+1`` of a range, and at every cell covered by a
     clock-preserving transition, where each unit region is a zone of its
-    own.  The starts are kept up to ``[M,M]`` (``M`` the largest endpoint of
-    the state's ranges), and the last start, ``2M+1``, is that of the
-    unbounded tail ``(M,inf)``.  For initial states the point zone ``[0,0]``
-    is always kept separate, by a start at cell 1: the clock starts at
-    exactly 0, and the initial extended state must carry that information.
-    One pass over the transitions; the cost is ``O(k log k)`` in the number
-    ``k`` of starts, whatever the size of the constants, and ``validate``
-    bounds the starts a clock-preserving guard adds (``MAX_ID_REGIONS``).
+    own.  The last start, ``2M+1`` (``M`` the largest endpoint of the
+    state's ranges, 0 without any), is that of the unbounded tail
+    ``(M,inf)``; every range adds its ``2b+1``, so it is the largest cell
+    met.  For initial states the point zone ``[0,0]`` is always kept
+    separate, by a start at cell 1: the clock starts at exactly 0, and the
+    initial extended state must carry that information.  One pass over the
+    transitions; the cost is ``O(k log k)`` in the number ``k`` of starts,
+    whatever the size of the constants, and ``validate`` bounds the starts
+    a clock-preserving guard adds (``MAX_ID_REGIONS``).
     """
     cuts: dict[str, set] = {x: set() for x in model.states}
-    high = dict.fromkeys(model.states, 0)
+    cells_at = cuts.get  # None at an unknown state, which ``validate`` reports
     for x in model.initial:
-        if x in cuts:
-            cuts[x].add(1)
-    for t in model.transitions:
-        resets = t.resets_clock
-        for x, (lo, _, hi, _) in ((t.source, t.guard), (t.target, t.reset if resets else t.guard)):
-            cells = cuts.get(x)
-            if cells is None:  # an unknown state, which ``validate`` reports
-                continue
-            if resets:
-                cells.add(2 * lo)
-                cells.add(2 * hi + 1)
-            else:
-                cells.update(range(2 * lo, 2 * hi + 2))
-            if hi > high[x]:
-                high[x] = hi
+        cells = cells_at(x)
+        if cells is not None:
+            cells.add(1)
+    for source, _, target, (lo, _, hi, _), reset in model.transitions:
+        if reset == ID_RESET:
+            span = range(2 * lo, 2 * hi + 2)
+            cells = cells_at(source)
+            if cells is not None:
+                cells.update(span)
+            cells = cells_at(target)
+            if cells is not None:
+                cells.update(span)
+            continue
+        cells = cells_at(source)
+        if cells is not None:
+            cells.add(2 * lo)
+            cells.add(2 * hi + 1)
+        cells = cells_at(target)
+        if cells is not None:
+            lo, _, hi, _ = reset
+            cells.add(2 * lo)
+            cells.add(2 * hi + 1)
     starts = {}
     for x, cells in cuts.items():
-        last = 2 * high[x] + 1
-        starts[x] = [0, *sorted(c for c in cells if 0 < c < last), last]
+        cells.discard(0)
+        starts[x] = [0, *sorted(cells)] if cells else [0, 1]
     return starts
+
+
+_new = tuple.__new__
 
 
 def _zone(first: int, nxt: Optional[int]) -> Interval:
     """The zone of cells ``first..nxt-1``, or of every cell from ``first``
-    on when ``nxt`` is None."""
+    on when ``nxt`` is None.  Made with ``tuple.__new__``: the cells of
+    ``_zone_starts`` make a valid ``Interval``, so its checks are skipped."""
     if nxt is None:
-        return Interval.above(first >> 1)
-    return Interval(first >> 1, not first & 1, nxt >> 1, bool(nxt & 1))
+        return _new(Interval, (first >> 1, False, INF, False))
+    return _new(Interval, (first >> 1, not first & 1, nxt >> 1, nxt & 1 == 1))
 
 
 class ZoneIndex:
@@ -318,72 +331,95 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     does not fan out the product of guard and reset zones.  A
     clock-preserving edge whose zone is missing at the target state is
     dropped and reported as a diagnostic.  Each distinct zone ``Interval``
-    is made once, keyed by its cells, and no ``Edge`` object is made until
-    ``edges`` is read.
+    is made once from its cells, and no ``Edge`` object is made until
+    ``edges`` is read.  The model is validated first, so the build reads
+    each transition once, by unpacking, and checks nothing again.
     """
     require_valid(model)
     starts = _zone_starts(model)
     ix = ZoneIndex()
-    ext, zone, ranges, tau = ix.ext, ix.zone, ix.ranges, ix.tau
+    ext, zone, ranges, tau, ids = ix.ext, ix.zone, ix.ranges, ix.tau, ix.ids
     zone_ids: dict[tuple, int] = {}  # (first cell, next zone's first cell or None) -> zone id
     zones_of: dict[str, tuple[Interval, ...]] = {}
     for x in sorted(starts):
         cells = starts[x]
         first = len(ext)
+        zs = []
         for key in zip(cells, cells[1:] + [None]):
             zid = zone_ids.get(key)
             if zid is None:
                 zid = zone_ids[key] = len(ranges)
                 ranges.append(_zone(*key))
             zone.append(zid)
-        zs = zones_of[x] = tuple([ranges[z] for z in zone[first:]])
-        ext += [tuple.__new__(ExtendedState, (x, z)) for z in zs]
-        ix.ids[x] = range(first, len(ext))
+            zs.append(ranges[zid])
+        zones_of[x] = tuple(zs)
+        ext += [_new(ExtendedState, (x, z)) for z in zs]
+        ids[x] = range(first, len(ext))
         tau += range(first + 1, len(ext))
         tau.append(-1)
-    ix.id_of = {v: i for i, v in enumerate(ext)}
+    ix.id_of = dict(zip(ext, range(len(ext))))
     n = len(ext)
 
     # A guard is cut into zones at its source state and a reset range at its
     # target state, so the zones inside either are those whose first cell
-    # lies in the range: one bisection per end.
-    def inside(x: str, r: Interval) -> range:
-        cells = starts[x]
-        return ix.ids[x][bisect_left(cells, 2 * r.lo) : bisect_right(cells, 2 * r.hi)]
-
-    # Per source id, the entries grouped by label in order of first appearance.
+    # lies in the range: one bisection per end.  Per source id, the entries
+    # are grouped by label in order of first appearance.
     out: dict[int, dict[str, list]] = {}
     by_zone: dict[str, dict[int, int]] = {}  # state -> zone id -> id
     diagnostics: list[str] = []
     for t in model.transitions:
-        sources = inside(t.source, t.guard)
-        if t.resets_clock:
-            targets = inside(t.target, t.reset)
-            entry = (t.event, targets[0] + n * (len(targets) - 1), True, t)
+        source, event, target, (lo, _, hi, _), reset = t
+        first, cells = ids[source].start, starts[source]
+        sources = range(first + bisect_left(cells, 2 * lo), first + bisect_right(cells, 2 * hi))
+        if reset != ID_RESET:
+            first, cells = ids[target].start, starts[target]
+            lo, _, hi, _ = reset
+            a = first + bisect_left(cells, 2 * lo)
+            b = first + bisect_right(cells, 2 * hi)
+            entries = zip(sources, repeat((event, a + n * (b - a - 1), True, t)))
+        else:
+            same = by_zone.get(target)
+            if same is None:
+                same = by_zone[target] = {zone[i]: i for i in ids[target]}
+            entries = []
             for src in sources:
-                out.setdefault(src, {}).setdefault(t.event, []).append(entry)
-            continue
-        at = by_zone.get(t.target)
-        if at is None:
-            at = by_zone[t.target] = {zone[i]: i for i in ix.ids[t.target]}
-        for src in sources:
-            i = at.get(zone[src])
-            if i is None:
-                diagnostics.append(
-                    f"clock-preserving transition {t}: source zone {ext[src].zone} "
-                    f"is not a zone of {t.target!r}"
-                )
+                i = same.get(zone[src])
+                if i is None:
+                    diagnostics.append(
+                        f"clock-preserving transition {t}: source zone {ext[src].zone} "
+                        f"is not a zone of {target!r}"
+                    )
+                else:
+                    entries.append((src, (event, i, False, t)))
+        for src, entry in entries:
+            per = out.get(src)
+            if per is None:
+                out[src] = {event: [entry]}
+                continue
+            group = per.get(event)
+            if group is None:
+                per[event] = [entry]
             else:
-                out.setdefault(src, {}).setdefault(t.event, []).append((t.event, i, False, t))
+                group.append(entry)
     observable = model.observable
     events, silent = [()] * n, [()] * n
     for src, per in out.items():
-        moves = events[src] = tuple([e for group in per.values() for e in group])
-        silent[src] = tuple([e for e in moves if e[0] not in observable])
+        if len(per) == 1:
+            (label, group), = per.items()
+            moves = events[src] = tuple(group)
+            if label not in observable:
+                silent[src] = moves
+            continue
+        moves, quiet = [], []
+        for label, group in per.items():
+            moves += group
+            if label not in observable:
+                quiet += group
+        events[src], silent[src] = tuple(moves), tuple(quiet)
     ix.events, ix.silent = events, silent
     return ZoneAutomaton(
         states=frozenset(ix.id_of),
-        initial=frozenset(ext[ix.ids[x][0]] for x in model.initial),
+        initial=frozenset([ext[ids[x].start] for x in model.initial]),
         zones_by_state={x: zones_of[x] for x in model.states},
         diagnostics=tuple(diagnostics),
         index=ix,

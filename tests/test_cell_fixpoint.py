@@ -77,10 +77,37 @@ def _wide_guard(c: int):
     })
 
 
+# Guard and reset (None for ``id``) of each transition of ``_id_guards``, in
+# units of its scale ``k``.
+_ID_GUARDS = [
+    ("x0", "b", "x4", (1, 2), (2, 3)), ("x1", "a", "x4", (1, 2), (3, 3)), ("x1", "b", "x1", (0, 2), None),
+    ("x1", "b", "x2", (3, 3), None), ("x2", "a", "x0", (1, 3), (3, 3)), ("x3", "b", "x3", (2, 3), None),
+    ("x4", "a", "x0", (2, 2), (0, 2)), ("x4", "a", "x4", (1, 1), (0, 1)), ("x4", "c", "x3", (1, 3), (1, 2)),
+]
+
+
+def _id_guards(k: int):
+    """Nine transitions whose endpoints are multiples of ``k``: wide
+    clock-preserving guards make one zone per unit region, so a row has
+    about as many runs as cells and thousands of ids flip along it."""
+    def text(r):
+        return f"[{r[0] * k},{r[1] * k}]"
+
+    return model_from_dict({
+        "states": ["x0", "x1", "x2", "x3", "x4"], "alphabet": ["a", "b", "c"], "observable": ["a"],
+        "initial": ["x0"],
+        "transitions": [
+            {"from": src, "event": ev, "to": tgt, "guard": text(g), "reset": "id" if r is None else text(r)}
+            for src, ev, tgt, g, r in _ID_GUARDS
+        ],
+    })
+
+
 def test_boundary_rows_match_the_dense_fill():
     # Every row the observer builds, read cell by cell, against the dense
     # fill of a fixpoint on a separately built zone automaton.
     models = [(f"wide{c}", _wide_guard(c)) for c in (10**3, 10**4, 10**5)]
+    models += [(f"id_guards{k}", _id_guards(k)) for k in (20, 50)]
     models += [
         (f"random{seed}", random_model(RandomModelConfig(
             state_count=3 + seed % 4, max_constant=2 + seed % 3, transition_density=0.2, rng_seed=7400 + seed,
@@ -98,3 +125,33 @@ def test_boundary_rows_match_the_dense_fill():
             rows += 1
             cells += len(row)
     assert rows > 60 and cells > 2 * 10**5, (rows, cells)
+
+
+def _exact_loop(c: int):
+    """A silent loop of exact duration 1 at ``s``, and an observable guard
+    of ``[0,c]`` that lengthens the rows: the zones of ``s`` are reached at
+    every other cell, so their masks flip at almost every cell."""
+    return model_from_dict({
+        "states": ["s", "t"], "alphabet": ["a", "u"], "observable": ["a"], "initial": ["s"],
+        "transitions": [
+            {"from": "s", "event": "u", "to": "s", "guard": "[1,1]", "reset": "[0,0]"},
+            {"from": "s", "event": "a", "to": "t", "guard": f"[0,{c}]", "reset": "[0,0]"},
+            {"from": "t", "event": "a", "to": "s", "guard": f"[{c},{c}]", "reset": "[0,0]"},
+        ],
+    })
+
+
+def test_rows_with_dense_flips_match_the_dense_fill():
+    # The fill reads a mask with many flips off its binary text and one with
+    # few bit by bit; rows that need both must equal the dense fill.
+    dense = 0
+    for c in (5, 100):
+        model = _exact_loop(c)
+        za, ref = build_zone_automaton(model), build_zone_automaton(model)
+        observer = build_offline_observer(za, model)
+        for support, row in observer.tables.items():
+            hits, start, period = _duration_cells(ref, _ids(ref, support))
+            n = start + period
+            dense += any(bin((h ^ (h << 1)) & ((1 << n) - 1)).count("1") > 8 for h in hits.values())
+            assert [cell.reached for cell in row] == dense_row(hits, n), (c, support)
+    assert dense >= 2, dense

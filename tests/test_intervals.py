@@ -147,6 +147,74 @@ def test_parse_time_accepts_exactly_what_the_regex_path_accepts(text):
     assert _outcome(parse_time, text) == _outcome(_regex_parse_time, text)
 
 
+_INTERVAL_RE = re.compile(r"^([\[(])\s*(\d+)\s*,\s*(\d+|inf)\s*([\])])$")
+
+
+def _regex_parse_interval(text: str) -> Interval:
+    """The regex-based ``parse_interval`` that the ``partition`` one
+    replaced, kept as its reference."""
+    if not isinstance(text, str):
+        raise ValueError(f"not an interval: {text!r}")
+    m = _INTERVAL_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"not an interval: {text!r}")
+    lo_closed = m.group(1) == "["
+    hi_closed = m.group(4) == "]"
+    lo = int(m.group(2))
+    hi = INF if m.group(3) == "inf" else int(m.group(3))
+    return Interval(lo, lo_closed, hi, hi_closed)
+
+
+_INTERVAL_EDGES = [
+    "[1,2]", " [1,2] ", "[ 1,2]", "[1 ,2]", "[1, 2]", "[1,2 ]", "\t( 0 ,\n3 ]\u3000", "[1 2,3]",
+    "[\u0663,\u0664]", "(\u0661,\u0663\u0660)", "[\uff11,\uff15]", "[1,\u00b2]", "[\u00b2,3]",
+    "(1,inf)", "[0, inf )", "(inf,2)", "(inf,inf)", "(1,inf]", "(1,INF)", "(1,infinity)", "[2,1]", "[1,1)",
+    "(1,1]", "(1,1)", "[1,1]", "[1 2]", "[12]", "[,2]", "[1,]", "[,]", "[1,,2]", "[1,2,3]", ",", "[1,2",
+    "1,2]", "{1,2}", "[-1,2]", "[+1,2]", "[1.5,2]", "[0x1,2]", "[1_0,20]", "", " ", "[", "[]", "()",
+    "[" + "1" * 5000 + ",2]", "[1," + "2" * 5000 + "]", "(" + "1" * 5000 + ",inf)", "[1,2]\n", "\n[1,2]",
+    5, 1.5, None, True, [0, 1], {"lo": 0}, b"[1,2]",
+]
+
+
+def test_parse_interval_matches_the_regex_path_on_edge_cases():
+    # Numbers past ``int``'s string-conversion limit, on Pythons that have
+    # one, fail in both paths with the same message.
+    for text in _INTERVAL_EDGES:
+        assert _outcome(parse_interval, text) == _outcome(_regex_parse_interval, text), repr(text)[:20]
+
+
+def _tokens(choices: list[str], min_size: int, max_size: int) -> st.SearchStrategy:
+    return st.lists(st.sampled_from(choices), min_size=min_size, max_size=max_size).map("".join)
+
+
+# Three texts in four have the shape of an interval, each part drawn mostly
+# from what is accepted and sometimes from a near miss; the fourth is a
+# free string of tokens.  Digits are ASCII, Arabic-Indic and fullwidth; a
+# superscript two is a digit but not a decimal.
+_SPACES = _tokens([" ", "\t", "\n", "\u3000"], 0, 2)
+_DIGITS = _tokens(["0", "1", "7", "\u0663", "\uff15"], 1, 3)
+_NUMBER = st.one_of(_DIGITS, _DIGITS, _DIGITS, _tokens(["1", "\u00b2", "-", ".", "x"], 0, 2))
+_SHAPED = st.tuples(
+    _SPACES, st.sampled_from(["[", "("] * 4 + ["", "]"]), _SPACES, _NUMBER, _SPACES,
+    st.sampled_from([","] * 8 + ["", ",,"]), _SPACES, st.one_of(_NUMBER, st.just("inf")), _SPACES,
+    st.sampled_from(["]", ")"] * 4 + ["", "("]), _SPACES,
+).map("".join)
+_INTERVAL_TEXTS = st.one_of(
+    _SHAPED, _SHAPED, _SHAPED,
+    _tokens(["[", "(", "]", ")", ",", "inf", "1", "12", " ", "\u0663", "\u00b2", "-", "x"], 0, 10),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INTERVAL_TEXTS)
+def test_parse_interval_accepts_exactly_what_the_regex_path_accepts(text):
+    # Same value or the same error text, for every string of the tokens
+    # that decide acceptance: brackets, commas, ``inf``, ASCII,
+    # Arabic-Indic and fullwidth digits, a superscript two (a digit but
+    # not a decimal), whitespace, signs and separators.
+    assert _outcome(parse_interval, text) == _outcome(_regex_parse_interval, text)
+
+
 # -- add -------------------------------------------------------------------------
 
 def test_add_point_shift():

@@ -167,17 +167,26 @@ def sweep_cases():
 
 
 def test_sweep_matches_region_merge():
+    # Both the zones of ``build_zones`` and those the zone automaton is
+    # built on, and the automaton's initial extended states.
     seen = {"id": 0, "split": 0, "bare": 0}
     for model in sweep_cases():
+        za = build_zone_automaton(model)
+        initial = set()
         for x in model.states:
             zones = build_zones(model, x)
-            assert zones == reference_zones(model, x), (model, x)
+            reference = reference_zones(model, x)
+            assert zones == reference, (model, x)
+            assert list(za.zones(x)) == reference, (model, x)
+            if x in model.initial:
+                initial.add(ExtendedState(x, reference[0]))
             if any(not t.resets_clock for t in model.outgoing(x) + model.incoming(x)):
                 seen["id"] += 1
             if not model.outgoing(x) and not model.incoming(x):
                 seen["bare"] += 1
             if x in model.initial and len(reference_zones(with_initial(model, ()), x)) < len(zones):
                 seen["split"] += 1
+        assert za.initial == initial, model
     assert min(seen.values()) >= 20, seen
 
 

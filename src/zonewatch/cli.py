@@ -9,6 +9,7 @@ or an output path (``za --dot``, ``observer --out``) that cannot be written.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -161,27 +162,59 @@ def cmd_estimate(args) -> int:
     return 1 if est.empty else 0
 
 
+def _lenient(stream) -> None:
+    """Make a strict text stream decode undecodable bytes as lone surrogates
+    (``surrogateescape``) instead of raising, where it still can be: a text
+    wrapper refuses once it has been read from, and a ``StringIO`` holds text
+    already."""
+    if getattr(stream, "errors", None) == "strict":
+        try:
+            stream.reconfigure(errors="surrogateescape")
+        except (AttributeError, io.UnsupportedOperation):
+            pass
+
+
 def cmd_watch(args) -> int:
+    """Serve ``obs <event> <time>`` and ``query <time>`` lines from stdin
+    up to ``quit``, one reply line per command, written and flushed at once.
+    Replies quote the input with ``repr``, so an undecoded byte, a lone
+    surrogate, is written as an escape."""
     model, za = _load_valid(args.model, require_ro=True)
     belief = belief_init(za)
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
+    stdin, stdout = sys.stdin, sys.stdout
+    _lenient(stdin)
+    readline, write, flush = stdin.readline, stdout.write, stdout.flush
+    while True:
         try:
-            if parts[0] == "quit":
-                break
-            elif parts[0] == "obs" and len(parts) == 3:
+            raw = readline()
+        except UnicodeDecodeError as exc:
+            # Only a strict stream read before ``watch`` started gets here.
+            # Its decoder has dropped the chunk and may keep failing on
+            # what it holds, so the session ends.
+            write(f"error: undecodable input, session ended: {exc}\n")
+            flush()
+            break
+        if not raw:
+            break
+        parts = raw.split()
+        if not parts:
+            continue
+        command = parts[0]
+        try:
+            if command == "obs" and len(parts) == 3:
                 belief = belief_advance(za, model, belief, parts[1], parse_time(parts[2]))
-                print("ok", flush=True)
-            elif parts[0] == "query" and len(parts) == 2:
+                reply = "ok"
+            elif command == "query" and len(parts) == 2:
                 est = belief_query(za, model, belief, parse_time(parts[1]))
-                print(" ".join(sorted(est.discrete)) or "(empty)", flush=True)
+                reply = " ".join(sorted(est.discrete)) or "(empty)"
+            elif command == "quit":
+                break
             else:
-                print(f"error: unrecognized command {line!r}", flush=True)
+                reply = f"error: unrecognized command {raw.strip()!r}"
         except ValueError as exc:
-            print(f"error: {exc}", flush=True)
+            reply = f"error: {exc}"
+        write(reply + "\n")
+        flush()
     return 0
 
 

@@ -68,7 +68,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -514,21 +513,40 @@ def _ids(za: ZoneAutomaton, support: Iterable[ExtendedState]) -> list[int]:
 # -- the cell memo ---------------------------------------------------------------
 
 
+class _first_read:
+    """A ``cached_property`` without its lock: the first read computes the
+    value and stores it in the instance dict, where every later read finds
+    it before this (non-data) descriptor."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class Cell:
     """What a belief support reaches in one unit cell of elapsed time: the
     ids ``reached`` and, each computed on first use, their ``estimate`` and
     the support after each observable event (``successor``, cached in
     ``successors``).  Equal reached sets share one cell, and equal
-    successor supports one frozenset (``ZoneIndex.supports``)."""
+    successor supports one frozenset, interned with their ids
+    (``ZoneIndex.supports``)."""
 
     def __init__(self, reached: frozenset[int], ix):
         self.reached = reached
         self.successors: dict = {}  # event -> support
         self._ext, self._events, self._supports = ix.ext, ix.events, ix.supports
 
-    @cached_property
+    @_first_read
     def estimate(self) -> Estimate:
-        return Estimate.from_extended(self._ext[i] for i in self.reached)
+        ext = self._ext
+        extended = frozenset([ext[i] for i in self.reached])
+        return Estimate(extended, frozenset([v[0] for v in extended]))
 
     def successor(self, event: str) -> frozenset[ExtendedState]:
         """The support just after observing ``event`` in this cell."""
@@ -540,9 +558,12 @@ class Cell:
                 for e in events[i]:
                     if e[0] == event:
                         span, a = divmod(e[1], n)  # ``ZoneIndex.run``
-                        out.update(ext[a : a + span + 1])
-            nxt = frozenset(out)
-            nxt = self.successors[event] = self._supports.setdefault(nxt, nxt)
+                        out.update(range(a, a + span + 1))
+            nxt = frozenset([ext[j] for j in out])
+            interned = self._supports.get(nxt)
+            if interned is None:
+                interned = self._supports[nxt] = (nxt, sorted(out))
+            nxt = self.successors[event] = interned[0]
         return nxt
 
 
@@ -590,11 +611,16 @@ def _intern(ix, reached: Iterable[int]) -> Cell:
 
 
 def _row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> _Row:
-    rows = za.index.rows
-    row = rows.get(support)
+    """The row of ``support``, made on first use from the ids interned with
+    it, or from ``_ids`` for a support the memo has not met (``za.initial``,
+    or one a caller made)."""
+    ix = za.index
+    row = ix.rows.get(support)
     if row is None:
-        row = rows[support] = _Row(_ids(za, support))
-        za.index.supports.setdefault(support, support)
+        interned = ix.supports.get(support)
+        if interned is None:
+            interned = ix.supports[support] = (support, _ids(za, support))
+        row = ix.rows[support] = _Row(interned[1])
     return row
 
 

@@ -190,9 +190,10 @@ class ZoneIndex:
     first use by ``zonewatch.estimation``: ``rows`` maps a belief support to
     what it reaches in each unit cell of elapsed time, ``cells`` maps each
     set of reached ids to its one shared cell, and ``supports`` maps each
-    support met to its one shared frozenset, so that lookups of equal
-    supports are identity hits.  ``width`` is the cells' dependency width,
-    set on first use (0 until then).
+    support met to ``(its one shared frozenset, its ids ascending)``, so
+    that lookups of equal supports are identity hits and a support's row
+    reads its ids without hashing its extended states again.  ``width`` is
+    the cells' dependency width, set on first use (0 until then).
 
     ``cell_tables`` and ``fixpoints`` are the caches of the cell-mask
     fixpoint, also filled on first use by ``zonewatch.estimation``:
@@ -283,7 +284,9 @@ class ZoneIndex:
                 if runs is None:
                     runs = resets[s] = tuple([edge for edge in moves[s] if edge[2]])
                 table.append((s, *distance(hull, ranges[zone[s]]), runs, *link[s]))
-        table.sort(key=lambda row: (row[1], not row[2]))
+        # By ``2*lo + (lo open)``, closed before open at one ``lo``; the
+        # sort is stable, so rows of one key keep the order they were met in.
+        table.sort(key=lambda row: 2 * row[1] + (not row[2]))
         return tuple(table)
 
 

@@ -1,7 +1,8 @@
 import io
 import json
+from fractions import Fraction as F
 
-from zonewatch import RandomModelConfig, parse_interval, random_model
+from zonewatch import RandomModelConfig, format_time, parse_interval, parse_time, random_model
 from zonewatch.cli import main
 
 
@@ -384,6 +385,148 @@ def test_watch_rejects_time_regression(capsys, monkeypatch, fig1_path):
     lines = out.strip().splitlines()
     assert lines[0] == "ok"
     assert lines[1].startswith("error:")
+
+
+def _watch_env(**extra):
+    import os
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # Buffered output, as in a plain shell, so that a missing flush shows.
+    env.pop("PYTHONUNBUFFERED", None)
+    env.pop("PYTHONIOENCODING", None)
+    env.update(extra)
+    return env
+
+
+def test_watch_answers_undecodable_bytes_with_an_error_line(fig1_path):
+    # A byte that is not UTF-8 is one malformed line: an error reply, and the
+    # session goes on.  Under a strict decoder it raised a traceback.
+    import subprocess
+    import sys
+
+    for extra in ({}, {"PYTHONIOENCODING": "utf-8:strict"}):
+        done = subprocess.run(
+            [sys.executable, "-m", "zonewatch.cli", "watch", fig1_path],
+            input=b"obs a 1\nobs a \xff\nquery 3\n\xffbad\nquit\n", capture_output=True,
+            env=_watch_env(**extra), timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), (extra, done.stderr)
+        assert done.stdout.decode("ascii").splitlines() == [
+            "ok",
+            r"error: not a non-negative decimal time point: '\udcff'",
+            "x2 x3 x4",
+            r"error: unrecognized command '\udcffbad'",
+        ], extra
+
+
+def test_watch_on_a_strict_stream_read_before_ends_the_session(capsys, monkeypatch, fig1_path):
+    # A text stream that was read from cannot change its error handler, so
+    # an undecodable byte there ends the session with an error line.  A tiny
+    # chunk size keeps the bad byte out of the chunks read before it.
+    stream = io.TextIOWrapper(io.BytesIO(b"first\nobs a 1\nobs a \xff\nquery 3\n"), encoding="utf-8")
+    stream._CHUNK_SIZE = 1
+    assert stream.readline() == "first\n"
+    monkeypatch.setattr("sys.stdin", stream)
+    code, out, _ = run_cli(capsys, "watch", fig1_path)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "ok" and len(lines) == 2, out
+    assert lines[1].startswith("error: undecodable input, session ended: 'utf-8' codec can't decode")
+
+
+def test_watch_flushes_each_reply(fig1_path):
+    # One line at a time, each reply read before the next line is written:
+    # a reply left in the output buffer fails the bounded wait.
+    import queue
+    import subprocess
+    import sys
+    import threading
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zonewatch.cli", "watch", fig1_path],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_watch_env(),
+    )
+    replies: queue.Queue = queue.Queue()
+    reader = threading.Thread(target=lambda: [replies.put(line) for line in proc.stdout], daemon=True)
+    reader.start()
+    try:
+        for line, want in [
+            ("query 0", "x0 x2"), ("obs a 1", "ok"), ("query 3", "x2 x3 x4"), ("bogus", None),
+            ("obs a 1/2", "error: observation time precedes the belief anchor"), ("query 4", "x2 x3 x4"),
+        ]:
+            proc.stdin.write(line.encode() + b"\n")
+            proc.stdin.flush()
+            got = replies.get(timeout=10).decode().rstrip("\n")
+            assert got == want if want else got.startswith("error: unrecognized command"), (line, got)
+        proc.stdin.write(b"quit\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        reader.join(timeout=10)
+        proc.stdout.close()
+    assert not reader.is_alive() and replies.empty()
+
+
+def _scripted_session(model, rng):
+    """A watch script: observations of observable, silent and unknown events
+    at times that mostly rise, sometimes fall, and queries in between."""
+    events = sorted(model.observable) + sorted(model.alphabet - model.observable)[:1] + ["zz"]
+    lines, now = [], 0
+    for _ in range(rng.randrange(6, 14)):
+        step = F(rng.randrange(0, 9), rng.choice((1, 2, 4)))
+        now = max(now + step if rng.random() < 0.85 else now - F(1, 2), 0)
+        if rng.random() < 0.6:
+            event = rng.choice(events if rng.random() < 0.25 else sorted(model.observable) or events)
+            lines.append(f"obs {event} {format_time(now)}")
+        else:
+            lines.append(f"query {format_time(now + F(rng.randrange(0, 7), 2))}")
+    return lines
+
+
+def test_watch_replies_equal_the_belief_api(capsys, monkeypatch, tmp_path, fig1_path):
+    # Every reply of a scripted session equals what belief_advance and
+    # belief_query give on a separately loaded model.
+    import random
+
+    from zonewatch import belief_advance, belief_init, belief_query, build_zone_automaton, dump_model, load_model
+
+    paths = [fig1_path]
+    for seed in range(44):
+        config = RandomModelConfig(
+            state_count=2 + seed % 5, max_constant=1 + seed % 4, transition_density=0.12 + 0.04 * (seed % 3),
+            require_ro=True, rng_seed=7000 + seed,
+        )
+        path = tmp_path / f"random{seed}.json"
+        path.write_text(dump_model(random_model(config)))
+        paths.append(str(path))
+    seen = {"ok": 0, "(empty)": 0, "error:": 0, "states": 0}
+    for k, path in enumerate(paths):
+        model = load_model(path)
+        za = build_zone_automaton(model)
+        rng = random.Random(k)
+        for _ in range(3):
+            script = _scripted_session(model, rng)
+            belief, want = belief_init(za), []
+            for line in script:
+                kind, *args = line.split()
+                try:
+                    if kind == "obs":
+                        belief = belief_advance(za, model, belief, args[0], parse_time(args[1]))
+                        want.append("ok")
+                    else:
+                        est = belief_query(za, model, belief, parse_time(args[0]))
+                        want.append(" ".join(sorted(est.discrete)) or "(empty)")
+                except ValueError as exc:
+                    want.append(f"error: {exc}")
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(script) + "\nquit\n"))
+            code, out, _ = run_cli(capsys, "watch", path)
+            assert (code, out.splitlines()) == (0, want), (path, script)
+            for reply in want:
+                seen[reply if reply in ("ok", "(empty)") else "error:" if reply.startswith("error:") else "states"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # -- observer ----------------------------------------------------------------------

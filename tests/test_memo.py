@@ -262,3 +262,44 @@ def test_memo_size_follows_the_model_not_the_stream(name):
     check_bound()
     assert restarts < 100
     assert len(ix.rows) <= 16 and len(ix.cells) <= 64, (len(ix.rows), len(ix.cells))
+
+
+def test_interned_ids_are_the_supports_ids():
+    # A successor support is interned with the ids ``Cell.successor``
+    # collected, and its row reads them instead of mapping the support
+    # back; those ids must be the ones ``_ids`` gives.
+    from zonewatch.estimation import _ids
+
+    models = _memo_models()
+    for seed in range(20):  # larger models, with more supports each
+        config = RandomModelConfig(
+            state_count=6 + seed % 7, event_count=4, max_constant=2 + seed % 4, transition_density=0.2,
+            require_ro=True, rng_seed=9100 + seed,
+        )
+        models.append((f"larger{seed}", random_model(config)))
+    rows = 0
+    for name, model in models:
+        za = build_zone_automaton(model)
+        ix = za.index
+        events = sorted(model.observable)
+        rng = random.Random(name)
+        for _ in range(10):
+            belief = belief_init(za)
+            for _ in range(8):
+                belief_query(za, model, belief, belief.anchor_time + F(rng.randrange(9), 2))
+                # Observe after the first of a few random gaps that keeps
+                # the belief alive; the session ends when none does.
+                for _ in range(6 if events else 0):
+                    time = belief.anchor_time + F(rng.randrange(1, 7), rng.choice((1, 2)))
+                    nxt = belief_advance(za, model, belief, rng.choice(events), time)
+                    if nxt.support:
+                        belief = nxt
+                        break
+                else:
+                    break
+        for support, row in ix.rows.items():
+            assert row.ids == _ids(za, support), (name, support)
+            rows += support != za.initial
+        for support, (shared, ids) in ix.supports.items():
+            assert shared == support and ids == _ids(za, support), (name, support)
+    assert rows > 200, rows

@@ -38,7 +38,10 @@ depends only on the belief support and on the unit cell of the elapsed time
 functions, ``lambda_estimation`` and the offline observer all read one memo
 kept on the index: per support a row of cells (``Cell``), each holding the
 ids reached and, computed on first use, their ``Estimate`` and the successor
-support per observable event.  An op finds its cell with ``_gap_cell``, in
+support per observable event.  Id sets are int bit masks over the ids: a
+filled row's cells are interned by their masks, a search's by the ids it
+found, and a successor support is the OR of its ids' target masks,
+interned by that mask.  An op finds its cell with ``_gap_cell``, in
 integer arithmetic on the numerator and denominator of its time and of the
 anchor (one ``as_integer_ratio()`` each), so it makes, subtracts and
 compares no ``Fraction`` between its timestamp and the memo read.  A warm op
@@ -52,11 +55,14 @@ search for that one cell.  A miss past twice the first cut of
 stretch tables, fills the support's whole row up to its certified periodic
 tail, after which every elapsed time of that support is a row read.  The
 fixpoint reads each root's table in cell form (each distinct window as cell
-shifts, made once per root), and runs once per start run, not per support:
-it is OR-linear in its starts, so a support's masks are the ORs of its start
-runs' masks, which the index memoises at the largest cut computed.  The row
-is filled one run of equal cells at a time, the runs read off one boundary
-mask.  So the memo holds at most ``min(8w, _ROW_CELLS)`` searched cells, or
+shifts, made once per root from the root's stretch walk), closes a root's
+exits back to itself by doubling, and runs once per start run, not per
+support: it is OR-linear in its starts, so a support's masks are the ORs of
+its start runs' masks, which the index memoises at the largest cut
+computed.  The row is filled one run of equal cells at a time: one pass
+over the hit masks collects the id masks that flip at each cell, and one
+sweep over those cells toggles a running id mask, looking each run's cell
+up by that int.  So the memo holds at most ``min(8w, _ROW_CELLS)`` searched cells, or
 the ``start + period`` cells of a total row, per support (``w`` the
 fixpoint's dependency width), whatever the stream's length.  When the
 fixpoint refuses (a period too long, or constants too large for its bit
@@ -253,70 +259,109 @@ def _duration_reach(
 # 2*d_hi``, so adding a window to a mask is two shift-and-smears.
 
 
-def _smear(mask: int, lo: int, hi: Optional[int], full: int) -> int:
-    """The cells ``c + j`` for each cell ``c`` of ``mask`` and ``lo <= j <=
-    hi`` (every ``j >= lo`` when ``hi`` is None), cut to the cells of
-    ``full``; in O(log(hi - lo)) big-int operations."""
-    if not mask:
-        return 0
-    if hi is None:
+def _spread(mask: int, lo: int, steps: Optional[tuple], full: int) -> int:
+    """The cells ``c + j`` for each cell ``c`` of ``mask`` and each ``j``
+    from ``lo`` over the run that ``steps`` doubles one cell into (every
+    ``j >= lo`` when ``steps`` is None), cut to the cells of ``full``.  Bits
+    only move up, so the cut is made once, at the end."""
+    if steps is None:
+        if not mask:
+            return 0
         first = (mask & -mask).bit_length() - 1 + lo
         return full >> first << first
-    mask = (mask << lo) & full
-    width, n = 1, hi - lo + 1
-    while width < n:
-        step = width if 2 * width <= n else n - width
-        mask = (mask | mask << step) & full
-        width += step
-    return mask
+    mask <<= lo
+    for step in steps:
+        mask |= mask << step
+    return mask & full
 
 
-def _shifts(d: Sequence) -> tuple:
-    """The cell shifts of the window ``d``: ``(e_lo, e_hi, o_lo, o_hi,
-    same_parity)``, where even cells move by ``e_lo..e_hi``, odd cells by
-    ``o_lo..o_hi`` (a None upper end is unbounded), and ``same_parity`` says
-    both ranges are equal, as for a closed window.  Raises
-    ``InvariantError`` on a non-integer endpoint, since the cells would then
-    not be exact."""
+def _shifts(d: tuple) -> tuple:
+    """The cell shifts of the window ``d``: ``(lo, steps, odd)``, where even
+    cells move by ``lo`` plus the run of ``steps`` (see ``_spread``) and
+    odd cells by ``odd``, a pair of the same form, or by the same when
+    ``odd`` is None, as for a closed window.  Raises ``InvariantError`` on a
+    non-integer endpoint, since the cells would then not be exact."""
     d_lo, d_lc, d_hi, d_hc = d
     if not isinstance(d_lo, int) or not (d_hi == INF or isinstance(d_hi, int)):
         raise InvariantError(f"duration window ({d_lo}, {d_hi}) has a non-integer endpoint")
+    lo = 2 * d_lo + (not d_lc)  # even cells: an open lower end skips the point
     if d_hi == INF:
-        e_hi = o_hi = None
-    else:
-        e_hi, o_hi = 2 * d_hi - (not d_hc), 2 * d_hi
-    e_lo, o_lo = 2 * d_lo + (not d_lc), 2 * d_lo
-    return e_lo, e_hi, o_lo, o_hi, e_lo == o_lo and e_hi == o_hi
+        return lo, None, None if d_lc else (lo - 1, None)
+    hi = 2 * d_hi - (not d_hc)
+    if d_lc and d_hc:
+        return lo, _steps(hi - lo + 1), None
+    return lo, _steps(hi - lo + 1), (2 * d_lo, _steps(2 * d_hi - 2 * d_lo + 1))
+
+
+def _steps(n: int) -> tuple:
+    """The shifts that double one cell into a run of ``n`` cells: ``1, 2,
+    4, ...``, the last cut to what is left."""
+    steps = []
+    width = 1
+    while width < n:
+        step = width if 2 * width <= n else n - width
+        steps.append(step)
+        width += step
+    return tuple(steps)
 
 
 def _shift(mask: int, shifts: tuple, even: int, full: int) -> int:
     """The cells of ``mask`` plus the window of ``shifts`` (see ``_shifts``),
     cut to the cells of ``full``; ``even`` has the even cells of ``full``."""
-    e_lo, e_hi, o_lo, o_hi, same = shifts
-    if same:
-        return _smear(mask, e_lo, e_hi, full)
-    return _smear(mask & even, e_lo, e_hi, full) | _smear(mask & ~even, o_lo, o_hi, full)
+    lo, steps, odd = shifts
+    if odd is None:
+        return _spread(mask, lo, steps, full)
+    return _spread(mask & even, lo, steps, full) | _spread(mask & ~even, *odd, full)
 
 
-def _cell_table(ix, r: int) -> tuple[tuple, tuple]:
-    """The silent stretch table of root ``r`` in cell form, ``(exits,
-    hits)``, made on first use and kept in ``ix.cell_tables``: ``exits``
-    holds ``(shifts, reset run keys)`` and ``hits`` holds ``(shifts, ids)``,
-    one pair per distinct window of the table."""
+def _cell_table(ix, r: int) -> tuple[tuple, tuple, tuple]:
+    """The silent stretch table of root ``r`` in cell form, ``(loops, exits,
+    hits)``, made on first use from the stretch walk (``ZoneIndex.walk``)
+    and kept in ``ix.cell_tables``: ``exits`` holds ``(shifts, reset run
+    keys)`` (the keys as dict keys) and ``hits`` holds ``(shifts, ids)``,
+    one pair per distinct window, and ``loops`` the windows of the exits
+    that lead back to ``r`` itself."""
     exits: dict = {}  # window -> reset run keys, as dict keys
     hits: dict = {}  # window -> ids
-    for entry in ix.stretches[False].get(r) or ix.stretch(r, False):
-        d = entry[1:5]
-        hits.setdefault(d, []).append(entry[0])
-        if entry[5]:
-            keys = exits.setdefault(d, {})
-            for run in entry[5]:
+    known = ix.shifts
+    for s, d, runs in ix.walk(r, False, cell_form=True):
+        ids = hits.get(d)
+        if ids is None:
+            hits[d] = [s]
+        else:
+            ids.append(s)
+        if runs:
+            keys = exits.get(d)
+            if keys is None:
+                keys = exits[d] = {}
+            for run in runs:
                 keys[run[1]] = None
+    for d in hits:
+        if d not in known:
+            known[d] = _shifts(d)
     table = ix.cell_tables[r] = (
-        tuple([(_shifts(d), tuple(keys)) for d, keys in exits.items()]),
-        tuple([(_shifts(d), tuple(ids)) for d, ids in hits.items()]),
+        [d for d, keys in exits.items() if r in keys],
+        [(known[d], keys) for d, keys in exits.items()],
+        [(known[d], ids) for d, ids in hits.items()],
     )
     return table
+
+
+def _close(ix, mask: int, d: tuple, even: int, full: int) -> int:
+    """The cells of ``mask`` plus any number of windows ``d``, cut to the
+    cells of ``full``, by doubling: ``X``, then ``X | X+d``, then that plus
+    ``d+d``, and so on, one shift per doubling, until a doubling adds
+    nothing (then the set is closed under ``d``)."""
+    known = ix.shifts
+    while True:
+        shifts = known.get(d)
+        if shifts is None:
+            shifts = known[d] = _shifts(d)
+        grown = mask | _shift(mask, shifts, even, full)
+        if grown == mask:
+            return mask
+        mask = grown
+        d = (2 * d[0], d[1], 2 * d[2], d[3])
 
 
 def _run_cells(ix, r: int, limit: int) -> tuple[dict, dict]:
@@ -327,8 +372,12 @@ def _run_cells(ix, r: int, limit: int) -> tuple[dict, dict]:
     A worklist fixpoint over root masks: ``r`` holds cell 0, and expanding
     a root shifts the bits it gained since its last expansion by each exit
     window of its cell table, into the mask of each reset run.  A target is
-    queued again only when its mask gains bits.  Cutting at ``limit`` is
-    exact for every cell up to ``limit``, since durations only grow.
+    queued again only when its mask gains bits.  An exit back to the root
+    itself is closed at once by doubling (``_close``), one pass per such
+    window, since closures under additions compose, so a silent loop of an
+    exact duration costs a shift per doubling, not one expansion per cell it
+    adds.  Cutting at ``limit`` is exact for every cell up to ``limit``,
+    since durations only grow.
     """
     full = (2 << limit) - 1
     even = ((1 << 2 * (limit // 2 + 1)) - 1) // 3  # 0b0101...01
@@ -337,7 +386,15 @@ def _run_cells(ix, r: int, limit: int) -> tuple[dict, dict]:
     pending = {r: 1}  # root -> bits not yet expanded
     while pending:
         q, delta = pending.popitem()
-        for shifts, keys in (tables.get(q) or _cell_table(ix, q))[0]:
+        loops, exits, _ = tables.get(q) or _cell_table(ix, q)
+        if loops:
+            # The bits expanded before are closed already.
+            done = roots[q] & ~delta
+            for d in loops:
+                delta = _close(ix, delta, d, even, full)
+            delta &= ~done
+            roots[q] |= delta
+        for shifts, keys in exits:
             cells = _shift(delta, shifts, even, full)
             if not cells:
                 continue
@@ -349,7 +406,7 @@ def _run_cells(ix, r: int, limit: int) -> tuple[dict, dict]:
                     pending[t] = pending.get(t, 0) | gain
     hits: dict = {}
     for q, mask in roots.items():
-        for shifts, ids in tables[q][1]:
+        for shifts, ids in tables[q][2]:
             cells = _shift(mask, shifts, even, full)
             if cells:
                 for s in ids:
@@ -380,17 +437,21 @@ def _reach_cells(ix, starts: Iterable[int], limit: int) -> tuple[dict, dict]:
     if len(runs) == 1 and runs[0][0] == limit:
         return runs[0][1], runs[0][2]
     full = (2 << limit) - 1
-    roots: dict = {}
-    hits: dict = {}
-    for cut, run_roots, run_hits in runs:
-        for out, masks in ((roots, run_roots), (hits, run_hits)):
-            for k, m in masks.items():
-                if cut > limit:
+    merged: tuple[dict, dict] = ({}, {})  # root masks, hit masks
+    for cut, *masks in runs:
+        for out, run_masks in zip(merged, masks):
+            get = out.get
+            if cut > limit:
+                for k, m in run_masks.items():
                     m &= full
-                    if not m:
-                        continue
-                out[k] = out.get(k, 0) | m
-    return roots, hits
+                    if m:
+                        out[k] = get(k, 0) | m
+            elif out:
+                for k, m in run_masks.items():
+                    out[k] = get(k, 0) | m
+            else:
+                out.update(run_masks)
+    return merged
 
 
 def _root_period(roots: dict, w: int, limit: int) -> Optional[tuple[int, int]]:
@@ -451,16 +512,20 @@ def _width(ix) -> int:
 
 def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int, int]:
     """Every silent duration from ``starts`` at once, as ``(hits, start,
-    period)``: ``hits`` maps each reachable id to the mask of the cells
-    ``0..start+period-1`` at which it is reachable, and cell ``c >= start``
-    answers as cell ``start + (c - start) % period``.
+    period)``: ``hits`` maps each reachable id to a mask of the cells at
+    which it is reachable, exact for the cells ``0..start+period-1`` (bits
+    past them may be set, and are to be ignored), and cell ``c >= start``
+    answers as cell ``start + (c - start) % period``.  ``hits`` may be the
+    fixpoint memo's own dict and must not be changed.
 
     Runs the fixpoint of ``_reach_cells`` to a cut, doubling the cut until
     the root masks certify a periodic tail (they must: the state behind a
     cell takes finitely many values).  A reached id's cell depends on the
     root masks the same way a root's does, so the hit masks repeat from
     ``w`` cells after the roots do.  The period is then cut to the smallest
-    divisor of ``p`` and the start moved back as far as the hit masks allow.
+    divisor ``q`` of ``p`` the hit masks allow and the start moved back as
+    far as they allow, both read off one OR of ``h ^ (h >> q)`` over the
+    hit masks per divisor tried; the first, ``q = 1``, is the usual period.
     Raises ``ValueError`` when the first cut ``4w`` passes ``_MAX_CELLS``,
     before any mask is built, or when no cut within the bound certifies a
     tail; ``InvariantError`` on a window with a non-integer endpoint.
@@ -487,18 +552,16 @@ def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int
                 "exact-duration silent cycles make the period too long to tabulate"
             )
     start, p = tail[0] + w, tail[1]
-    period = next(
-        q
-        for q in range(1, p + 1)
-        if p % q == 0
-        and not any((h ^ (h >> q)) >> start & ((1 << (p - q)) - 1) for h in hits.values())
-    )
-    diff = 0
-    for h in hits.values():
-        diff |= (h ^ (h >> period)) & ((1 << start) - 1)
-    start = diff.bit_length()
-    cut = (1 << (start + period)) - 1
-    return {s: h & cut for s, h in hits.items() if h & cut}, start, period
+    # ``q = p`` always holds: the hit masks are ``p``-periodic from ``start``.
+    for q in range(1, p + 1):
+        if p % q:
+            continue
+        diff = 0
+        for h in hits.values():
+            diff |= h ^ (h >> q)
+        if not diff >> start & ((1 << (p - q)) - 1):
+            break
+    return hits, (diff & ((1 << start) - 1)).bit_length(), q
 
 
 def _ids(za: ZoneAutomaton, support: Iterable[ExtendedState]) -> list[int]:
@@ -529,41 +592,85 @@ class _first_read:
         return value
 
 
-class Cell:
-    """What a belief support reaches in one unit cell of elapsed time: the
-    ids ``reached`` and, each computed on first use, their ``estimate`` and
-    the support after each observable event (``successor``, cached in
-    ``successors``).  Equal reached sets share one cell, and equal
-    successor supports one frozenset, interned with their ids
-    (``ZoneIndex.supports``)."""
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending.  Each step of the bit-by-bit
+    loop costs the length of the mask, so a long mask is read off its
+    binary text instead."""
+    out = []
+    if mask >> 1024:
+        text = bin(mask)[:1:-1]  # character i is bit i
+        i = text.find("1")
+        while i >= 0:
+            out.append(i)
+            i = text.find("1", i + 1)
+        return out
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    def __init__(self, reached: frozenset[int], ix):
-        self.reached = reached
+
+class Cell:
+    """What a belief support reaches in one unit cell of elapsed time: its
+    ids, as the bit mask ``mask`` (bit ``i`` for id ``i``) of a row fill,
+    or as the id set of a search (``mask`` None), and, each computed on
+    first use, the ids ``reached``, their ``estimate`` and the support after
+    each observable event (``successor``, cached in ``successors``).
+    ``ZoneIndex.cells`` keeps one cell per mask a fill met and one per id
+    set a search met, so a search makes no mask.  Equal successor masks
+    share one support frozenset (``ZoneIndex.masks``).  A cell holds the
+    index's tables, not the index, so the memo makes no reference cycle."""
+
+    def __init__(self, mask: Optional[int], ix, ids: Optional[frozenset[int]] = None):
+        self.mask = mask
+        self._ids = ids
         self.successors: dict = {}  # event -> support
-        self._ext, self._events, self._supports = ix.ext, ix.events, ix.supports
+        self._ext, self._events, self._targets, self._supports, self._masks = (
+            ix.ext, ix.events, ix.targets, ix.supports, ix.masks
+        )
+
+    @_first_read
+    def reached(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask)) if self._ids is None else self._ids
 
     @_first_read
     def estimate(self) -> Estimate:
         ext = self._ext
-        extended = frozenset([ext[i] for i in self.reached])
+        extended = frozenset([ext[i] for i in (_bits(self.mask) if self._ids is None else self._ids)])
         return Estimate(extended, frozenset([v[0] for v in extended]))
 
     def successor(self, event: str) -> frozenset[ExtendedState]:
-        """The support just after observing ``event`` in this cell."""
+        """The support just after observing ``event`` in this cell: the OR
+        of each reached id's target mask, interned by its mask with its ids.
+        An id's target mask ORs the target run ``(a, a + span)`` of each of
+        its ``event`` entries (``ZoneIndex.run``) as the bit range ``((2 <<
+        span) - 1) << a``; it is computed on first use and kept in
+        ``ZoneIndex.targets``."""
         nxt = self.successors.get(event)
         if nxt is None:
-            ext, events, n = self._ext, self._events, len(self._ext)
-            out: set = set()
-            for i in self.reached:
-                for e in events[i]:
-                    if e[0] == event:
-                        span, a = divmod(e[1], n)  # ``ZoneIndex.run``
-                        out.update(range(a, a + span + 1))
-            nxt = frozenset([ext[j] for j in out])
-            interned = self._supports.get(nxt)
-            if interned is None:
-                interned = self._supports[nxt] = (nxt, sorted(out))
-            nxt = self.successors[event] = interned[0]
+            ext = self._ext
+            n = len(ext)
+            table = self._targets.get(event)
+            if table is None:
+                table = self._targets[event] = [None] * n
+            out = 0
+            for i in _bits(self.mask) if self._ids is None else self._ids:
+                t = table[i]
+                if t is None:
+                    t = 0
+                    for e in self._events[i]:
+                        if e[0] == event:
+                            span, a = divmod(e[1], n)
+                            t |= ((2 << span) - 1) << a
+                    table[i] = t
+                out |= t
+            nxt = self._masks.get(out)
+            if nxt is None:
+                ids = _bits(out)
+                nxt = self._masks[out] = frozenset([ext[j] for j in ids])
+                self._supports[nxt] = (nxt, ids)
+            self.successors[event] = nxt
         return nxt
 
 
@@ -602,24 +709,28 @@ def _gap_cell(time: Rational, anchor: Rational, message: str = "elapsed time mus
     return 2 * k + (m != 0)
 
 
-def _intern(ix, reached: Iterable[int]) -> Cell:
-    reached = frozenset(reached)
-    cell = ix.cells.get(reached)
+def _intern(ix, mask: int) -> Cell:
+    cell = ix.cells.get(mask)
     if cell is None:
-        cell = ix.cells[reached] = Cell(reached, ix)
+        cell = ix.cells[mask] = Cell(mask, ix)
     return cell
 
 
 def _row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> _Row:
     """The row of ``support``, made on first use from the ids interned with
     it, or from ``_ids`` for a support the memo has not met (``za.initial``,
-    or one a caller made)."""
+    or one a caller made), which is then interned by its mask as well."""
     ix = za.index
     row = ix.rows.get(support)
     if row is None:
         interned = ix.supports.get(support)
         if interned is None:
-            interned = ix.supports[support] = (support, _ids(za, support))
+            ids = _ids(za, support)
+            mask = 0
+            for i in ids:
+                mask |= 1 << i
+            ix.masks[mask] = support
+            interned = ix.supports[support] = (support, ids)
         row = ix.rows[support] = _Row(interned[1])
     return row
 
@@ -630,40 +741,42 @@ def _fill(za: ZoneAutomaton, row: _Row) -> None:
 
     The row is a run of equal cells wherever no id's mask changes.  An id
     enters or leaves the reached set at its flip cells, the bits of ``h ^
-    (h << 1)`` below ``start + period``, so one sweep over the flip cells in
-    order toggles one running set of ids and makes one interned ``Cell`` per
-    run: the cost follows the runs and the flips, not the runs times the
-    ids.  The row stays a dense tuple, one entry per cell, so a read is one
-    index."""
+    (h << 1)`` below ``start + period``, so one pass over the hit masks
+    XORs each id's bit into the id-set toggled at each of its flip cells,
+    and one sweep over the flip cells in order toggles one running id-set
+    and interns one ``Cell`` per run, by its mask: the cost follows the
+    runs and the flips, not the runs times the ids.  The row stays a dense
+    tuple, one entry per cell, so a read is one index."""
     hits, start, period = _duration_cells(za, row.ids)
     ix = za.index
     n = start + period
     below = (1 << n) - 1
-    toggles: dict[int, list[int]] = {}  # flip cell -> the ids that flip there
+    toggles: dict[int, int] = {}  # flip cell -> the id-set that flips there
+    get = toggles.get
     for s, h in hits.items():
         f = (h ^ (h << 1)) & below
-        if f.bit_count() > 8:
+        bit = 1 << s
+        if f >> 1024:
             # Each step of the loop below costs the length of the mask, so
-            # a mask with many flips is read off its binary text instead.
-            bits = bin(f)[:1:-1]  # character i is bit i
-            i = bits.find("1")
-            while i >= 0:
-                toggles.setdefault(i, []).append(s)
-                i = bits.find("1", i + 1)
+            # a long one is read off its binary text instead.
+            for c in _bits(f):
+                toggles[c] = get(c, 0) ^ bit
             continue
         while f:
             low = f & -f
-            toggles.setdefault(low.bit_length() - 1, []).append(s)
+            c = low.bit_length() - 1
+            toggles[c] = get(c, 0) ^ bit
             f ^= low
     cells: list = []
-    reached: set = set()
-    i = 0
+    memo = ix.cells
+    mask = i = 0
     for j in sorted(toggles):
         if j > i:
-            cells += [_intern(ix, reached)] * (j - i)
+            cell = memo.get(mask) or _intern(ix, mask)
+            cells += [cell] * (j - i)
             i = j
-        reached.symmetric_difference_update(toggles[j])
-    cells += [_intern(ix, reached)] * (n - i)
+        mask ^= toggles[j]
+    cells += [memo.get(mask) or _intern(ix, mask)] * (n - i)
     row.cells = tuple(cells)
     row.tail = (start, period)
 
@@ -712,8 +825,11 @@ def _miss(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
             row.tail = False
         else:
             return _cell(za, support, i)
-    outcome = _duration_reach(za, row.ids, Fraction(i, 2), budget=_MAX_ITEMS if far else None)
-    cell = _intern(za.index, outcome.hits)
+    ids = frozenset(_duration_reach(za, row.ids, Fraction(i, 2), budget=_MAX_ITEMS if far else None).hits)
+    cells = za.index.cells
+    cell = cells.get(ids)
+    if cell is None:
+        cell = cells[ids] = Cell(None, za.index, ids)
     if below and len(row.cells) < _ROW_CELLS:
         row.cells[i] = cell
     return cell

@@ -151,7 +151,9 @@ def build_offline_observer(
         support = queue.pop()
         if support in tables or not support:
             continue
-        tables[support], tails[support] = _total_row(za, support)
-        for cell in set(tables[support]):
-            queue.extend(cell.successor(e) for e in events)
+        row, tails[support] = _total_row(za, support)
+        tables[support] = row
+        for cell in dict.fromkeys(row):  # each distinct cell once, in row order
+            for e in events:
+                queue.append(cell.successor(e))
     return OfflineObserver(model=model, za=za, tables=tables, tails=tails, initial_support=initial)

@@ -123,13 +123,23 @@ def enumerate_runs(model: TFA, grid: GridConfig) -> Iterator[TimedRun]:
 def brute_consistent_states(
     model: TFA, grid: GridConfig, obs: TimedObservation
 ) -> frozenset[str]:
-    """The states consistent with an observation, by exhaustive search.
+    """The states consistent with an observation, by exhaustive search
+    (``brute_final_clocks``)."""
+    return frozenset(state for state, _ in brute_final_clocks(model, grid, obs))
+
+
+def brute_final_clocks(
+    model: TFA, grid: GridConfig, obs: TimedObservation
+) -> frozenset[tuple[str, Fraction]]:
+    """The (state, clock at the query time) pairs consistent with an
+    observation, by exhaustive search.
 
     Explores every reachable (state, clock, time, observations consumed)
     configuration.  Observable events must match the next observation pair
     exactly; unobservable events may fire at any grid time up to the query
     time.  A configuration that has consumed the whole observation can always
-    dwell silently to the query time, so its state is consistent.
+    dwell silently to the query time, so its state is consistent, with its
+    clock risen by the dwell.
     """
     require_valid(model)
     for name, ts in obs.events:
@@ -145,11 +155,11 @@ def brute_consistent_states(
     start_configs = {(x, 0, 0, 0) for x in model.initial}
     seen = set(start_configs)
     frontier = list(start_configs)
-    consistent: set[str] = set()
+    consistent: set[tuple[str, Fraction]] = set()
     while frontier:
         state, clock_t, time_t, k = frontier.pop()
         if k == n:
-            consistent.add(state)
+            consistent.add((state, grid.value(clock_t + query_t - time_t)))
         for fire_t in range(time_t, query_t + 1):
             for tr in model.outgoing(state):
                 if tr.event in model.observable:

@@ -186,26 +186,34 @@ class ZoneIndex:
     ``s`` are its ``events`` (or ``silent``) entries that reset the clock;
     ``resets`` keeps them per id met, per mode.
 
-    ``rows``, ``cells`` and ``supports`` are the estimation memo, filled on
-    first use by ``zonewatch.estimation``: ``rows`` maps a belief support to
-    what it reaches in each unit cell of elapsed time, ``cells`` maps each
-    set of reached ids to its one shared cell, and ``supports`` maps each
-    support met to ``(its one shared frozenset, its ids ascending)``, so
-    that lookups of equal supports are identity hits and a support's row
-    reads its ids without hashing its extended states again.  ``width`` is
-    the cells' dependency width, set on first use (0 until then).
+    ``rows``, ``cells``, ``supports``, ``masks`` and ``targets`` are the
+    estimation memo, filled on first use by ``zonewatch.estimation``.  Id
+    sets are int bit masks over the ids (bit ``i`` for id ``i``).  ``rows``
+    maps a belief support to what it reaches in each unit cell of elapsed
+    time; ``cells`` maps each id mask a row fill met, and each id set a
+    search met, to its one shared cell; ``supports`` maps each support met
+    to ``(its one shared frozenset, its ids ascending)`` and ``masks`` each
+    one's id mask to that frozenset, so that lookups of equal supports are
+    identity hits, a successor met before builds no frozenset, and a
+    support's row reads its ids without hashing its extended states again;
+    ``targets`` maps an observable event to a list, per id, of the id mask
+    that event leads to, each computed on first use (None until then).
+    ``width`` is the cells' dependency width, set on first use (0 until
+    then).
 
-    ``cell_tables`` and ``fixpoints`` are the caches of the cell-mask
-    fixpoint, also filled on first use by ``zonewatch.estimation``:
-    ``cell_tables`` maps a root to its silent stretch table in cell form
-    (each distinct window as cell shifts, with the reset runs and the ids it
-    reaches), and ``fixpoints`` maps a start run to ``(cut, root masks, hit
-    masks)``, its fixpoint at the largest cut computed so far.
+    ``cell_tables``, ``shifts`` and ``fixpoints`` are the caches of the
+    cell-mask fixpoint, also filled on first use by
+    ``zonewatch.estimation``: ``cell_tables`` maps a root to its silent
+    stretch table in cell form (each distinct window as cell shifts, with
+    the reset runs and the ids it reaches), made from the same ``walk`` as
+    its stretch table; ``shifts`` maps a window to its cell shifts; and
+    ``fixpoints`` maps a start run to ``(cut, root masks, hit masks)``, its
+    fixpoint at the largest cut computed so far.
     """
 
     __slots__ = (
         "ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "resets", "rows",
-        "cells", "supports", "width", "cell_tables", "fixpoints",
+        "cells", "supports", "masks", "targets", "width", "cell_tables", "shifts", "fixpoints",
     )
 
     def __init__(self) -> None:
@@ -222,8 +230,11 @@ class ZoneIndex:
         self.rows: dict = {}
         self.cells: dict = {}
         self.supports: dict = {}
+        self.masks: dict = {}
+        self.targets: dict = {}
         self.width = 0
         self.cell_tables: dict = {}
+        self.shifts: dict = {}
         self.fixpoints: dict = {}
 
     def run(self, key: int) -> tuple[int, int]:
@@ -253,22 +264,34 @@ class ZoneIndex:
             table = tables[key] = self._fill(key, all_events)
         return table
 
-    def _fill(self, key: int, all_events: bool) -> tuple:
+    def walk(self, key: int, all_events: bool, cell_form: bool = False) -> list[tuple]:
+        """The entries of the run ``key``'s stretch, in the order the walk
+        meets their ids: the rows of its stretch table (see the class
+        docstring), or with ``cell_form`` just ``(s, window, resets)``, what
+        the estimation memo's cell-form table reads.  One walk serves both,
+        without a second pass over its rows."""
         zone, ranges, tau = self.zone, self.ranges, self.tau
         moves = self.events if all_events else self.silent
         resets = self.resets[all_events]
         a, b = self.run(key)
         lo, lo_closed = ranges[zone[a]][:2]
         link: dict = {}  # id -> (id it was reached from, edge)
-        table = []
+        rows = []
         # Breadth first from each member, the highest first: an id that a
         # lower member meets again, and all it leads to, was reached by a
         # higher one, and ``j`` is the largest member reaching what it
         # reaches first.
         for j in range(b, a - 1, -1):
+            high = ranges[zone[j]]
+            hull = (lo, lo_closed, high[2], high[3])
             link[j] = (-1, None)
             order = [j]
             for s in order:  # ``order`` grows as it is walked
+                runs = resets.get(s)
+                if runs is None:
+                    runs = resets[s] = tuple([edge for edge in moves[s] if edge[2]])
+                d = distance(hull, ranges[zone[s]])
+                rows.append((s, d, runs) if cell_form else (s, *d, runs, *link[s]))
                 nxt = tau[s]
                 if nxt >= 0 and nxt not in link:
                     link[nxt] = (s, None)
@@ -277,13 +300,10 @@ class ZoneIndex:
                     if not edge[2] and edge[1] not in link:
                         link[edge[1]] = (s, edge)
                         order.append(edge[1])
-            high = ranges[zone[j]]
-            hull = (lo, lo_closed, high[2], high[3])
-            for s in order:
-                runs = resets.get(s)
-                if runs is None:
-                    runs = resets[s] = tuple([edge for edge in moves[s] if edge[2]])
-                table.append((s, *distance(hull, ranges[zone[s]]), runs, *link[s]))
+        return rows
+
+    def _fill(self, key: int, all_events: bool) -> tuple:
+        table = self.walk(key, all_events)
         # By ``2*lo + (lo open)``, closed before open at one ``lo``; the
         # sort is stable, so rows of one key keep the order they were met in.
         table.sort(key=lambda row: 2 * row[1] + (not row[2]))

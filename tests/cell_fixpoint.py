@@ -9,8 +9,26 @@ row one cell at a time, testing every id's mask at every cell, as the row
 fill once did (but on bit strings, so that it stays linear in the cells).
 """
 
-from zonewatch.estimation import InvariantError, _smear
+from zonewatch.estimation import InvariantError
 from zonewatch.intervals import INF
+
+
+def _smear(mask: int, lo: int, hi, full: int) -> int:
+    """The cells ``c + j`` for each cell ``c`` of ``mask`` and ``lo <= j <=
+    hi`` (every ``j >= lo`` when ``hi`` is None), cut to the cells of
+    ``full``; in O(log(hi - lo)) big-int operations."""
+    if not mask:
+        return 0
+    if hi is None:
+        first = (mask & -mask).bit_length() - 1 + lo
+        return full >> first << first
+    mask = (mask << lo) & full
+    width, n = 1, hi - lo + 1
+    while width < n:
+        step = width if 2 * width <= n else n - width
+        mask = (mask | mask << step) & full
+        width += step
+    return mask
 
 
 def add_window(mask: int, d, even: int, full: int) -> int:

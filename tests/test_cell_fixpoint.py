@@ -8,6 +8,8 @@ and the cell-by-cell fill; the masks and the rows must be equal.
 
 import random
 
+import pytest
+
 from zonewatch import build_offline_observer, build_zone_automaton, model_from_dict
 from zonewatch.estimation import _duration_cells, _ids, _reach_cells, _width
 from zonewatch.oracle import RandomModelConfig, random_model
@@ -29,7 +31,52 @@ def _fixpoint_models() -> list:
             rng_seed=7300 + seed,
         )
         models.append((f"random{seed}", random_model(config)))
+    models.append(("exact loops", _exact_loops()))
     return models
+
+
+_LOOPS = (3, 5, 7, 11, 13)
+
+
+def _exact_loops():
+    """``s -a-> t`` on ``[0,1]``, then a silent ``t -u-> l_d`` at ``[0,0]``
+    and an exact silent loop ``l_d -c-> l_d`` at ``[d,d]`` for each ``d``
+    of ``_LOOPS``, all reset to 0: the loops' joint period, 30030 cells, is
+    too long to tabulate."""
+    transitions = [{"from": "s", "event": "a", "to": "t", "guard": "[0,1]", "reset": "[0,0]"}]
+    for d in _LOOPS:
+        transitions += [
+            {"from": "t", "event": "u", "to": f"l{d}", "guard": "[0,0]", "reset": "[0,0]"},
+            {"from": f"l{d}", "event": "c", "to": f"l{d}", "guard": f"[{d},{d}]", "reset": "[0,0]"},
+        ]
+    return model_from_dict({
+        "states": ["s", "t", *(f"l{d}" for d in _LOOPS)], "alphabet": ["a", "c", "u"], "observable": ["a"],
+        "initial": ["s"], "transitions": transitions,
+    })
+
+
+def test_exact_self_loops_close_by_doubling(monkeypatch):
+    # A root whose exit leads back to itself is closed by doubling the
+    # exit's window, one shift per doubling up to the cut, so the cost of
+    # these loops grows with the log of the cut, not with the cells the
+    # loops add: every cut up to the refusal takes under 1,000 shifts.
+    import zonewatch.estimation as estimation
+    from zonewatch.zones import ExtendedState
+    from zonewatch.intervals import Interval
+
+    za = build_zone_automaton(_exact_loops())
+    start = za.index.id_of[ExtendedState("t", Interval.point(0))]
+    shifts = []
+    shift = estimation._shift
+
+    def counted(*args):
+        shifts.append(None)
+        return shift(*args)
+
+    monkeypatch.setattr(estimation, "_shift", counted)
+    with pytest.raises(ValueError, match="no periodic tail of the silent durations within 57344 cells"):
+        _duration_cells(za, [start])
+    assert 0 < len(shifts) < 1000, len(shifts)
 
 
 def _supports(za, rng: random.Random) -> list:
@@ -155,3 +202,27 @@ def test_rows_with_dense_flips_match_the_dense_fill():
             dense += any(bin((h ^ (h << 1)) & ((1 << n) - 1)).count("1") > 8 for h in hits.values())
             assert [cell.reached for cell in row] == dense_row(hits, n), (c, support)
     assert dense >= 2, dense
+
+
+def test_observer_totals_are_pinned():
+    # The observers of 120 random models, counted: supports, cells, and
+    # runs of equal cells.  Every tenth model's rows must also equal the
+    # dense fill of the joint reference fixpoint, cut at the row's length.
+    models = supports = cells = runs = dense = 0
+    for k, seed in enumerate(range(7000, 7120)):
+        model = random_model(RandomModelConfig(rng_seed=seed, state_count=8, max_constant=4))
+        za = build_zone_automaton(model)
+        observer = build_offline_observer(za, model)
+        ref = build_zone_automaton(model) if k % 10 == 0 else None
+        models += 1
+        supports += len(observer.tables)
+        for support, row in observer.tables.items():
+            cells += len(row)
+            runs += 1 + sum(a is not b for a, b in zip(row, row[1:]))
+            if ref is not None:
+                n = sum(observer.tails[support])
+                _, hits = reach_cells(ref.index, _ids(ref, support), n)
+                assert [cell.reached for cell in row] == dense_row(hits, n), (seed, support)
+                dense += 1
+    assert (models, supports, cells, runs) == (120, 2674, 25456, 24042)
+    assert dense > 200, dense

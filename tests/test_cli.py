@@ -2,6 +2,9 @@ import io
 import json
 from fractions import Fraction as F
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from zonewatch import RandomModelConfig, format_time, parse_interval, parse_time, random_model
 from zonewatch.cli import main
 
@@ -527,6 +530,62 @@ def test_watch_replies_equal_the_belief_api(capsys, monkeypatch, tmp_path, fig1_
             for reply in want:
                 seen[reply if reply in ("ok", "(empty)") else "error:" if reply.startswith("error:") else "states"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+# Bad input, generated: times in every form the parser meets (and some it
+# refuses), fig1's events and unknown ones, and lines of arbitrary text.
+_fuzz_numbers = st.one_of(
+    st.integers(min_value=0, max_value=10**30).map(str),
+    st.integers(min_value=-5, max_value=50).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 99)).map(lambda p: f"{p[0]}/{p[1]}"),
+    st.tuples(st.integers(0, 99), st.integers(0, 9999)).map(lambda p: f"{p[0]}.{p[1]}"),
+    st.sampled_from(
+        ["", "inf", "nan", "1e9", "1e999", "0x10", "1_000", "\u0663", "\uff11", "1.", ".5", "1/0", "9" * 5000]
+    ),
+)
+_fuzz_words = st.one_of(
+    st.sampled_from(["a", "b", "c", "u", "x0", "obs", "query", "quit?"]), st.text(max_size=6)
+)
+_fuzz_line = st.one_of(
+    st.tuples(st.just("obs"), _fuzz_words, _fuzz_numbers).map(" ".join),
+    st.tuples(st.just("query"), _fuzz_numbers).map(" ".join),
+    st.lists(st.one_of(_fuzz_words, _fuzz_numbers), max_size=4).map(" ".join),
+    st.text(max_size=30),
+).map(lambda line: line.replace("\n", " ")).filter(lambda line: line.split()[:1] != ["quit"])
+_FIG1_STATES = {"x0", "x1", "x2", "x3", "x4"}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_fuzz_line, max_size=12))
+def test_watch_answers_every_bad_line_with_one_reply(capsys, monkeypatch, fig1_path, lines):
+    # One reply per command line (a line with a token), each ``ok``,
+    # ``(empty)``, a state list or an ``error:`` line, and no exception.
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines) + "quit\n"))
+    code, out, err = run_cli(capsys, "watch", fig1_path)
+    replies = out.split("\n")
+    assert (code, err, replies.pop()) == (0, "", "")
+    assert len(replies) == sum(1 for line in lines if line.split()), (lines, replies)
+    for reply in replies:
+        states = reply.split(" ")
+        assert (
+            reply in ("ok", "(empty)") or reply.startswith("error: ")
+            or (set(states) <= _FIG1_STATES and states == sorted(set(states)))
+        ), (lines, reply)
+
+
+_fuzz_pair = st.tuples(_fuzz_words, _fuzz_numbers).map("@".join)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(st.lists(_fuzz_pair, max_size=4).map(",".join), st.text(max_size=30)),
+    _fuzz_numbers,
+)
+def test_estimate_exits_cleanly_on_bad_observations(capsys, fig1_path, obs, time):
+    code, out, err = run_cli(capsys, "estimate", fig1_path, f"--obs={obs}", f"--time={time}")
+    assert code in (0, 1, 64), (obs, time, code, err)
+    assert "Traceback" not in out + err
+    assert (code == 64) == err.startswith("error: "), (obs, time, code, err)
 
 
 # -- observer ----------------------------------------------------------------------

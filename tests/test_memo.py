@@ -302,4 +302,8 @@ def test_interned_ids_are_the_supports_ids():
             rows += support != za.initial
         for support, (shared, ids) in ix.supports.items():
             assert shared == support and ids == _ids(za, support), (name, support)
+        # Successor supports are interned by their id masks as well.
+        for mask, support in ix.masks.items():
+            assert mask == sum(1 << i for i in _ids(za, support)), (name, support)
+            assert ix.supports[support][0] is support, (name, support)
     assert rows > 200, rows

@@ -126,3 +126,31 @@ def test_differential_small_batch_clean():
     )
     assert report.ok, report.entries
     assert report.runs_checked >= 25
+
+
+def test_zone_oracle_matches_the_extended_estimates():
+    # Criterion 5 compares states only.  Here the grid search's final
+    # configurations are mapped to zones, ``zone_of(state, clock at the
+    # query)``, and must equal the extended estimate exactly: a wrong zone
+    # in a memo cell shows here and nowhere in the discrete comparison.
+    from zonewatch import build_zone_automaton
+    from zonewatch.oracle import _sample_runs, brute_final_clocks
+    from zonewatch.model import project
+    from zonewatch.zones import ExtendedState
+
+    grid = GridConfig(horizon=F(5), step=F(1, 2), max_events=4)
+    compared = extended = 0
+    for seed in range(60):
+        model = random_model(RandomModelConfig(state_count=4, max_constant=3, rng_seed=8800 + seed))
+        za = build_zone_automaton(model)
+        for k, run in enumerate(_sample_runs(model, grid, 4)):
+            word = project(run.word(), model)
+            end = run.end_time
+            times = {end, end + F(1, 2), grid.horizon, end + F((seed + k) % 7, 2)}
+            for t in sorted(times):
+                obs = TimedObservation(events=word, query_time=t)
+                want = {ExtendedState(x, za.zone_of(x, c)) for x, c in brute_final_clocks(model, grid, obs)}
+                assert estimate(za, model, obs).extended == want, (seed, word, t)
+                compared += 1
+                extended += len(want)
+    assert compared > 600 and extended > 2000, (compared, extended)

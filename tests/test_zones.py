@@ -232,10 +232,11 @@ def test_run_encoded_edges_match_the_fanout():
         supports = [{i} for i in range(n)] + [set(r) for r in ix.ids.values()]
         supports += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(20)]
         for ids in supports:
-            cell = Cell(frozenset(ids), ix)
             reached = {ix.ext[i] for i in ids}
-            for event in sorted(model.alphabet):
-                assert cell.successor(event) == fanout_successor(edges, reached, event), (model, ids, event)
+            # A row fill's cell holds an id mask, a search's the id set.
+            for cell in (Cell(sum(1 << i for i in ids), ix), Cell(None, ix, frozenset(ids))):
+                for event in sorted(model.alphabet):
+                    assert cell.successor(event) == fanout_successor(edges, reached, event), (model, ids, event)
         seen["models"] += 1
     assert seen["models"] >= 101 and seen["id"] >= 100 and seen["multi-zone reset"] >= 100, seen
 

@@ -112,7 +112,7 @@ def cmd_za(args) -> int:
     tau_edges = sum(1 for j in ix.tau if j >= 0)
     event_edges = sum(key // n + 1 for moves in ix.events for _, key, _, _ in moves)
     print(
-        f"extended states: {len(za.states)}  edges: {tau_edges + event_edges} "
+        f"extended states: {n}  edges: {tau_edges + event_edges} "
         f"(tau: {tau_edges}, event: {event_edges})  "
         f"initial: {len(za.initial)}"
     )
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--time", required=True)
     sp.set_defaults(func=cmd_oracle)
 
-    sp = sub.add_parser("fuzz", help="differential-test the estimator on random models")
+    sp = sub.add_parser("fuzz", help="differential-test the estimated states and zones against the grid oracle on random models")
     sp.add_argument("--states", type=int, default=4)
     sp.add_argument("--max-constant", type=int, default=3)
     sp.add_argument("--trials", type=int, default=20)

@@ -466,20 +466,45 @@ def _root_period(roots: dict, w: int, limit: int) -> Optional[tuple[int, int]]:
     ``a + w`` and ``a + w + p``, with ``p`` even, it is the same ``p`` cells
     apart from then on.  Every root's lowest bit must lie below ``a``, or
     the has-a-bit-below flags would differ.
+
+    The smallest such ``p`` is the smallest even one at which every mask's
+    top ``w`` cells, ``limit-w+1..limit``, recur ``p`` cells lower.  The
+    OR of the masks recurs wherever they all do, so the candidates are the
+    places its top cells recur, found by a substring search in its binary
+    text (``_recurrences``), and only those are checked mask by mask.
     """
     low = max(((m & -m).bit_length() for m in roots.values()), default=0)
-    for p in range(2, (limit - w) // 2 + 1, 2):
-        last = limit + 1 - w - p  # the largest ``a`` the cut can certify
-        if low > last:
-            break
-        diff = 0
+    top = limit + 1 - w  # the lowest of the top ``w`` cells
+    last_p = min((limit - w) // 2, top - low)  # ``a`` is at most ``top - p``
+    window = (1 << w) - 1
+    joint = 0
+    for m in roots.values():
+        joint |= m
+    for p in _recurrences(joint & ((2 << limit) - 1), limit, w, last_p):
+        if p & 1:
+            continue
         for m in roots.values():
-            diff |= (m ^ (m >> p)) & ((1 << (limit + 1 - p)) - 1)
-            if diff >> last:
+            if (m >> (top - p) ^ m >> top) & window:
                 break
         else:
+            diff = 0
+            for m in roots.values():
+                diff |= (m ^ (m >> p)) & ((1 << (limit + 1 - p)) - 1)
             return max(low, diff.bit_length()), p
     return None
+
+
+def _recurrences(mask: int, limit: int, w: int, last: int) -> Iterable[int]:
+    """Each ``p`` in ``1..last``, ascending, at which the cells
+    ``limit-w+1..limit`` of ``mask`` equal the cells ``p`` lower: the places
+    where the first ``w`` characters of its binary text, highest cell
+    first, recur."""
+    text = format(mask, f"0{limit + 1}b")
+    head = text[:w]
+    p = text.find(head, 1, last + w)
+    while p > 0:
+        yield p
+        p = text.find(head, p + 1, last + w)
 
 
 # The fixpoint gives up when the cut would pass this many cells (or 16 times
@@ -854,8 +879,6 @@ def lambda_estimation(
     """Extended states reachable from ``v`` in exactly ``dt`` time units while
     producing no observation."""
     i = _gap_cell(_exact(dt), 0)
-    if v not in za.states:
-        raise ValueError(f"unknown extended state {v}")
     return _cell(za, frozenset((v,)), i).estimate.extended
 
 

@@ -28,7 +28,7 @@ from .model import (
     project,
     require_valid,
 )
-from .zones import build_zone_automaton
+from .zones import ExtendedState, build_zone_automaton, ext_json
 from .estimation import InvariantError, estimate
 
 
@@ -260,8 +260,12 @@ class DifferentialReport:
         return sum(1 for e in self.entries if e["verdict"] != "ok")
 
     @property
+    def zone_mismatches(self) -> int:
+        return sum(1 for e in self.entries if e.get("zones") == "mismatch")
+
+    @property
     def ok(self) -> bool:
-        return self.mismatches == 0 and self.soundness_violations == 0
+        return self.mismatches == 0 and self.zone_mismatches == 0 and self.soundness_violations == 0
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.entries)
@@ -270,6 +274,7 @@ class DifferentialReport:
         return {
             "trials": len(self.entries),
             "mismatches": self.mismatches,
+            "zone_mismatches": self.zone_mismatches,
             "runs_checked": self.runs_checked,
             "soundness_violations": self.soundness_violations,
         }
@@ -311,10 +316,14 @@ def differential_check(
     """Compare the estimator against the brute-force oracle on random models.
 
     Per trial: draw a model, derive an observation from a sampled legal run,
-    and require the estimator's discrete set to equal the oracle's exactly.
-    Every sampled run is also replayed against the estimator (its end state
-    must always be estimated at later grid times: a soundness check with zero
-    tolerance).  Mismatches are minimized by truncating the observation.
+    and require the estimator's discrete set to equal the oracle's exactly
+    (``verdict``).  The same grid search's final (state, clock) pairs,
+    mapped to their zones, must also equal the estimator's extended states
+    exactly (``zones``), counted apart as ``zone_mismatches``: a wrong zone
+    whose state is right shows only there.  Every sampled run is also
+    replayed against the estimator (its end state must always be estimated
+    at later grid times: a soundness check with zero tolerance).  Discrete
+    mismatches are minimized by truncating the observation.
     """
     report = DifferentialReport()
     for trial in range(trials):
@@ -356,8 +365,13 @@ def differential_check(
         end_t = _on_grid(grid, run.end_time)
         qt = rng.randint(end_t, horizon_t)
         obs = TimedObservation(events=word, query_time=grid.value(qt))
-        est = frozenset(estimate(za, model, obs).discrete)
-        oracle = brute_consistent_states(model, grid, obs)
+        got = estimate(za, model, obs)
+        est = got.discrete
+        # One grid search gives both the states and, mapped to their zones,
+        # the extended states.
+        finals = brute_final_clocks(model, grid, obs)
+        oracle = frozenset(state for state, _ in finals)
+        zones = frozenset(ExtendedState(x, za.zone_of(x, c)) for x, c in finals)
         entry = {
             "seed": seed,
             "model_digest": model_digest(model),
@@ -366,7 +380,11 @@ def differential_check(
             "estimator": sorted(est),
             "oracle": sorted(oracle),
             "verdict": "ok" if est == oracle else "mismatch",
+            "zones": "ok" if got.extended == zones else "mismatch",
         }
+        if got.extended != zones:
+            entry["zones_estimator"] = ext_json(got.extended)
+            entry["zones_oracle"] = ext_json(zones)
         if est != oracle:
             entry["minimized"] = _minimize(model, za, grid, obs)
         report.entries.append(entry)

@@ -13,8 +13,12 @@ automaton is an NFA over (state, zone) pairs whose ``tau`` edges model time
 elapsing into the next zone and whose event edges follow the guards and
 reset policies of the underlying model.  It is stored as the integer tables
 of ``ZoneIndex``, where a clock-resetting transition out of a zone is one
-entry holding the run of its target zones; ``ZoneAutomaton.edges`` expands
-them into ``Edge`` objects on first use.
+entry holding the run of its target zones.  The build writes each zone's
+entries straight into its list in one pass over the transitions, so they
+keep the order of the model's transitions.  ``ZoneAutomaton.edges``
+expands them into ``Edge`` objects, ``ZoneAutomaton.states`` collects the
+extended states and ``ZoneIndex.id_of`` maps them back to ids, each on
+first use.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .intervals import INF, Interval, distance
@@ -142,12 +145,15 @@ class ZoneIndex:
     state's zones consecutive and ascending; distinct zones get zone ids.
     Every table is a list indexed by id:
 
-    - ``ext``: the ExtendedState of each id; ``id_of`` maps it back;
+    - ``ext``: the ExtendedState of each id; ``id_of`` maps it back, built
+      on first read (the build interns the initial support with its ids,
+      so serving it needs no map);
     - ``zone``: its zone id, and ``ranges``: each zone id's Interval;
     - ``tau``: the id of the time-elapse successor, -1 for the unbounded zone;
     - ``events``: one entry ``(label, key, resets_clock, Transition)`` per
-      transition enabled in the zone, grouped by label in order of first
-      appearance, and ``silent``: those whose label is unobservable.  The
+      transition enabled in the zone, in the order of the model's
+      transitions, and ``silent``: those whose label is unobservable, in
+      the same order; an id with no entry holds the empty tuple.  The
       ``key`` is that of the run of target ids (see below): a
       clock-resetting transition leads to every zone of its reset range,
       which are consecutive ids of its target state, and a clock-preserving
@@ -212,19 +218,19 @@ class ZoneIndex:
     """
 
     __slots__ = (
-        "ext", "id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "resets", "rows",
+        "ext", "_id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "resets", "rows",
         "cells", "supports", "masks", "targets", "width", "cell_tables", "shifts", "fixpoints",
     )
 
     def __init__(self) -> None:
         self.ext: list[ExtendedState] = []
-        self.id_of: dict[ExtendedState, int] = {}
+        self._id_of: Optional[dict[ExtendedState, int]] = None
         self.ids: dict[str, range] = {}
         self.zone: list[int] = []
         self.ranges: list[Interval] = []
         self.tau: list[int] = []
-        self.events: list[tuple] = []
-        self.silent: list[tuple] = []
+        self.events: list = []
+        self.silent: list = []
         self.stretches: tuple[dict, dict] = ({}, {})
         self.resets: tuple[dict, dict] = ({}, {})
         self.rows: dict = {}
@@ -236,6 +242,15 @@ class ZoneIndex:
         self.cell_tables: dict = {}
         self.shifts: dict = {}
         self.fixpoints: dict = {}
+
+    @property
+    def id_of(self) -> dict[ExtendedState, int]:
+        """The id of each extended state, the inverse of ``ext``, built on
+        first read."""
+        id_of = self._id_of
+        if id_of is None:
+            id_of = self._id_of = dict(zip(self.ext, range(len(self.ext))))
+        return id_of
 
     def run(self, key: int) -> tuple[int, int]:
         """The run ``(a, b)`` of a key."""
@@ -314,11 +329,15 @@ class ZoneIndex:
 class ZoneAutomaton:
     """NFA over extended states with time-elapse and event edges."""
 
-    states: frozenset[ExtendedState]
     initial: frozenset[ExtendedState]
     zones_by_state: dict[str, tuple[Interval, ...]]
     diagnostics: tuple[str, ...] = ()
     index: ZoneIndex = field(default_factory=ZoneIndex, repr=False, compare=False)
+
+    @cached_property
+    def states(self) -> frozenset[ExtendedState]:
+        """Every extended state, made from ``index.ext`` on first use."""
+        return frozenset(self.index.ext)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -351,12 +370,18 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     its reset range, while a clock-preserving one keeps the zone unchanged.
     Each source zone stores one entry per transition, and a resetting
     transition's entry holds the run key of its target zones, so the build
-    does not fan out the product of guard and reset zones.  A
-    clock-preserving edge whose zone is missing at the target state is
-    dropped and reported as a diagnostic.  Each distinct zone ``Interval``
-    is made once from its cells, and no ``Edge`` object is made until
-    ``edges`` is read.  The model is validated first, so the build reads
-    each transition once, by unpacking, and checks nothing again.
+    does not fan out the product of guard and reset zones.  One pass over
+    the transitions appends each entry to its source id's ``events`` list,
+    and to its ``silent`` list when the label is unobservable, so both keep
+    the order of ``model.transitions``; an id with no entry keeps the shared
+    empty tuple.  A clock-preserving edge whose zone is missing at the
+    target state is dropped and reported as a diagnostic.  Each distinct
+    zone ``Interval`` is made once from its cells, and no ``Edge`` object
+    and no reverse map ``ZoneIndex.id_of`` is made until it is read: the
+    initial support is interned in the estimation memo with its ids, the
+    first id of each initial state.  The model is validated first, so the
+    build reads each transition once, by unpacking, and checks nothing
+    again.
     """
     require_valid(model)
     starts = _zone_starts(model)
@@ -364,9 +389,11 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     ext, zone, ranges, tau, ids = ix.ext, ix.zone, ix.ranges, ix.tau, ix.ids
     zone_ids: dict[tuple, int] = {}  # (first cell, next zone's first cell or None) -> zone id
     zones_of: dict[str, tuple[Interval, ...]] = {}
+    at: dict[str, tuple[int, list[int]]] = {}  # state -> (its first id, its zone starts)
     for x in sorted(starts):
         cells = starts[x]
         first = len(ext)
+        at[x] = (first, cells)
         zs = []
         for key in zip(cells, cells[1:] + [None]):
             zid = zone_ids.get(key)
@@ -380,69 +407,60 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
         ids[x] = range(first, len(ext))
         tau += range(first + 1, len(ext))
         tau.append(-1)
-    ix.id_of = dict(zip(ext, range(len(ext))))
     n = len(ext)
 
     # A guard is cut into zones at its source state and a reset range at its
     # target state, so the zones inside either are those whose first cell
-    # lies in the range: one bisection per end.  Per source id, the entries
-    # are grouped by label in order of first appearance.
-    out: dict[int, dict[str, list]] = {}
+    # lies in the range: one bisection per end.
+    events: list = [()] * n
+    silent: list = [()] * n
+    observable = model.observable
     by_zone: dict[str, dict[int, int]] = {}  # state -> zone id -> id
     diagnostics: list[str] = []
     for t in model.transitions:
         source, event, target, (lo, _, hi, _), reset = t
-        first, cells = ids[source].start, starts[source]
-        sources = range(first + bisect_left(cells, 2 * lo), first + bisect_right(cells, 2 * hi))
+        first, cells = at[source]
+        a = first + bisect_left(cells, 2 * lo)
+        b = first + bisect_right(cells, 2 * hi)
+        tables = (events,) if event in observable else (events, silent)
         if reset != ID_RESET:
-            first, cells = ids[target].start, starts[target]
+            first, cells = at[target]
             lo, _, hi, _ = reset
-            a = first + bisect_left(cells, 2 * lo)
-            b = first + bisect_right(cells, 2 * hi)
-            entries = zip(sources, repeat((event, a + n * (b - a - 1), True, t)))
-        else:
-            same = by_zone.get(target)
-            if same is None:
-                same = by_zone[target] = {zone[i]: i for i in ids[target]}
-            entries = []
-            for src in sources:
-                i = same.get(zone[src])
-                if i is None:
-                    diagnostics.append(
-                        f"clock-preserving transition {t}: source zone {ext[src].zone} "
-                        f"is not a zone of {target!r}"
-                    )
-                else:
-                    entries.append((src, (event, i, False, t)))
-        for src, entry in entries:
-            per = out.get(src)
-            if per is None:
-                out[src] = {event: [entry]}
-                continue
-            group = per.get(event)
-            if group is None:
-                per[event] = [entry]
-            else:
-                group.append(entry)
-    observable = model.observable
-    events, silent = [()] * n, [()] * n
-    for src, per in out.items():
-        if len(per) == 1:
-            (label, group), = per.items()
-            moves = events[src] = tuple(group)
-            if label not in observable:
-                silent[src] = moves
+            c = first + bisect_left(cells, 2 * lo)
+            entry = (event, c + n * (first + bisect_right(cells, 2 * hi) - c - 1), True, t)
+            for table in tables:
+                for src in range(a, b):
+                    moves = table[src]
+                    if moves:
+                        moves.append(entry)
+                    else:
+                        table[src] = [entry]
             continue
-        moves, quiet = [], []
-        for label, group in per.items():
-            moves += group
-            if label not in observable:
-                quiet += group
-        events[src], silent[src] = tuple(moves), tuple(quiet)
+        same = by_zone.get(target)
+        if same is None:
+            same = by_zone[target] = {zone[i]: i for i in ids[target]}
+        for src in range(a, b):
+            i = same.get(zone[src])
+            if i is None:
+                diagnostics.append(
+                    f"clock-preserving transition {t}: source zone {ext[src].zone} "
+                    f"is not a zone of {target!r}"
+                )
+                continue
+            entry = (event, i, False, t)
+            for table in tables:
+                moves = table[src]
+                if moves:
+                    moves.append(entry)
+                else:
+                    table[src] = [entry]
     ix.events, ix.silent = events, silent
+    start = sorted(ids[x].start for x in model.initial)
+    initial = frozenset([ext[i] for i in start])
+    ix.supports[initial] = (initial, start)
+    ix.masks[sum(1 << i for i in start)] = initial
     return ZoneAutomaton(
-        states=frozenset(ix.id_of),
-        initial=frozenset([ext[ids[x].start] for x in model.initial]),
+        initial=initial,
         zones_by_state={x: zones_of[x] for x in model.states},
         diagnostics=tuple(diagnostics),
         index=ix,

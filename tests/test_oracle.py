@@ -154,3 +154,42 @@ def test_zone_oracle_matches_the_extended_estimates():
                 compared += 1
                 extended += len(want)
     assert compared > 600 and extended > 2000, (compared, extended)
+
+
+def test_fuzz_reports_a_moved_zone(monkeypatch, capsys):
+    # An estimate that moves one zone to its ``tau`` neighbour keeps every
+    # state right, so the discrete verdicts stay ok; the zone check of each
+    # trial counts it apart, and ``fuzz`` fails.
+    import zonewatch.oracle as oracle
+    from zonewatch.cli import main
+    from zonewatch.estimation import Estimate
+    from zonewatch.zones import ext_sort_key
+
+    argv = ["fuzz", "--states", "3", "--trials", "6", "--seed", "5", "--horizon", "4"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["zone_mismatches"] == 0
+
+    real = oracle.estimate
+
+    def moved(za, model, obs):
+        est = real(za, model, obs)
+        ix = za.index
+        for v in sorted(est.extended, key=ext_sort_key):
+            j = ix.tau[ix.id_of[v]]
+            if j >= 0:
+                return Estimate.from_extended((est.extended - {v}) | {ix.ext[j]})
+        return est
+
+    monkeypatch.setattr(oracle, "estimate", moved)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["mismatches"] == summary["soundness_violations"] == 0, summary
+    assert summary["zone_mismatches"] > 0, summary
+    entries = [json.loads(line) for line in lines[:-1]]
+    assert all(e["verdict"] == "ok" for e in entries), entries
+    moved_entries = [e for e in entries if e["zones"] == "mismatch"]
+    assert len(moved_entries) == summary["zone_mismatches"]
+    for e in moved_entries:
+        assert e["zones_estimator"] != e["zones_oracle"]
+        assert {x for x, _ in e["zones_estimator"]} == {x for x, _ in e["zones_oracle"]} == set(e["oracle"])

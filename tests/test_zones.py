@@ -12,7 +12,8 @@ from zonewatch import (
     parse_interval,
     to_dot,
 )
-from zonewatch.model import TAU
+from zonewatch.intervals import subset
+from zonewatch.model import ID_RESET, TAU
 from zonewatch.zones import ExtendedState
 from zonewatch.oracle import RandomModelConfig, random_model
 
@@ -239,6 +240,138 @@ def test_run_encoded_edges_match_the_fanout():
                     assert cell.successor(event) == fanout_successor(edges, reached, event), (model, ids, event)
         seen["models"] += 1
     assert seen["models"] >= 101 and seen["id"] >= 100 and seen["multi-zone reset"] >= 100, seen
+
+
+def _expected_entries(model, za) -> list[list]:
+    """Each id's event entries read off ``model.transitions`` and the zones
+    ``za.zones(x)`` alone, in transition order: ids number the states in
+    name order and each state's zones ascending, a resetting transition's
+    entry holds the run key of the target zones inside its reset range, and
+    a clock-preserving one the id of the same zone at its target."""
+    first, n = {}, 0
+    for x in sorted(model.states):
+        first[x], n = n, n + len(za.zones(x))
+    entries: list[list] = [[] for _ in range(n)]
+    for t in model.transitions:
+        targets = za.zones(t.target)
+        for k, z in enumerate(za.zones(t.source)):
+            if not subset(z, t.guard):
+                continue
+            if t.resets_clock:
+                run = [first[t.target] + j for j, z2 in enumerate(targets) if subset(z2, t.reset)]
+                entries[first[t.source] + k].append((t.event, run[0] + n * (run[-1] - run[0]), True, t))
+            elif z in targets:
+                entries[first[t.source] + k].append((t.event, first[t.target] + targets.index(z), False, t))
+    return entries
+
+
+def test_event_lists_follow_the_transitions():
+    # The build appends each entry to its source id's list in one pass over
+    # the transitions: ``events`` holds them in transition order, with no
+    # grouping by label, and ``silent`` the unobservable ones in the same
+    # order.
+    models = [make_fig1()] + [
+        random_model(
+            RandomModelConfig(
+                state_count=3 + k % 4,
+                max_constant=1 + k % 4,
+                require_ro=k % 2 == 0,
+                reset_id_probability=(0.2, 0.5)[k % 2],
+                transition_density=0.25,
+                rng_seed=2100 + k,
+            )
+        )
+        for k in range(40)
+    ]
+    # Labels interleaved out of ``x``: grouping by label would order the
+    # entries of its zone [0,0] a, a, b, not a, b, a.
+    models.append(
+        TFA(
+            states=frozenset({"x", "y", "z"}),
+            alphabet=frozenset({"a", "b"}),
+            observable=frozenset({"b"}),
+            transitions=(
+                Transition("x", "a", "y", I("[0,1]"), I("[0,0]")),
+                Transition("x", "b", "y", I("[0,2]"), I("[0,1]")),
+                Transition("x", "a", "z", I("[0,0]"), ID_RESET),
+                Transition("z", "a", "x", I("[0,3]"), ID_RESET),
+            ),
+            initial=frozenset({"x"}),
+        )
+    )
+    seen = {"id": 0, "multi-zone reset": 0, "interleaved labels": 0}
+    for model in models:
+        za = build_zone_automaton(model)
+        ix = za.index
+        n = len(ix.ext)
+        expected = _expected_entries(model, za)
+        assert len(ix.events) == len(ix.silent) == n
+        for i, want in enumerate(expected):
+            assert list(ix.events[i]) == want, (model, i)
+            assert list(ix.silent[i]) == [e for e in want if e[0] not in model.observable], (model, i)
+            seen["id"] += sum(1 for e in want if not e[2])
+            seen["multi-zone reset"] += sum(1 for e in want if e[1] >= n)
+            labels = [e[0] for e in want]
+            seen["interleaved labels"] += labels != sorted(labels, key=labels.index)
+    assert seen["id"] >= 100 and seen["multi-zone reset"] >= 100 and seen["interleaved labels"] >= 1, seen
+
+
+def test_ops_from_the_initial_support_never_build_the_reverse_map(monkeypatch, capsys, tmp_path):
+    # The initial support is interned with its ids at build time, so a fresh
+    # automaton that serves only ops from it never reads ``id_of``; reading
+    # it afterwards builds it, the inverse of ``ext``.
+    import io
+
+    from zonewatch import (
+        belief_advance,
+        belief_init,
+        belief_query,
+        build_offline_observer,
+        dump_model,
+        estimate,
+        parse_observation,
+    )
+    from zonewatch.cli import main
+    from zonewatch.zones import ZoneIndex
+
+    reads = []
+    id_of = ZoneIndex.id_of
+    monkeypatch.setattr(ZoneIndex, "id_of", property(lambda ix: reads.append(ix) or id_of.fget(ix)))
+    models = [make_fig1()] + [
+        random_model(RandomModelConfig(state_count=4, max_constant=3, require_ro=True, rng_seed=2200 + k))
+        for k in range(10)
+    ]
+    built = []
+    for model in models:
+        events = sorted(model.observable)
+        za = build_zone_automaton(model)
+        belief = belief_init(za)
+        for k, event in enumerate(events * 2):
+            belief_query(za, model, belief, belief.anchor_time + F(k % 3, 2))
+            nxt = belief_advance(za, model, belief, event, belief.anchor_time + 1 + F(k % 2, 2))
+            belief = nxt if nxt.support else belief
+        text = ",".join(f"{e}@{k + 1}" for k, e in enumerate(events))
+        built.append(za)
+        za = build_zone_automaton(model)
+        estimate(za, model, parse_observation(text, F(len(events) + 3, 2) + len(events)))
+        built.append(za)
+        za = build_zone_automaton(model)
+        session = build_offline_observer(za, model).session()
+        for event in events:
+            session.advance(event, session.anchor_time + 2)
+            session.query(session.anchor_time + F(1, 2))
+        built.append(za)
+        path = tmp_path / "model.json"
+        path.write_text(dump_model(model))
+        script = "".join(f"query {k}\nobs {e} {k + 1}\n" for k, e in enumerate(events)) + "query 9\nquit\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        assert main(["watch", str(path)]) == 0
+        assert "error" not in capsys.readouterr().out
+    assert reads == []
+    for za in built:
+        ix = za.index
+        assert ix.id_of == {v: i for i, v in enumerate(ix.ext)}
+    assert len(reads) == len(built)
 
 
 def square_model(k: int) -> TFA:

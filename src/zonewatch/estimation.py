@@ -30,7 +30,9 @@ and witness paths, where each stretch is re-rooted at a single zone.
 reached state can be held, so it expands each all-events root once, at a
 cost that does not depend on the duration.  A memo miss (below) needs every
 id reached at exactly its elapsed time, and ``_duration_reach`` finds them
-at a cost linear in it.
+at a cost linear in it.  It is handed the cell of the elapsed time (below)
+and the support's start runs, kept on the support's row, and returns its
+hits and counters as one plain tuple.
 
 Every window has integer endpoints, so between two observations the answer
 depends only on the belief support and on the unit cell of the elapsed time
@@ -47,10 +49,12 @@ anchor (one ``as_integer_ratio()`` each), so it makes, subtracts and
 compares no ``Fraction`` between its timestamp and the memo read.  A warm op
 is that step plus the memo read: one lookup of the support's row and one
 read of it (``_cell``), and for an advance one read of the cell's
-successors.  Its model check reads the diagnostics tuple cached on the
-model (``require_valid``), and its new ``BeliefState``, a named tuple, is
-made by ``tuple.__new__``.  A miss at a small elapsed time runs the
-search for that one cell.  A miss past twice the first cut of
+successors.  Its model check is one read of the verdict the model keeps
+(``TFA.ro_valid``), set by the model's one diagnose pass; only a model that
+is unchecked or invalid goes on to ``require_valid``, so an invalid one
+raises the same ``ModelError`` on every call.  Its new ``BeliefState``, a
+named tuple, is made by ``tuple.__new__``.  A miss at a small elapsed time
+runs the search for that one cell.  A miss past twice the first cut of
 ``_duration_cells``, a fixpoint over bit masks of unit cells on the same
 stretch tables, fills the support's whole row up to its certified periodic
 tail, after which every elapsed time of that support is a row read.  The
@@ -133,43 +137,35 @@ _ZERO = (0, True, 0, True)
 _START = (None, None, None)  # the link of a start root: no parent, no reset
 
 
-@dataclass
-class _SearchOutcome:
-    """What one ``_duration_reach`` found and its counters: items queued
-    (``pushed``); table entries that passed the lower-bound test
-    (``expanded``); table scans cut by that test (``pruned``); reset steps
-    whose sum was capped (``capped``); the largest frontier, items queued
-    minus the position popped (``max_queue``); and windows not queued
-    because their root had queued all their cells already (``covered``)."""
+def _duration_reach(za: ZoneAutomaton, runs: Sequence[int], i: int, budget: Optional[int] = None) -> tuple:
+    """All extended-state ids reachable from the start runs ``runs`` (run
+    keys, as ``ZoneIndex.start_runs`` gives them) by a run over silent
+    events whose duration ``dt`` lies in the unit cell ``i`` (``[k,k]`` is
+    cell ``2k``, ``(k,k+1)`` cell ``2k+1``): the search behind a memo miss
+    that the fixpoint does not answer.  Raises ``ValueError`` once it has
+    queued more than ``budget`` items.
 
-    hits: set  # ids of the extended states where dt is realizable
-    pushed: int
-    expanded: int
-    pruned: int
-    capped: int
-    max_queue: int
-    covered: int
-
-
-def _duration_reach(
-    za: ZoneAutomaton, starts: Iterable[int], dt: Fraction, budget: Optional[int] = None
-) -> _SearchOutcome:
-    """All extended-state ids reachable from ``starts`` by a run of duration
-    ``dt`` over silent events: the search behind a memo miss that the
-    fixpoint does not answer.  Raises ``ValueError`` once it has queued more
-    than ``budget`` items.
+    Returns one plain tuple ``(hits, pushed, expanded, pruned, capped,
+    max_queue, covered)``: the set of ids reached, then the counters: items
+    queued; table entries that passed the lower-bound test; table scans cut
+    by that test; reset steps whose sum was capped; the largest frontier,
+    items queued minus the position popped; and windows not queued because
+    their root had queued all their cells already.
 
     A queue item is a stretch root ``r``, a run of zones (``ZoneIndex``),
-    with the sum ``acc`` of the completed stretches; the start roots are the
-    runs of ``starts``.  The window of an entry ``(s, d)`` of ``r``'s
-    silent stretch table (``ZoneIndex.stretch``) is ``acc (+) d``.  Windows
-    whose lower bound already exceeds ``dt`` can never recover, and the
-    table is sorted by the lower end of ``d``, so the scan stops at the
-    first such entry.  Each reset run out of an expanded entry queues that
-    run with the entry's window as the new sum, capped just above
-    ``ceil(dt)``, which preserves membership of ``dt``.  Window endpoints are
-    integers (or an infinite upper end), since zones have integer endpoints,
-    so they are compared with ``floor(dt)`` and whether ``dt`` is an integer.
+    with the sum ``acc`` of the completed stretches.  The window of an entry
+    ``(s, d)`` of ``r``'s silent stretch table (``ZoneIndex.stretch``) is
+    ``acc (+) d``.  Windows whose lower bound already exceeds ``dt`` can
+    never recover, and the table is sorted by the lower end of ``d``, so the
+    scan stops at the first such entry.  Each reset run out of an expanded
+    entry queues that run with the entry's window as the new sum, capped
+    just above ``ceil(dt)``, which preserves membership of ``dt``.  Window
+    endpoints are integers (or an infinite upper end), since zones have
+    integer endpoints, so they are compared with ``floor(dt)``, which is
+    ``i >> 1``, and whether ``dt`` is an integer, which is whether ``i`` is
+    even; ``ceil(dt)`` is ``(i + 1) >> 1``.  Every time in the cell gives
+    the same answer, and no ``Fraction`` is made, except for the text of the
+    budget's error.
 
     Each root keeps the unit cells of every window queued there (``[k,k]``
     is cell ``2k``, ``(k,k+1)`` cell ``2k+1``) as a flat ascending list of
@@ -182,14 +178,9 @@ def _duration_reach(
     """
     ix = za.index
     tables = ix.stretches[False]
-    p, q = dt.numerator, dt.denominator
-    floor, exact = p // q, q == 1
-    ceiling = -(-p // q)
-    cells: dict = {}  # root -> its queued cells as merged ranges
-    queue: list[_Item] = []
-    for r in ix.start_runs(starts):
-        cells[r] = [0, 1]
-        queue.append((r, 0, True, 0, True))
+    floor, exact, ceiling = i >> 1, not i & 1, (i + 1) >> 1
+    cells: dict = {r: [0, 1] for r in runs}  # root -> its queued cells as merged ranges
+    queue: list[_Item] = [(r, 0, True, 0, True) for r in runs]
 
     hits: set = set()
     pos = expanded = pruned = capped = max_queue = covered = 0
@@ -198,11 +189,11 @@ def _duration_reach(
             max_queue = len(queue) - pos
         if budget is not None and len(queue) > budget:
             raise ValueError(
-                f"no answer at an elapsed time of {format_time(dt)}: the silent durations "
+                f"no answer at an elapsed time of {format_time(Fraction(i, 2))}: the silent durations "
                 f"have no tail that can be tabulated, and the search passed {budget} items"
             )
         r, a_lo, a_lc, a_hi, a_hc = queue[pos]
-        for s, d_lo, d_lc, d_hi, d_hc, resets, _, _ in tables.get(r) or ix.stretch(r, False):
+        for s, d_lo, d_lc, d_hi, d_hc, resets in tables.get(r) or ix.stretch(r, False):
             lo = a_lo + d_lo
             lo_c = a_lc and d_lc
             if lo > floor or (lo == floor and exact and not lo_c):
@@ -233,19 +224,19 @@ def _duration_reach(
                         ranges[0] = f if f < first else first
                         ranges[1] = e if e > end else end
                     else:
-                        i = bisect_left(ranges, first) & -2
-                        if i < len(ranges) and ranges[i] <= first and end <= ranges[i + 1]:
+                        k = bisect_left(ranges, first) & -2
+                        if k < len(ranges) and ranges[k] <= first and end <= ranges[k + 1]:
                             covered += 1
                             continue
-                        j = bisect_right(ranges, end, i)
-                        j += j & 1
-                        if i < j:
-                            ranges[i:j] = (min(first, ranges[i]), max(end, ranges[j - 1]))
+                        m = bisect_right(ranges, end, k)
+                        m += m & 1
+                        if k < m:
+                            ranges[k:m] = (min(first, ranges[k]), max(end, ranges[m - 1]))
                         else:
-                            ranges[i:i] = (first, end)
+                            ranges[k:k] = (first, end)
                     queue.append((t, lo, lo_c, hi, hi_c))
         pos += 1
-    return _SearchOutcome(hits, len(queue), expanded, pruned, capped, max_queue, covered)
+    return hits, len(queue), expanded, pruned, capped, max_queue, covered
 
 
 # -- duration cells -------------------------------------------------------------
@@ -414,10 +405,13 @@ def _run_cells(ix, r: int, limit: int) -> tuple[dict, dict]:
     return roots, hits
 
 
-def _reach_cells(ix, starts: Iterable[int], limit: int) -> tuple[dict, dict]:
+def _reach_cells(
+    ix, starts: Iterable[int], limit: int, runs: Optional[list[int]] = None
+) -> tuple[dict, dict]:
     """The cells ``0..limit`` of every silent duration from ``starts``: the
     root masks and the hit masks of ``_run_cells``, ORed over the maximal
-    start runs of ``starts``.
+    start runs of ``starts``, which a caller that has them passes as
+    ``runs``.
 
     The fixpoint is OR-linear in its starts (a window sum distributes over
     a union), so the masks from a set of starts are the ORs of the masks
@@ -428,17 +422,17 @@ def _reach_cells(ix, starts: Iterable[int], limit: int) -> tuple[dict, dict]:
     dicts may be the memo's own and must not be changed.
     """
     memo = ix.fixpoints
-    runs = []
-    for r in ix.start_runs(starts):
+    entries = []
+    for r in ix.start_runs(starts) if runs is None else runs:
         entry = memo.get(r)
         if entry is None or entry[0] < limit:
             entry = memo[r] = (limit, *_run_cells(ix, r, limit))
-        runs.append(entry)
-    if len(runs) == 1 and runs[0][0] == limit:
-        return runs[0][1], runs[0][2]
+        entries.append(entry)
+    if len(entries) == 1 and entries[0][0] == limit:
+        return entries[0][1], entries[0][2]
     full = (2 << limit) - 1
     merged: tuple[dict, dict] = ({}, {})  # root masks, hit masks
-    for cut, *masks in runs:
+    for cut, *masks in entries:
         for out, run_masks in zip(merged, masks):
             get = out.get
             if cut > limit:
@@ -535,8 +529,11 @@ def _width(ix) -> int:
     return ix.width
 
 
-def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int, int]:
-    """Every silent duration from ``starts`` at once, as ``(hits, start,
+def _duration_cells(
+    za: ZoneAutomaton, starts: Iterable[int], runs: Optional[list[int]] = None
+) -> tuple[dict, int, int]:
+    """Every silent duration from ``starts`` (whose start runs a caller
+    that has them passes as ``runs``) at once, as ``(hits, start,
     period)``: ``hits`` maps each reachable id to a mask of the cells at
     which it is reachable, exact for the cells ``0..start+period-1`` (bits
     past them may be set, and are to be ignored), and cell ``c >= start``
@@ -556,7 +553,8 @@ def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int
     tail; ``InvariantError`` on a window with a non-integer endpoint.
     """
     ix = za.index
-    starts = list(starts)
+    if runs is None:
+        runs = ix.start_runs(starts)
     w = _width(ix)
     bound = min(max(_MAX_CUT, 16 * w), _MAX_CELLS)
     limit = 4 * w
@@ -566,7 +564,7 @@ def _duration_cells(za: ZoneAutomaton, starts: Iterable[int]) -> tuple[dict, int
             f"more than the {_MAX_CELLS} that are tabulated"
         )
     while True:
-        roots, hits = _reach_cells(ix, starts, limit)
+        roots, hits = _reach_cells(ix, starts, limit, runs)
         tail = _root_period(roots, w, limit)
         if tail is not None:
             break
@@ -700,15 +698,18 @@ class Cell:
 
 
 class _Row:
-    """The memo of one belief support.  ``tail`` is None while ``cells`` is
-    a dict of the cells met so far by index; ``(start, period)`` once the row
-    is total and ``cells`` the tuple of its first ``start + period`` cells;
-    False when the fixpoint found no tail it could tabulate."""
+    """The memo of one belief support: its ids, ascending, and their start
+    runs (``ZoneIndex.start_runs``), which its searches and its fixpoint
+    both read.  ``tail`` is None while ``cells`` is a dict of the cells met
+    so far by index; ``(start, period)`` once the row is total and ``cells``
+    the tuple of its first ``start + period`` cells; False when the fixpoint
+    found no tail it could tabulate."""
 
-    __slots__ = ("ids", "cells", "tail")
+    __slots__ = ("ids", "runs", "cells", "tail")
 
-    def __init__(self, ids: list[int]):
+    def __init__(self, ids: list[int], runs: list[int]):
         self.ids = ids
+        self.runs = runs
         self.cells: dict | tuple = {}
         self.tail: Optional[tuple[int, int]] | bool = None
 
@@ -756,7 +757,8 @@ def _row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> _Row:
                 mask |= 1 << i
             ix.masks[mask] = support
             interned = ix.supports[support] = (support, ids)
-        row = ix.rows[support] = _Row(interned[1])
+        ids = interned[1]
+        row = ix.rows[support] = _Row(ids, ix.start_runs(ids))
     return row
 
 
@@ -772,7 +774,7 @@ def _fill(za: ZoneAutomaton, row: _Row) -> None:
     and interns one ``Cell`` per run, by its mask: the cost follows the
     runs and the flips, not the runs times the ids.  The row stays a dense
     tuple, one entry per cell, so a read is one index."""
-    hits, start, period = _duration_cells(za, row.ids)
+    hits, start, period = _duration_cells(za, row.ids, row.runs)
     ix = za.index
     n = start + period
     below = (1 << n) - 1
@@ -824,7 +826,7 @@ def _cell(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
 def _miss(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
     """``_cell`` when the memo lacks cell ``i`` of ``support``.
 
-    A miss runs the search at ``i/2``, which lies in cell ``i``; the search
+    A search is handed the cell ``i`` itself and the row's start runs: it
     reads only the floor, the ceiling and the integrality of the time, which
     are the same for every time in the cell.  A miss below cell ``8w``
     (``4w`` time units, twice the fixpoint's first cut; ``w`` is the
@@ -841,7 +843,8 @@ def _miss(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
     but a gap crossed in exact silent steps would cost time linear in it.
     """
     row = _row(za, support)
-    below = i < 8 * _width(za.index)
+    ix = za.index
+    below = i < 8 * _width(ix)
     far = i >= _MAX_CELLS
     if row.tail is None and (far or not below):
         try:
@@ -850,11 +853,11 @@ def _miss(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
             row.tail = False
         else:
             return _cell(za, support, i)
-    ids = frozenset(_duration_reach(za, row.ids, Fraction(i, 2), budget=_MAX_ITEMS if far else None).hits)
-    cells = za.index.cells
+    ids = frozenset(_duration_reach(za, row.runs, i, _MAX_ITEMS if far else None)[0])
+    cells = ix.cells
     cell = cells.get(ids)
     if cell is None:
-        cell = cells[ids] = Cell(None, za.index, ids)
+        cell = cells[ids] = Cell(None, ix, ids)
     if below and len(row.cells) < _ROW_CELLS:
         row.cells[i] = cell
     return cell
@@ -1080,7 +1083,8 @@ def estimate(za: ZoneAutomaton, model: TFA, obs: TimedObservation) -> Estimate:
     reset its clock on observable events; an inconsistent observation yields
     an empty estimate rather than an error.
     """
-    require_valid(model, require_ro=True)
+    if not model.ro_valid:
+        require_valid(model, require_ro=True)
     _check_observation(model, obs)
     support = za.initial
     anchor = 0
@@ -1113,11 +1117,13 @@ def belief_advance(
     za: ZoneAutomaton, model: TFA, belief: BeliefState, event: str, time: Rational
 ) -> BeliefState:
     """Consume one observed event, returning the belief just after it."""
-    time = _exact(time)
+    if not isinstance(time, (Fraction, int)):  # ``_exact``, inline on the warm path
+        time = Fraction(time)
     i = _gap_cell(time, belief.anchor_time, "observation time precedes the belief anchor")
     if event not in model.observable:
         raise ValueError(f"event {event!r} is not observable")
-    require_valid(model, require_ro=True)
+    if not model.ro_valid:
+        require_valid(model, require_ro=True)
     cell = _cell(za, belief.support, i)
     nxt = cell.successors.get(event)
     if nxt is None:
@@ -1129,5 +1135,7 @@ def belief_query(
     za: ZoneAutomaton, model: TFA, belief: BeliefState, time: Rational
 ) -> Estimate:
     """The estimate at ``time`` given the belief, without consuming anything."""
-    i = _gap_cell(_exact(time), belief.anchor_time, "query time precedes the belief anchor")
+    if not isinstance(time, (Fraction, int)):  # ``_exact``, inline on the warm path
+        time = Fraction(time)
+    i = _gap_cell(time, belief.anchor_time, "query time precedes the belief anchor")
     return _cell(za, belief.support, i).estimate

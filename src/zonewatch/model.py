@@ -53,6 +53,13 @@ class TFA:
     transitions: tuple[Transition, ...]
     initial: frozenset[str]
 
+    # The verdict of the model check, a plain attribute (not a field): set
+    # on the instance to True by the first check that finds no diagnostic
+    # with ``require_ro``, so a caller that needs such a model reads one
+    # attribute and falls through to ``require_valid`` only while it is
+    # False, that is, while the model is unchecked or invalid.
+    ro_valid = False
+
     def _key(self) -> tuple:
         return (
             self.states,
@@ -153,7 +160,8 @@ def _diagnostics(model: TFA, require_ro: bool) -> tuple[Diagnostic, ...]:
     The first call, whatever its flag, fills both flags' tuples from one
     ``_diagnose`` pass: the ``ro-violation`` entries are the only ones that
     depend on the flag, so the tuple without it is the other one with them
-    left out, in the same order."""
+    left out, in the same order.  The same pass sets ``TFA.ro_valid`` on a
+    model with no diagnostic at all."""
     try:
         return model.__dict__["_diagnostics"][require_ro]
     except KeyError:
@@ -162,6 +170,8 @@ def _diagnostics(model: TFA, require_ro: bool) -> tuple[Diagnostic, ...]:
             True: with_ro,
             False: tuple([d for d in with_ro if d.code != "ro-violation"]),
         }
+        if not with_ro:
+            model.__dict__["ro_valid"] = True
         return cache[require_ro]
 
 
@@ -224,7 +234,9 @@ class ModelError(ValueError):
 
 def require_valid(model: TFA, require_ro: bool = False) -> None:
     """Raise ``ModelError`` when ``model`` has diagnostics.  Reads the cached
-    tuple, so a call on a model already checked makes no list."""
+    tuple, so a call on a model already checked makes no list.  A caller on
+    a hot path reads ``model.ro_valid`` first and calls this only while it
+    is False."""
     diags = _diagnostics(model, require_ro)
     if diags:
         raise ModelError(diags)

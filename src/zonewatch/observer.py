@@ -141,7 +141,8 @@ def build_offline_observer(
     largest cut, and ``InvariantError`` when a duration window has a
     non-integer endpoint, since the cells would then not be exact.
     """
-    require_valid(model, require_ro=True)
+    if not model.ro_valid:
+        require_valid(model, require_ro=True)
     events = sorted(model.observable)
     tables: dict = {}
     tails: dict = {}

@@ -179,10 +179,12 @@ class ZoneIndex:
 
     A reset-free stretch reaches the ids linked to a member by ``tau``
     steps and clock-preserving edges.  Its table has one entry ``(s, d_lo,
-    d_lo_closed, d_hi, d_hi_closed, resets, pred, edge)`` per such id
-    ``s``: the durations from the run to ``s``, the reset runs out of
-    ``s``, and the id ``s`` was first reached from with the edge taken
-    (``None`` for ``tau``; ``pred`` is -1 at the members).  The members
+    d_lo_closed, d_hi, d_hi_closed, resets)`` per such id ``s``: the
+    durations from the run to ``s`` and the reset runs out of ``s``.  An
+    all-events table, the only kind ``t_reachable``'s witnesses read, adds
+    ``pred, edge`` to each entry: the id ``s`` was first reached from and
+    the edge taken (``None`` for ``tau``; ``pred`` is -1 at the members).
+    A silent table has no such links, since nothing reads them.  The members
     that reach ``s`` are a prefix ``a..top`` (the clock only rises within a
     stretch, and a member reaches the next one by ``tau``), so the
     durations are the distance range from the hull of the zones of
@@ -282,9 +284,10 @@ class ZoneIndex:
     def walk(self, key: int, all_events: bool, cell_form: bool = False) -> list[tuple]:
         """The entries of the run ``key``'s stretch, in the order the walk
         meets their ids: the rows of its stretch table (see the class
-        docstring), or with ``cell_form`` just ``(s, window, resets)``, what
-        the estimation memo's cell-form table reads.  One walk serves both,
-        without a second pass over its rows."""
+        docstring; with the ``pred, edge`` links only over all events), or
+        with ``cell_form`` just ``(s, window, resets)``, what the estimation
+        memo's cell-form table reads.  One walk serves each, without a
+        second pass over its rows."""
         zone, ranges, tau = self.zone, self.ranges, self.tau
         moves = self.events if all_events else self.silent
         resets = self.resets[all_events]
@@ -306,7 +309,12 @@ class ZoneIndex:
                 if runs is None:
                     runs = resets[s] = tuple([edge for edge in moves[s] if edge[2]])
                 d = distance(hull, ranges[zone[s]])
-                rows.append((s, d, runs) if cell_form else (s, *d, runs, *link[s]))
+                if cell_form:
+                    rows.append((s, d, runs))
+                elif all_events:
+                    rows.append((s, *d, runs, *link[s]))
+                else:
+                    rows.append((s, *d, runs))
                 nxt = tau[s]
                 if nxt >= 0 and nxt not in link:
                     link[nxt] = (s, None)

@@ -59,7 +59,7 @@ def reach_cells(ix, starts, limit: int) -> tuple[dict, dict]:
     pending = dict(roots)  # root -> bits not yet expanded
     while pending:
         r, delta = pending.popitem()
-        for _, *d, resets, _, _ in ix.stretch(r, False):
+        for _, *d, resets in ix.stretch(r, False):
             if not resets:
                 continue
             cells = add_window(delta, d, even, full)
@@ -71,7 +71,7 @@ def reach_cells(ix, starts, limit: int) -> tuple[dict, dict]:
                     pending[run[1]] = pending.get(run[1], 0) | gain
     hits: dict = {}
     for r, mask in roots.items():
-        for s, *d, _, _, _ in ix.stretch(r, False):
+        for s, *d, _ in ix.stretch(r, False):
             cells = add_window(mask, d, even, full)
             if cells:
                 hits[s] = hits.get(s, 0) | cells

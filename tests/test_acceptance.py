@@ -129,7 +129,11 @@ def test_criterion_5_differential_suite():
     elapsed = time.perf_counter() - start
     assert len([e for e in report_obj.entries if "estimator" in e]) >= 200
     assert report_obj.mismatches == 0, report_obj.entries
+    # A wrong zone on a right state shows only in the zone check.
+    assert sum(e.get("zones") == "ok" for e in report_obj.entries) >= 200
+    assert report_obj.zone_mismatches == 0, [e for e in report_obj.entries if e.get("zones") == "mismatch"]
     assert report_obj.soundness_violations == 0
+    assert report_obj.ok
     assert report_obj.runs_checked >= 1000
     assert elapsed < 120, f"differential suite took {elapsed:.1f} s"
     report(

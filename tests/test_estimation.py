@@ -25,6 +25,7 @@ from zonewatch.model import ID_RESET, TAU
 from zonewatch.oracle import RandomModelConfig, _grid_points_in, _sample_runs, random_model
 from zonewatch.zones import ExtendedState, ext_sort_key
 
+from conftest import cell_index
 from goldens import (
     SUPPORT_AFTER_A1,
     SUPPORT_AFTER_A1_A3,
@@ -399,7 +400,7 @@ def test_search_counters_pinned(monkeypatch, fig1, name, kind, arg, time, expect
 
     def counted(*args, **kwargs):
         out = search(*args, **kwargs)
-        calls.append((out.pushed, out.expanded, out.pruned, out.capped, out.max_queue, out.covered))
+        calls.append(out[1:])  # pushed, expanded, pruned, capped, max_queue, covered
         return out
 
     monkeypatch.setattr(estimation, "_duration_reach", counted)
@@ -464,7 +465,7 @@ def test_stretch_search_matches_node_search():
         start_sets += [list(ix.ids[x]) for x in sorted(model.states)]
         for starts in start_sets:
             for dt in durations:
-                got = estimation._duration_reach(za, starts, dt).hits
+                got = estimation._duration_reach(za, ix.start_runs(starts), cell_index(dt))[0]
                 assert got == node_reach(za, starts, dt), (name, starts, dt)
                 compared += 1
         for source in sorted(model.states):
@@ -500,10 +501,10 @@ def test_stretch_search_matches_node_search_where_cycles_repeat():
         start_sets += [list(ix.ids[x]) for x in sorted(model.states)]
         for starts in start_sets:
             for dt in durations:
-                out = estimation._duration_reach(za, starts, dt)
-                assert out.hits == node_reach(za, starts, dt), (name, starts, dt)
+                out = estimation._duration_reach(za, ix.start_runs(starts), cell_index(dt))
+                assert out[0] == node_reach(za, starts, dt), (name, starts, dt)
                 compared += 1
-                covered += out.covered
+                covered += out[6]
         for source in sorted(model.states):
             for dt in durations:
                 reached = node_reach(za, ix.ids[source], dt, all_events=True)
@@ -514,6 +515,35 @@ def test_stretch_search_matches_node_search_where_cycles_repeat():
                     if ok:
                         assert_witness_replays(model, witness, source, target, dt)
     assert compared > 900 and covered > 0
+
+
+def test_misses_match_node_search_at_every_cell():
+    # ``_miss`` hands the search its cell index and the row's start runs:
+    # at every cell up to ``8w`` (the last one fills the row instead), its
+    # answer equals the per-node reference at a time in that cell.  The
+    # reference's cost grows with the square of the duration, so models of
+    # six states are left out, and only those of up to four states are
+    # also started from each state's zones.
+    from node_search import node_reach
+
+    from zonewatch.estimation import _ids, _miss, _width
+
+    compared = 0
+    for name, model, _ in _differential_models()[:20]:
+        if len(model.states) > 5 and name != "ring8":
+            continue
+        za = build_zone_automaton(model)
+        ix = za.index
+        supports = [za.initial]
+        if len(model.states) <= 4:
+            supports += [frozenset(ix.ext[j] for j in ix.ids[x]) for x in sorted(model.states)]
+        for support in supports:
+            starts = _ids(za, support)
+            for i in range(8 * _width(ix) + 1):
+                got = _miss(za, support, i).reached
+                assert got == node_reach(za, starts, F(i, 2)), (name, starts, i)
+                compared += 1
+    assert compared > 2000, compared
 
 
 # -- run roots vs the per-node reference and the grid oracle -------------------
@@ -594,7 +624,7 @@ def test_run_roots_match_node_search():
         start_sets += [sorted(rng.sample(range(n), min(n, 4))) for _ in range(2)]
         for starts in start_sets:
             for dt in durations:
-                got = estimation._duration_reach(za, starts, dt).hits
+                got = estimation._duration_reach(za, ix.start_runs(starts), cell_index(dt))[0]
                 assert got == node_reach(za, starts, dt), (name, starts, dt)
                 compared += 1
         runs += sum(key >= n for tables in ix.stretches for key in tables)  # runs of several ids

@@ -5,9 +5,10 @@ Every op maps the elapsed time ``time - anchor`` to its unit cell with
 ``Fraction`` is subtracted or compared between a timestamp and its cell.
 These tests pin the arithmetic against ``Fraction`` subtraction, check that
 a warm op runs no ``Fraction`` arithmetic and no model validation beyond
-reading the cached diagnostics, and pin each API's errors: for a time
-before its anchor, for a model that fails the check, and the contract of the
-``BeliefState`` record.
+reading the model's verdict (one diagnose pass per model), and pin each
+API's errors: for a time before its anchor, for a model that fails the
+check, under ``python -O`` too, and the contract of the ``BeliefState``
+record.
 """
 
 from fractions import Fraction
@@ -227,6 +228,110 @@ def test_every_call_checks_the_model_it_is_given():
         with pytest.raises(ModelError, match="ro-violation"):
             call(warm)
     assert belief_advance(warm, model, belief, "a", 4).anchor_time == 4
+
+
+# The scenarios below return what they saw instead of asserting it, so that
+# ``test_model_checks_hold_under_optimized_mode`` can run them under
+# ``python -O``, where an assert inside them would vanish.
+
+
+def _diagnose_passes() -> list:
+    """The ``_diagnose`` passes, and the ``require_valid`` calls made by
+    the ops, over 1,000 advances, 50 ``estimate`` calls and one observer
+    build on a fresh fig1, with its zone automaton built first."""
+    import random
+
+    import zonewatch.estimation
+    import zonewatch.observer
+
+    passes, checks = [], []
+    diagnose = zonewatch.model._diagnose
+    check = zonewatch.model.require_valid
+    zonewatch.model._diagnose = lambda model: passes.append(model) or diagnose(model)
+    try:
+        model = make_fig1()
+        za = build_zone_automaton(model)
+        for module in (zonewatch.estimation, zonewatch.observer):
+            module.require_valid = lambda *args, **kwargs: checks.append(args) or check(*args, **kwargs)
+        rng = random.Random(22)
+        belief, stream = belief_init(za), []  # the observations since the last reset
+        for k in range(1000):
+            time = belief.anchor_time + F(rng.randrange(1, 9), 2)
+            belief = belief_advance(za, model, belief, "a", time)
+            stream.append(("a", time))
+            if k < 50:
+                estimate(za, model, TimedObservation(tuple(stream), time + F(k, 4)))
+            if not belief.support:
+                belief, stream = belief_init(za), []
+        build_offline_observer(za, model)
+    finally:
+        zonewatch.model._diagnose = diagnose
+        zonewatch.estimation.require_valid = zonewatch.observer.require_valid = check
+    return [len(passes), len(checks)]
+
+
+def _ro_broken_codes() -> list:
+    """The diagnostic codes each call on an RO-broken fig1 raised (None
+    for a call that did not raise), three times per call, on the broken
+    model's zone automaton and on a warm one of the valid model."""
+    model = make_fig1()
+    broken = _ro_broken(model)
+    warm = build_zone_automaton(model)
+    build_offline_observer(warm, model)
+    belief = belief_init(warm)
+    for ts in (1, 3):
+        belief = belief_advance(warm, model, belief, "a", ts)
+    obs = TimedObservation((("a", F(1)),), F(2))
+    calls = [
+        lambda za: belief_advance(za, broken, belief_init(za), "a", 1),
+        lambda za: belief_advance(za, broken, belief, "a", 4),
+        lambda za: estimate(za, broken, obs),
+        lambda za: build_offline_observer(za, broken),
+    ]
+    codes = []
+    for za in (build_zone_automaton(broken), warm):
+        for call in calls:
+            for _ in range(3):
+                try:
+                    call(za)
+                except ModelError as err:
+                    codes.append([d.code for d in err.diagnostics])
+                else:
+                    codes.append(None)
+    return codes + [broken.ro_valid, model.ro_valid]
+
+
+def test_each_model_is_diagnosed_once():
+    # The verdict is kept on the model: once the zone automaton's build has
+    # checked it, no op calls ``require_valid`` again.
+    assert _diagnose_passes() == [1, 0]
+
+
+def test_an_invalid_model_fails_every_call():
+    # An invalid model never gets the verdict, so every call falls through
+    # to the full check and raises, however warm the zone automaton is.
+    assert _ro_broken_codes() == [["ro-violation"]] * 24 + [False, True]
+
+
+def test_model_checks_hold_under_optimized_mode():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    here = os.path.dirname(__file__)
+    src = os.path.join(here, "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import json, sys\n"
+        "import test_gap_cell as t\n"
+        "print(json.dumps([sys.flags.optimize, t._diagnose_passes(), t._ro_broken_codes()]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [1, [1, 0], [["ro-violation"]] * 24 + [False, True]]
 
 
 def test_belief_state_is_an_immutable_named_record():

@@ -49,7 +49,7 @@ def _fresh(za, support, dt):
     from zonewatch.estimation import _duration_reach, _ids
 
     ix = za.index
-    hits = _duration_reach(za, _ids(za, support), dt).hits
+    hits = _duration_reach(za, ix.start_runs(_ids(za, support)), cell_index(dt))[0]
     succ = {}
     for i in hits:
         for label, key, _, _ in ix.events[i]:

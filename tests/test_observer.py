@@ -328,9 +328,9 @@ def test_builder_runs_one_fixpoint_per_support(monkeypatch, fig1):
     calls = []
     fixpoint = estimation._duration_cells
 
-    def counted(za, starts):
+    def counted(za, starts, runs=None):
         calls.append(tuple(starts))
-        return fixpoint(za, starts)
+        return fixpoint(za, starts, runs)
 
     def no_search(*args, **kwargs):
         raise AssertionError("the builder ran a per-dt duration search")

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 inconsistent observation (empty estimate);
 2 validation failure, unusable model or unknown state; 64 malformed
-observation text, a negative ``fuzz --horizon``, a ``fuzz`` size below 1,
-or an output path (``za --dot``, ``observer --out``) that cannot be written.
+observation text, a negative ``fuzz --horizon``, a ``fuzz`` size or
+``--scale`` below 1, or an output path (``za --dot``, ``observer --out``)
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -254,10 +255,12 @@ def cmd_fuzz(args) -> int:
     try:
         grid = GridConfig(horizon=Fraction(args.horizon), step=Fraction(1, 2))
         random_model(config)  # rejects a size below 1 before any trial runs
+        if args.scale is not None and args.scale < 1:
+            raise ValueError(f"scale must be at least 1, not {args.scale}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    report = differential_check(config, grid, trials=args.trials)
+    report = differential_check(config, grid, trials=args.trials, scale=args.scale)
     sys.stdout.write(report.to_jsonl())
     print(json.dumps(report.summary(), sort_keys=True))
     return 0 if report.ok else 1
@@ -322,6 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--horizon", type=int, default=5)
+    sp.add_argument(
+        "--scale",
+        type=int,
+        help="also check each trial against the model with every constant and time multiplied by this factor",
+    )
     sp.set_defaults(func=cmd_fuzz)
     return p
 

@@ -43,17 +43,29 @@ ids reached and, computed on first use, their ``Estimate`` and the successor
 support per observable event.  Id sets are int bit masks over the ids: a
 filled row's cells are interned by their masks, a search's by the ids it
 found, and a successor support is the OR of its ids' target masks,
-interned by that mask.  An op finds its cell with ``_gap_cell``, in
-integer arithmetic on the numerator and denominator of its time and of the
-anchor (one ``as_integer_ratio()`` each), so it makes, subtracts and
-compares no ``Fraction`` between its timestamp and the memo read.  A warm op
-is that step plus the memo read: one lookup of the support's row and one
-read of it (``_cell``), and for an advance one read of the cell's
-successors.  Its model check is one read of the verdict the model keeps
-(``TFA.ro_valid``), set by the model's one diagnose pass; only a model that
-is unchecked or invalid goes on to ``require_valid``, so an invalid one
-raises the same ``ModelError`` on every call.  Its new ``BeliefState``, a
-named tuple, is made by ``tuple.__new__``.  A miss at a small elapsed time
+interned by that mask.  An op finds its cell with the cell step of
+``_gap_cell``, in integer arithmetic on the numerator and denominator of
+its time and of the anchor, so it makes, subtracts and compares no
+``Fraction`` between its timestamp and the memo read, and reads the memo as
+``_cell`` does: one lookup of the support's row and one read of it, and
+``_miss`` only when the memo lacks the cell.  ``estimate``,
+``lambda_estimation`` and the observer's ``lookup`` and ``successor`` call
+those two helpers.  The warm ops, ``belief_advance``, ``belief_query`` and
+``ObserverSession.advance`` and ``.query``, do both inline, so a warm op
+runs in one Python frame: a helper frame costs more than the read it
+serves.  They read a ``Fraction``'s ratio from its slots (``_numerator``,
+``_denominator``, what its ``numerator`` property returns), because
+``Fraction.as_integer_ratio`` is a Python-level method on every Python this
+package supports (3.10-3.13); an ``int`` or a ``Fraction`` subclass gives
+``as_integer_ratio()``, and anything else goes through ``Fraction(...)``
+first.  Their type test puts ``int`` first: ``isinstance(t, Fraction)`` on
+an ``int`` runs ``ABCMeta.__instancecheck__``, a Python frame too.  An
+advance then reads the cell's successors.  A warm op's model check is one
+read of the verdict the model keeps (``TFA.ro_valid``), set by the model's
+one diagnose pass; only a model that is unchecked or invalid goes on to
+``require_valid``, so an invalid one raises the same ``ModelError`` on
+every call.  A new ``BeliefState``, a named tuple, is made by
+``tuple.__new__``.  A miss at a small elapsed time
 runs the search for that one cell.  A miss past twice the first cut of
 ``_duration_cells``, a fixpoint over bit masks of unit cells on the same
 stretch tables, fills the support's whole row up to its certified periodic
@@ -716,13 +728,15 @@ class _Row:
 
 def _exact(t: Rational) -> Rational:
     """``t`` itself when it is a ``Fraction`` or an ``int``, else ``Fraction(t)``."""
-    return t if isinstance(t, (Fraction, int)) else Fraction(t)
+    return t if isinstance(t, (int, Fraction)) else Fraction(t)  # int first: see the module notes
 
 
 def _gap_cell(time: Rational, anchor: Rational, message: str = "elapsed time must be non-negative") -> int:
     """The unit cell of ``time - anchor`` (both a ``Fraction`` or an
     ``int``), in integer arithmetic: no ``Fraction`` is made or compared.
-    Raises ``ValueError(message)`` when ``time`` precedes ``anchor``."""
+    Raises ``ValueError(message)`` when ``time`` precedes ``anchor``.  The
+    warm ops (``belief_advance`` and the others named in the module notes)
+    run the same step inline."""
     p, q = time.as_integer_ratio()
     r, s = anchor.as_integer_ratio()
     if q == s:
@@ -731,8 +745,9 @@ def _gap_cell(time: Rational, anchor: Rational, message: str = "elapsed time mus
         n, d = p * s - r * q, q * s
     if n < 0:
         raise ValueError(message)
-    k, m = divmod(n, d)
-    return 2 * k + (m != 0)
+    # 2k for n = kd, and 2k + 1 for kd < n < (k+1)d: the floor of n/d plus
+    # its ceiling, two integer divisions and no call.
+    return n // d - (-n // d)
 
 
 def _intern(ix, mask: int) -> Cell:
@@ -811,11 +826,13 @@ def _fill(za: ZoneAutomaton, row: _Row) -> None:
 def _cell(za: ZoneAutomaton, support: frozenset[ExtendedState], i: int) -> Cell:
     """The cell answering every elapsed time in unit cell ``i`` (see
     ``_gap_cell``) after ``support`` was formed: one row lookup and one read
-    of the row when the memo has it, else ``_miss``."""
+    of the row when the memo has it, else ``_miss``.  The warm ops read the
+    memo the same way, inline."""
     row = za.index.rows.get(support)
     if row is not None:
-        if row.tail:
-            start, period = row.tail
+        tail = row.tail
+        if tail:
+            start, period = tail
             return row.cells[i if i < start else start + (i - start) % period]
         cell = row.cells.get(i)
         if cell is not None:
@@ -1117,14 +1134,39 @@ def belief_advance(
     za: ZoneAutomaton, model: TFA, belief: BeliefState, event: str, time: Rational
 ) -> BeliefState:
     """Consume one observed event, returning the belief just after it."""
-    if not isinstance(time, (Fraction, int)):  # ``_exact``, inline on the warm path
-        time = Fraction(time)
-    i = _gap_cell(time, belief.anchor_time, "observation time precedes the belief anchor")
+    # ``_exact``, the cell step of ``_gap_cell`` and the read of ``_cell``,
+    # inline, so a warm op is one frame: see the module notes.
+    if type(time) is Fraction:
+        p, q = time._numerator, time._denominator
+    else:
+        if not isinstance(time, (int, Fraction)):
+            time = Fraction(time)
+        p, q = time.as_integer_ratio()
+    a = belief.anchor_time
+    if type(a) is Fraction:
+        r, s = a._numerator, a._denominator
+    else:
+        r, s = a.as_integer_ratio()
+    if q == s:
+        n, d = p - r, q
+    else:
+        n, d = p * s - r * q, q * s
+    if n < 0:
+        raise ValueError("observation time precedes the belief anchor")
     if event not in model.observable:
         raise ValueError(f"event {event!r} is not observable")
     if not model.ro_valid:
         require_valid(model, require_ro=True)
-    cell = _cell(za, belief.support, i)
+    i = n // d - (-n // d)  # as in ``_gap_cell``
+    support = belief.support
+    row = za.index.rows.get(support)
+    if row is None:
+        cell = _miss(za, support, i)
+    elif row.tail:
+        start, period = row.tail
+        cell = row.cells[i if i < start else start + (i - start) % period]
+    else:
+        cell = row.cells.get(i) or _miss(za, support, i)
     nxt = cell.successors.get(event)
     if nxt is None:
         nxt = cell.successor(event)
@@ -1135,7 +1177,31 @@ def belief_query(
     za: ZoneAutomaton, model: TFA, belief: BeliefState, time: Rational
 ) -> Estimate:
     """The estimate at ``time`` given the belief, without consuming anything."""
-    if not isinstance(time, (Fraction, int)):  # ``_exact``, inline on the warm path
-        time = Fraction(time)
-    i = _gap_cell(time, belief.anchor_time, "query time precedes the belief anchor")
-    return _cell(za, belief.support, i).estimate
+    # As ``belief_advance``: the cell step and the memo read, inline.
+    if type(time) is Fraction:
+        p, q = time._numerator, time._denominator
+    else:
+        if not isinstance(time, (int, Fraction)):
+            time = Fraction(time)
+        p, q = time.as_integer_ratio()
+    a = belief.anchor_time
+    if type(a) is Fraction:
+        r, s = a._numerator, a._denominator
+    else:
+        r, s = a.as_integer_ratio()
+    if q == s:
+        n, d = p - r, q
+    else:
+        n, d = p * s - r * q, q * s
+    if n < 0:
+        raise ValueError("query time precedes the belief anchor")
+    i = n // d - (-n // d)  # as in ``_gap_cell``
+    support = belief.support
+    row = za.index.rows.get(support)
+    if row is None:
+        return _miss(za, support, i).estimate
+    tail = row.tail
+    if tail:
+        start, period = tail
+        return row.cells[i if i < start else start + (i - start) % period].estimate
+    return (row.cells.get(i) or _miss(za, support, i)).estimate

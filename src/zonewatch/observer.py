@@ -16,11 +16,15 @@ supports that share a start run share that work.  So each row holds ``start +
 period`` cells.  Cells that reach the same extended states are one object,
 holding the estimate and the successor support per observable event; the
 builder computes the successors of every cell, which is how it finds the
-next supports.  Every read, a session op's included, maps its time to the
-cell index with the integer arithmetic of ``estimation._gap_cell`` and reads
-the memo with ``estimation._cell``, the reader of the belief API: a
-tabulated support is one table read at any elapsed time, and any other
-support, the empty one included, is answered as the belief API answers it.
+next supports.  Every read maps its time to the cell index with the
+integer arithmetic of ``estimation._gap_cell`` and reads the memo as
+``estimation._cell``, the reader of the belief API, does: a tabulated
+support is one table read at any elapsed time, and any other support, the
+empty one included, is answered as the belief API answers it.
+``OfflineObserver.lookup`` and ``.successor`` call those two helpers; a
+session's ``query`` and ``advance`` do both inline, as the belief API's
+warm ops do (see ``estimation``), so a warm session op runs in one Python
+frame.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Optional
 from .intervals import Interval, Rational
 from .model import TFA, require_valid
 from .zones import ZoneAutomaton, ext_json, ext_sort_key
-from .estimation import Estimate, _cell, _exact, _gap_cell, _total_row
+from .estimation import Estimate, _cell, _exact, _gap_cell, _miss, _total_row
 
 Support = frozenset
 
@@ -102,9 +106,11 @@ class OfflineObserver:
 class ObserverSession:
     """An online session served from the observer's memo.  Each op maps
     ``time - anchor_time`` to its unit cell in integer arithmetic and reads
-    that cell with ``estimation._cell``.  Times may be any rational: one
-    that is not a ``Fraction`` or an ``int`` goes through ``Fraction(...)``
-    first."""
+    that cell from the support's memo row, both inline in the op's own
+    frame, calling ``estimation._miss`` only when the memo lacks the cell.
+    A session keeps nothing else, so its fields may be assigned from
+    outside.  Times may be any rational: one that is not a ``Fraction`` or
+    an ``int`` goes through ``Fraction(...)`` first."""
 
     za: ZoneAutomaton
     observable: frozenset
@@ -112,15 +118,67 @@ class ObserverSession:
     anchor_time: Fraction
 
     def query(self, time: Rational) -> Estimate:
-        i = _gap_cell(_exact(time), self.anchor_time, "query time precedes the last observation")
-        return _cell(self.za, self.support, i).estimate
+        # ``_exact``, the cell step of ``_gap_cell`` and the read of ``_cell``,
+        # inline, as in ``estimation.belief_advance``.
+        if type(time) is Fraction:
+            p, q = time._numerator, time._denominator
+        else:
+            if not isinstance(time, (int, Fraction)):
+                time = Fraction(time)
+            p, q = time.as_integer_ratio()
+        a = self.anchor_time
+        if type(a) is Fraction:
+            r, s = a._numerator, a._denominator
+        else:
+            r, s = a.as_integer_ratio()
+        if q == s:
+            n, d = p - r, q
+        else:
+            n, d = p * s - r * q, q * s
+        if n < 0:
+            raise ValueError("query time precedes the last observation")
+        i = n // d - (-n // d)  # as in ``_gap_cell``
+        support = self.support
+        row = self.za.index.rows.get(support)
+        if row is None:
+            return _miss(self.za, support, i).estimate
+        tail = row.tail
+        if tail:
+            start, period = tail
+            return row.cells[i if i < start else start + (i - start) % period].estimate
+        return (row.cells.get(i) or _miss(self.za, support, i)).estimate
 
     def advance(self, event: str, time: Rational) -> None:
-        time = _exact(time)
-        i = _gap_cell(time, self.anchor_time, "observation time precedes the last observation")
+        # As ``query``, then the cell's successor, read from its cache.
+        if type(time) is Fraction:
+            p, q = time._numerator, time._denominator
+        else:
+            if not isinstance(time, (int, Fraction)):
+                time = Fraction(time)
+            p, q = time.as_integer_ratio()
+        a = self.anchor_time
+        if type(a) is Fraction:
+            r, s = a._numerator, a._denominator
+        else:
+            r, s = a.as_integer_ratio()
+        if q == s:
+            n, d = p - r, q
+        else:
+            n, d = p * s - r * q, q * s
+        if n < 0:
+            raise ValueError("observation time precedes the last observation")
         if event not in self.observable:
             raise ValueError(f"event {event!r} is not observable")
-        cell = _cell(self.za, self.support, i)
+        i = n // d - (-n // d)  # as in ``_gap_cell``
+        support = self.support
+        row = self.za.index.rows.get(support)
+        if row is None:
+            cell = _miss(self.za, support, i)
+        elif row.tail:
+            start, period = row.tail
+            cell = row.cells[i if i < start else start + (i - start) % period]
+        else:
+            cell = row.cells.get(i) or _miss(self.za, support, i)
         nxt = cell.successors.get(event)
         self.support = cell.successor(event) if nxt is None else nxt
         self.anchor_time = time

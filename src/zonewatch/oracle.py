@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .intervals import Interval, format_time
+from .intervals import Interval, format_time, subset
 from .model import (
     TFA,
     TimedObservation,
@@ -28,8 +28,8 @@ from .model import (
     project,
     require_valid,
 )
-from .zones import ExtendedState, build_zone_automaton, ext_json
-from .estimation import InvariantError, estimate
+from .zones import ExtendedState, build_zone_automaton, ext_json, ext_sort_key
+from .estimation import Estimate, InvariantError, estimate
 
 
 @dataclass(frozen=True)
@@ -254,6 +254,7 @@ class DifferentialReport:
     entries: list = field(default_factory=list)
     runs_checked: int = 0
     soundness_violations: int = 0
+    scale: Optional[int] = None
 
     @property
     def mismatches(self) -> int:
@@ -264,20 +265,38 @@ class DifferentialReport:
         return sum(1 for e in self.entries if e.get("zones") == "mismatch")
 
     @property
+    def scale_mismatches(self) -> int:
+        return sum(1 for e in self.entries if e.get("scale") == "mismatch")
+
+    @property
+    def scale_errors(self) -> int:
+        return sum(1 for e in self.entries if e.get("scale") == "error")
+
+    @property
     def ok(self) -> bool:
-        return self.mismatches == 0 and self.zone_mismatches == 0 and self.soundness_violations == 0
+        """No wrong answer.  A scaled estimate that ends in an error is a
+        refusal, not a wrong answer: it counts in ``scale_errors`` only."""
+        return (
+            self.mismatches == 0
+            and self.zone_mismatches == 0
+            and self.soundness_violations == 0
+            and self.scale_mismatches == 0
+        )
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.entries)
 
     def summary(self) -> dict:
-        return {
+        out = {
             "trials": len(self.entries),
             "mismatches": self.mismatches,
             "zone_mismatches": self.zone_mismatches,
             "runs_checked": self.runs_checked,
             "soundness_violations": self.soundness_violations,
         }
+        if self.scale is not None:
+            out.update(scale=self.scale, scale_mismatches=self.scale_mismatches, scale_errors=self.scale_errors)
+        return out
 
 
 def _obs_text(events) -> str:
@@ -312,6 +331,7 @@ def differential_check(
     grid: GridConfig,
     trials: int,
     runs_per_model: int = 5,
+    scale: Optional[int] = None,
 ) -> DifferentialReport:
     """Compare the estimator against the brute-force oracle on random models.
 
@@ -323,9 +343,13 @@ def differential_check(
     whose state is right shows only there.  Every sampled run is also
     replayed against the estimator (its end state must always be estimated
     at later grid times: a soundness check with zero tolerance).  Discrete
-    mismatches are minimized by truncating the observation.
+    mismatches are minimized by truncating the observation.  With ``scale``
+    set to ``k``, each trial's observation is also checked against the
+    scaling relation (``scale_check``), with no grid: ``scale`` is "ok",
+    "mismatch" (counted in ``scale_mismatches``) or "error" (the scaled
+    estimate raised; counted in ``scale_errors``).
     """
-    report = DifferentialReport()
+    report = DifferentialReport(scale=scale)
     for trial in range(trials):
         seed = config.rng_seed + trial
         model = random_model(replace(config, rng_seed=seed))
@@ -387,9 +411,70 @@ def differential_check(
             entry["zones_oracle"] = ext_json(zones)
         if est != oracle:
             entry["minimized"] = _minimize(model, za, grid, obs)
+        if scale is not None:
+            try:
+                entry["scale"] = "ok" if scale_check(model, obs, got, scale) else "mismatch"
+            except ValueError as exc:
+                entry["scale"], entry["scale_error"] = "error", str(exc)
         report.entries.append(entry)
     report.entries.sort(key=lambda e: (e["seed"], e.get("time", ""), e["obs"]))
     return report
+
+
+# -- the scaling relation -------------------------------------------------------
+
+
+def _times(r: Interval, k: int) -> Interval:
+    return Interval(r.lo * k, r.lo_closed, r.hi * k, r.hi_closed)
+
+
+def scale_model(model: TFA, k: int) -> TFA:
+    """``model`` with every guard and reset endpoint multiplied by ``k``.
+    Multiplying every time by ``k`` as well maps the runs of ``model`` onto
+    the runs of the scaled model, one to one."""
+    transitions = tuple(
+        t._replace(guard=_times(t.guard, k), reset=t.reset if t.reset == ID_RESET else _times(t.reset, k))
+        for t in model.transitions
+    )
+    return replace(model, transitions=transitions)
+
+
+def clock_sets(extended) -> dict:
+    """Each state's clock set, the union of its zones in ``extended``, as
+    its maximal intervals in increasing order."""
+    sets: dict = {}
+    for state, zone in sorted(extended, key=ext_sort_key):
+        spans = sets.setdefault(state, [])
+        last = spans[-1] if spans else None
+        if last is not None and last.hi == zone.lo and (last.hi_closed or zone.lo_closed):
+            spans[-1] = Interval(last.lo, last.lo_closed, zone.hi, zone.hi_closed)
+        else:
+            spans.append(zone)
+    return sets
+
+
+def scale_check(model: TFA, obs: TimedObservation, base: Estimate, k: int) -> bool:
+    """Whether the estimate of ``model`` scaled by ``k``, under ``obs`` with
+    every time multiplied by ``k``, keeps the discrete states of ``base``
+    (the estimate of ``model`` under ``obs``) and scales its clock sets.
+
+    Runs map onto runs, so each state's set of reachable clocks scales by
+    ``k``.  With no clock-preserving transition the zones scale with it,
+    and each state's clock set must be exactly ``k`` times the base one.
+    Under an ``id`` guard the scaled model has ``k`` times finer unit
+    zones, which may refine the answer, so its clock sets must only lie
+    inside ``k`` times the base ones.  Raises ``ValueError`` when the
+    scaled model is refused or its estimate raises."""
+    scaled = scale_model(model, k)
+    events = tuple((e, t * k) for e, t in obs.events)
+    got = estimate(build_zone_automaton(scaled), scaled, TimedObservation(events, obs.query_time * k))
+    if got.discrete != base.discrete:
+        return False
+    want = {x: [_times(r, k) for r in spans] for x, spans in clock_sets(base.extended).items()}
+    have = clock_sets(got.extended)
+    if all(t.reset != ID_RESET for t in model.transitions):
+        return have == want
+    return all(any(subset(r, w) for w in want[x]) for x, spans in have.items() for r in spans)
 
 
 def _minimize(model: TFA, za, grid: GridConfig, obs: TimedObservation) -> dict:

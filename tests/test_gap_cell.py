@@ -1,16 +1,24 @@
 """The op path's integer cell arithmetic.
 
-Every op maps the elapsed time ``time - anchor`` to its unit cell with
-``_gap_cell``, on numerators and denominators, and then reads the memo: no
-``Fraction`` is subtracted or compared between a timestamp and its cell.
-These tests pin the arithmetic against ``Fraction`` subtraction, check that
-a warm op runs no ``Fraction`` arithmetic and no model validation beyond
+Every op maps the elapsed time ``time - anchor`` to its unit cell on
+numerators and denominators, and then reads the memo: no ``Fraction`` is
+subtracted or compared between a timestamp and its cell.  The cold callers
+(``estimate``, ``lambda_estimation``, the observer's ``lookup`` and
+``successor``) do it with ``_gap_cell`` and ``_cell``; the warm ops
+(``belief_advance``, ``belief_query`` and an observer session's
+``advance`` and ``query``) do both inline, in their own frame.  These tests
+pin ``_gap_cell`` against ``Fraction`` subtraction, and each inlined step,
+through its public op, against the cell of the exact difference, for every
+spelling of a time.  They check that a warm op opens no Python frame below
+its own, runs no ``Fraction`` arithmetic and no model validation beyond
 reading the model's verdict (one diagnose pass per model), and pin each
 API's errors: for a time before its anchor, for a model that fails the
 check, under ``python -O`` too, and the contract of the ``BeliefState``
 record.
 """
 
+import functools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,7 +40,8 @@ from zonewatch import (
     lambda_estimation,
     validate,
 )
-from zonewatch.estimation import _gap_cell
+from zonewatch.estimation import _cell, _gap_cell
+from zonewatch.zones import ext_sort_key
 
 from conftest import cell_index, make_fig1
 from test_acceptance import ring_model
@@ -121,6 +130,164 @@ def test_warm_ops_do_no_fraction_arithmetic(monkeypatch):
             got = _replay(za, model, observer, streams)
         assert got == want, name
         assert any(want[0]), name  # the first stream keeps a non-empty belief
+
+
+_INT_STREAMS = {
+    "fig1": [([("a", 1), ("a", 3)], [3, 4, 10**9]), ([("a", 2)], [2, 5])],
+    "ring8": [([("a", 1)], [1, 2, 10**12]), ([("a", 0), ("a", 9)], [9, 100])],
+}
+
+
+def _python_calls(op, *args):
+    """``op(*args)`` and the Python functions whose frames it opened, in
+    order, ``op`` itself first; calls into C (``dict.get``,
+    ``int.as_integer_ratio``) are not counted."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        result = op(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_warm_ops_open_no_python_frame_below_their_own():
+    # Each warm op computes its cell and reads the memo inline: a helper
+    # frame per op costs more than the read itself.
+    for name, model in [("fig1", make_fig1()), ("ring8", ring_model(8))]:
+        za = build_zone_automaton(model)
+        observer = build_offline_observer(za, model)
+        for warm in (False, True):  # the first pass fills the memo
+            frames = []
+            for events, queries in _STREAMS[name] + _INT_STREAMS[name]:
+                belief, session = belief_init(za), observer.session()
+                for event, ts in events:
+                    belief, calls = _python_calls(belief_advance, za, model, belief, event, ts)
+                    frames += [calls, _python_calls(session.advance, event, ts)[1]]
+                for t in queries:
+                    frames.append(_python_calls(belief_query, za, model, belief, t)[1])
+                    frames.append(_python_calls(session.query, t)[1])
+        ops = ["belief_advance", "advance", "belief_query", "query"]
+        assert sorted(set(map(tuple, frames))) == sorted((op,) for op in ops), name
+
+
+class _Frac(Fraction):
+    """A ``Fraction`` subclass: the ops read its ratio with
+    ``as_integer_ratio()`` rather than from the slots."""
+
+
+# Each way a caller may spell a time; ``F(spelling)`` is the exact value.
+_SPELLINGS = {
+    "as is": lambda t: t,
+    "subclass": _Frac,
+    "str": str,
+    "float": float,
+}
+_denominators = st.integers(min_value=1, max_value=10**6)
+
+
+@st.composite
+def _anchor_and_time(draw):
+    """An anchor and a later time: unequal denominators, equal ones, ints,
+    or a ``Fraction`` anchor with an ``int`` time, with numerators up to
+    ``10^30``; small ones as often as large."""
+    size = draw(st.sampled_from([10, 10**30]))
+    num = st.integers(min_value=0, max_value=size)
+    kind = draw(st.sampled_from(["unequal", "equal", "int", "mixed"]))
+    if kind == "int":
+        a = draw(num)
+        return a, a + draw(num)
+    a = F(draw(num), draw(_denominators))
+    if kind == "unequal":
+        return a, a + F(draw(num), draw(_denominators))
+    if kind == "equal":
+        return a, a + draw(num)
+    return a, a.numerator // a.denominator + 1 + draw(num)
+
+
+@functools.cache
+def _warm(name):
+    """The model, zone automaton and observer of ``name``, built once."""
+    model = make_fig1() if name == "fig1" else ring_model(8)
+    za = build_zone_automaton(model)
+    return model, za, build_offline_observer(za, model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["fig1", "ring8"]),
+    _anchor_and_time(),
+    st.sampled_from(sorted(_SPELLINGS)),
+    st.sampled_from(sorted(_SPELLINGS)),
+    st.integers(min_value=0),
+)
+def test_inlined_cell_steps_answer_the_cell_of_the_difference(name, times, spell_a, spell_t, pick):
+    model, za, observer = _warm(name)
+    a, t = _SPELLINGS[spell_a](times[0]), _SPELLINGS[spell_t](times[1])
+    # The reference: the cell of the exact difference, read with ``_cell``.
+    support = _cell(za, za.initial, cell_index(F(a))).successor("a")
+    i = cell_index(F(t) - F(a))
+    want = _cell(za, support, i)
+    exact = [x if isinstance(x, (int, Fraction)) else F(x) for x in (a, t)]
+
+    belief = belief_advance(za, model, belief_init(za), "a", a)
+    session = observer.session()
+    session.advance("a", a)
+    assert belief.support == session.support == support
+    assert belief.anchor_time == session.anchor_time == F(a)
+    if F(t) < F(a):  # a float spelling may round below the anchor
+        with pytest.raises(ValueError, match="^query time precedes the belief anchor$"):
+            belief_query(za, model, belief, t)
+        with pytest.raises(ValueError, match="^observation time precedes the last observation$"):
+            session.advance("a", t)
+        return
+    # A session and a belief whose fields were set from outside, on a
+    # support the memo may not have met yet: two extended states in a row.
+    ext = sorted(za.states, key=ext_sort_key)
+    other = frozenset(ext[pick % len(ext) :][:2])
+    outside = observer.session()
+    outside.support, outside.anchor_time = other, exact[0]
+    want_other = _cell(za, other, i)
+    answers = [
+        belief_query(za, model, belief, t),
+        session.query(t),
+        estimate(za, model, TimedObservation((("a", exact[0]),), exact[1])),
+    ]
+    assert all(got.extended == want.estimate.extended for got in answers)
+    assert outside.query(t).extended == want_other.estimate.extended
+    assert belief_query(za, model, BeliefState(other, exact[0]), t) == want_other.estimate
+    after = belief_advance(za, model, belief, "a", t)
+    session.advance("a", t)
+    outside.advance("a", t)
+    assert after.support == session.support == want.successor("a")
+    assert outside.support == want_other.successor("a")
+    assert after.anchor_time == session.anchor_time == outside.anchor_time == F(t)
+
+
+def test_inlined_cell_steps_on_the_empty_support():
+    # "a" is not enabled at 1/2 in fig1: the belief empties, and every
+    # later op reads the empty support's row, its elapsed times included.
+    model, za, observer = _warm("fig1")
+    belief = belief_advance(za, model, belief_init(za), "a", F(1, 2))
+    session = observer.session()
+    session.advance("a", "1/2")
+    assert belief.support == session.support == frozenset()
+    for t in (F(1, 2), F(1), F(7, 3), 5, _Frac(10**30 + 1, 7), "9/4", 2.5):
+        i = cell_index(F(t) - F(1, 2))
+        want = _cell(za, frozenset(), i).estimate
+        exact = t if isinstance(t, (int, Fraction)) else F(t)
+        assert belief_query(za, model, belief, t) == session.query(t) == want
+        assert estimate(za, model, TimedObservation((("a", F(1, 2)),), exact)) == want
+        assert want.empty
+    for t in (F(3, 4), 2, "5/2"):
+        belief = belief_advance(za, model, belief, "a", t)
+        session.advance("a", t)
+        assert belief.support == session.support == frozenset()
 
 
 # -- the error contract -----------------------------------------------------------

@@ -9,6 +9,7 @@ from zonewatch import (
     TimedObservation,
     TimedRun,
     brute_consistent_states,
+    build_zone_automaton,
     check_run,
     differential_check,
     enumerate_runs,
@@ -193,3 +194,119 @@ def test_fuzz_reports_a_moved_zone(monkeypatch, capsys):
     for e in moved_entries:
         assert e["zones_estimator"] != e["zones_oracle"]
         assert {x for x, _ in e["zones_estimator"]} == {x for x, _ in e["zones_oracle"]} == set(e["oracle"])
+
+
+# -- the scaling relation -------------------------------------------------------------
+
+
+def _scaling_cases() -> list:
+    """About 40 (model, observation) cases: four sampled runs of each
+    random model (5 states, constants up to 3) from the first seeds with an
+    observable event, each queried half a unit after its end."""
+    from zonewatch.oracle import _sample_runs
+    from zonewatch.model import project
+
+    grid = GridConfig(horizon=F(5))
+    cases = []
+    for seed in range(100):
+        model = random_model(RandomModelConfig(state_count=5, max_constant=3, rng_seed=seed))
+        if not model.observable:
+            continue
+        for run in _sample_runs(model, grid, 4):
+            cases.append((model, TimedObservation(project(run.word(), model), run.end_time + F(1, 2))))
+        if len(cases) >= 40:
+            return cases
+    raise AssertionError("too few seeds with an observable event")
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_scaling_every_constant_and_time_scales_the_answer(k):
+    # Multiplying every guard and reset endpoint and every time by k maps
+    # runs onto runs: the states agree, and each state's clock set scales
+    # by k.  Under an ``id`` guard the scaled model's unit zones are finer,
+    # so its clock sets may only shrink inside the scaled base ones.
+    from zonewatch import ID_RESET
+    from zonewatch.oracle import clock_sets, scale_check, scale_model
+
+    exact = refined = 0
+    for model, obs in _scaling_cases():
+        base = estimate(build_zone_automaton(model), model, obs)
+        scaled = scale_model(model, k)
+        assert [t.guard.hi for t in scaled.transitions] == [k * t.guard.hi for t in model.transitions]
+        events = tuple((e, k * t) for e, t in obs.events)
+        got = estimate(build_zone_automaton(scaled), scaled, TimedObservation(events, k * obs.query_time))
+        assert got.discrete == base.discrete, (model, obs)
+        want = {
+            x: [(k * r.lo, r.lo_closed, k * r.hi, r.hi_closed) for r in spans]
+            for x, spans in clock_sets(base.extended).items()
+        }
+        have = {x: [tuple(r) for r in spans] for x, spans in clock_sets(got.extended).items()}
+        if all(t.reset != ID_RESET for t in model.transitions):
+            assert have == want, (model, obs)
+            exact += 1
+        else:
+            for x, spans in have.items():
+                for lo, lo_closed, hi, hi_closed in spans:
+                    assert any(
+                        (a, not a_closed) <= (lo, not lo_closed) and (hi, hi_closed) <= (b, b_closed)
+                        for a, a_closed, b, b_closed in want[x]
+                    ), (model, obs, x)
+            refined += have != want
+        assert scale_check(model, obs, base, k)
+    # Both relations are exercised: 20 id-free cases, and 11 of the other
+    # 21 cases refine their clock sets at every k here.
+    assert exact >= 10 and refined >= 5, (exact, refined)
+
+
+def test_fuzz_reports_a_scaled_answer_that_moves_a_zone(monkeypatch, capsys):
+    # An estimate of a scaled model that drops its last extended state
+    # leaves the base answers right, so only the scaling verdicts fail.
+    import zonewatch.oracle as oracle
+    from zonewatch.cli import main
+    from zonewatch.estimation import Estimate
+    from zonewatch.zones import ext_sort_key
+
+    argv = ["fuzz", "--states", "5", "--trials", "12", "--seed", "13", "--scale", "3"]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["scale"] == 3 and summary["scale_mismatches"] == summary["scale_errors"] == 0, summary
+
+    real, scale_model, scaled = oracle.estimate, oracle.scale_model, []
+
+    def dropped(za, model, obs):
+        est = real(za, model, obs)
+        if any(model is m for m in scaled):
+            return Estimate.from_extended(sorted(est.extended, key=ext_sort_key)[:-1])
+        return est
+
+    monkeypatch.setattr(oracle, "scale_model", lambda model, k: scaled.append(scale_model(model, k)) or scaled[-1])
+    monkeypatch.setattr(oracle, "estimate", dropped)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["scale_mismatches"] > 0 and summary["scale_errors"] == 0, summary
+    entries = [json.loads(line) for line in lines[:-1]]
+    assert summary["scale_mismatches"] == sum(e.get("scale") == "mismatch" for e in entries)
+
+
+def test_fuzz_counts_a_refused_scaled_model_as_an_error(capsys):
+    # At k = 10^5 an ``id`` guard of width 1 covers more unit regions than
+    # the model check allows: the scaled model is refused, which is counted
+    # apart from mismatches and is not a wrong answer.
+    from zonewatch.cli import main
+
+    argv = ["fuzz", "--states", "5", "--trials", "12", "--seed", "13", "--scale", "100000"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["scale_errors"] > 0 and summary["scale_mismatches"] == 0, summary
+    errors = [json.loads(line) for line in lines[:-1] if '"scale": "error"' in line]
+    assert all("wide-id-guard" in e["scale_error"] for e in errors), errors
+
+
+def test_fuzz_rejects_a_scale_below_one(capsys):
+    from zonewatch.cli import main
+
+    assert main(["fuzz", "--trials", "1", "--scale", "0"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: scale must be at least 1, not 0\n"

@@ -32,7 +32,13 @@ cost that does not depend on the duration.  A memo miss (below) needs every
 id reached at exactly its elapsed time, and ``_duration_reach`` finds them
 at a cost linear in it.  It is handed the cell of the elapsed time (below)
 and the support's start runs, kept on the support's row, and returns its
-hits and counters as one plain tuple.
+hits and counters as one plain tuple.  The rest of a miss's cost is mostly
+filling the silent stretch tables of the roots it meets first: one lean
+``ZoneIndex.walk`` pass and one sort per table, a pass that the fixpoint's
+cell-form tables (below) read as well.  In the cold ``watch`` lines of
+``monitor`` seed 4 (a fresh zone automaton per session), the fills take
+about a quarter of a line's library time; the search itself and the
+cells' successors and estimates take most of the rest.
 
 Every window has integer endpoints, so between two observations the answer
 depends only on the belief support and on the unit cell of the elapsed time
@@ -57,9 +63,11 @@ serves.  They read a ``Fraction``'s ratio from its slots (``_numerator``,
 ``_denominator``, what its ``numerator`` property returns), because
 ``Fraction.as_integer_ratio`` is a Python-level method on every Python this
 package supports (3.10-3.13); an ``int`` or a ``Fraction`` subclass gives
-``as_integer_ratio()``, and anything else goes through ``Fraction(...)``
-first.  Their type test puts ``int`` first: ``isinstance(t, Fraction)`` on
-an ``int`` runs ``ABCMeta.__instancecheck__``, a Python frame too.  An
+``as_integer_ratio()``, and anything else, a time or an anchor stored from
+outside, goes through ``Fraction(...)`` first, so malformed text raises
+``ValueError``.  Their type test puts ``int`` first:
+``isinstance(t, Fraction)`` on an ``int`` runs
+``ABCMeta.__instancecheck__``, a Python frame too.  An
 advance then reads the cell's successors.  A warm op's model check is one
 read of the verdict the model keeps (``TFA.ro_valid``), set by the model's
 one diagnose pass; only a model that is unchecked or invalid goes on to
@@ -319,15 +327,17 @@ def _shift(mask: int, shifts: tuple, even: int, full: int) -> int:
 
 def _cell_table(ix, r: int) -> tuple[tuple, tuple, tuple]:
     """The silent stretch table of root ``r`` in cell form, ``(loops, exits,
-    hits)``, made on first use from the stretch walk (``ZoneIndex.walk``)
-    and kept in ``ix.cell_tables``: ``exits`` holds ``(shifts, reset run
+    hits)``, made on first use from the rows of the silent stretch walk
+    (``ZoneIndex.walk``), in the order it meets them, and kept in
+    ``ix.cell_tables``: ``exits`` holds ``(shifts, reset run
     keys)`` (the keys as dict keys) and ``hits`` holds ``(shifts, ids)``,
     one pair per distinct window, and ``loops`` the windows of the exits
     that lead back to ``r`` itself."""
     exits: dict = {}  # window -> reset run keys, as dict keys
     hits: dict = {}  # window -> ids
     known = ix.shifts
-    for s, d, runs in ix.walk(r, False, cell_form=True):
+    for row in ix.walk(r, False):
+        s, d, runs = row[0], row[1:5], row[5]
         ids = hits.get(d)
         if ids is None:
             hits[d] = [s]
@@ -711,7 +721,7 @@ class Cell:
 
 class _Row:
     """The memo of one belief support: its ids, ascending, and their start
-    runs (``ZoneIndex.start_runs``), which its searches and its fixpoint
+    runs (``ZoneIndex.runs_of``), which its searches and its fixpoint
     both read.  ``tail`` is None while ``cells`` is a dict of the cells met
     so far by index; ``(start, period)`` once the row is total and ``cells``
     the tuple of its first ``start + period`` cells; False when the fixpoint
@@ -760,7 +770,9 @@ def _intern(ix, mask: int) -> Cell:
 def _row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> _Row:
     """The row of ``support``, made on first use from the ids interned with
     it, or from ``_ids`` for a support the memo has not met (``za.initial``,
-    or one a caller made), which is then interned by its mask as well."""
+    or one a caller made), which is then interned by its mask as well.  The
+    ids are ascending, so their start runs are read off in one pass
+    (``ZoneIndex.runs_of``)."""
     ix = za.index
     row = ix.rows.get(support)
     if row is None:
@@ -773,7 +785,7 @@ def _row(za: ZoneAutomaton, support: frozenset[ExtendedState]) -> _Row:
             ix.masks[mask] = support
             interned = ix.supports[support] = (support, ids)
         ids = interned[1]
-        row = ix.rows[support] = _Row(ids, ix.start_runs(ids))
+        row = ix.rows[support] = _Row(ids, ix.runs_of(ids))
     return row
 
 
@@ -1146,6 +1158,8 @@ def belief_advance(
     if type(a) is Fraction:
         r, s = a._numerator, a._denominator
     else:
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
         r, s = a.as_integer_ratio()
     if q == s:
         n, d = p - r, q
@@ -1188,6 +1202,8 @@ def belief_query(
     if type(a) is Fraction:
         r, s = a._numerator, a._denominator
     else:
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
         r, s = a.as_integer_ratio()
     if q == s:
         n, d = p - r, q

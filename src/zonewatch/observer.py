@@ -109,8 +109,9 @@ class ObserverSession:
     that cell from the support's memo row, both inline in the op's own
     frame, calling ``estimation._miss`` only when the memo lacks the cell.
     A session keeps nothing else, so its fields may be assigned from
-    outside.  Times may be any rational: one that is not a ``Fraction`` or
-    an ``int`` goes through ``Fraction(...)`` first."""
+    outside.  Times, and an anchor assigned from outside, may be any
+    rational: one that is not a ``Fraction`` or an ``int`` goes through
+    ``Fraction(...)`` first."""
 
     za: ZoneAutomaton
     observable: frozenset
@@ -130,6 +131,8 @@ class ObserverSession:
         if type(a) is Fraction:
             r, s = a._numerator, a._denominator
         else:
+            if not isinstance(a, (int, Fraction)):
+                a = Fraction(a)
             r, s = a.as_integer_ratio()
         if q == s:
             n, d = p - r, q
@@ -160,6 +163,8 @@ class ObserverSession:
         if type(a) is Fraction:
             r, s = a._numerator, a._denominator
         else:
+            if not isinstance(a, (int, Fraction)):
+                a = Fraction(a)
             r, s = a.as_integer_ratio()
         if q == s:
             n, d = p - r, q

@@ -26,9 +26,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .intervals import INF, Interval, distance
+from .intervals import INF, Interval
 from .model import ID_RESET, TAU, TFA, Transition, require_valid
 
 
@@ -127,6 +128,7 @@ def _zone_starts(model: TFA) -> dict[str, list[int]]:
 
 
 _new = tuple.__new__
+_resets_clock = itemgetter(2)  # of an ``events`` entry: whether it resets the clock
 
 
 def _zone(first: int, nxt: Optional[int]) -> Interval:
@@ -194,6 +196,22 @@ class ZoneIndex:
     ``s`` are its ``events`` (or ``silent``) entries that reset the clock;
     ``resets`` keeps them per id met, per mode.
 
+    ``walk`` builds a table's entries in one pass, in one of two modes.
+    Both go breadth first from each member, the highest first, and skip
+    the scan for clock-preserving edges at an id whose moves all reset the
+    clock.  An all-events walk keeps each id's ``pred, edge`` link, and the
+    links mark the ids met; a silent walk marks them in a set and keeps no
+    link.  Each entry's distance is written out, not asked of
+    ``intervals.distance``, and it is exact because the clock only rises
+    within a stretch.  The zone of an id met from member ``j`` is ``j``'s
+    own, or follows it by ``tau`` steps (a clock-preserving edge keeps the
+    zone), so it never lies below the hull
+    ``lo..top`` of the members ``a..j``.  So the lower end is a closed 0
+    when the zone meets the hull, else the gap from ``top`` to the zone,
+    closed when both ends are.  The upper end is the zone's far end minus
+    ``lo``, closed when both of those are, since that difference is never
+    below ``top`` minus the zone's near end.
+
     ``rows``, ``cells``, ``supports``, ``masks`` and ``targets`` are the
     estimation memo, filled on first use by ``zonewatch.estimation``.  Id
     sets are int bit masks over the ids (bit ``i`` for id ``i``).  ``rows``
@@ -213,8 +231,9 @@ class ZoneIndex:
     cell-mask fixpoint, also filled on first use by
     ``zonewatch.estimation``: ``cell_tables`` maps a root to its silent
     stretch table in cell form (each distinct window as cell shifts, with
-    the reset runs and the ids it reaches), made from the same ``walk`` as
-    its stretch table; ``shifts`` maps a window to its cell shifts; and
+    the reset runs and the ids it reaches), made from the rows of its
+    silent ``walk`` in the order met; ``shifts`` maps a window to its cell
+    shifts; and
     ``fixpoints`` maps a start run to ``(cut, root masks, hit masks)``, its
     fixpoint at the largest cut computed so far.
     """
@@ -262,10 +281,15 @@ class ZoneIndex:
     def start_runs(self, ids) -> list[int]:
         """The keys of the maximal runs of consecutive ids of one state
         among ``ids``, ascending."""
+        return self.runs_of(sorted(set(ids)))
+
+    def runs_of(self, ids: list[int]) -> list[int]:
+        """``start_runs`` of ids that are ascending and distinct already, as
+        a support's ids are: one pass, no sort."""
         tau, n = self.tau, len(self.ext)
         keys: list[int] = []
         prev = -1
-        for i in sorted(set(ids)):
+        for i in ids:
             if keys and tau[prev] == i:
                 keys[-1] += n
             else:
@@ -281,48 +305,70 @@ class ZoneIndex:
             table = tables[key] = self._fill(key, all_events)
         return table
 
-    def walk(self, key: int, all_events: bool, cell_form: bool = False) -> list[tuple]:
-        """The entries of the run ``key``'s stretch, in the order the walk
-        meets their ids: the rows of its stretch table (see the class
-        docstring; with the ``pred, edge`` links only over all events), or
-        with ``cell_form`` just ``(s, window, resets)``, what the estimation
-        memo's cell-form table reads.  One walk serves each, without a
-        second pass over its rows."""
+    def walk(self, key: int, all_events: bool) -> list[tuple]:
+        """The rows of the run ``key``'s stretch table (see the class
+        docstring), in the order the walk meets their ids: what ``_fill``
+        sorts, and what the estimation memo's cell-form table reads."""
         zone, ranges, tau = self.zone, self.ranges, self.tau
         moves = self.events if all_events else self.silent
         resets = self.resets[all_events]
         a, b = self.run(key)
         lo, lo_closed = ranges[zone[a]][:2]
-        link: dict = {}  # id -> (id it was reached from, edge)
+        link: dict = {}  # id -> (id it was reached from, edge), all events only
+        seen: set = set()  # the ids met, silent moves only
         rows = []
         # Breadth first from each member, the highest first: an id that a
         # lower member meets again, and all it leads to, was reached by a
         # higher one, and ``j`` is the largest member reaching what it
-        # reaches first.
+        # reaches first.  The hull of the members ``a..j`` is ``lo..top``,
+        # and each row's distance from it is written out, as the class
+        # docstring explains.
         for j in range(b, a - 1, -1):
-            high = ranges[zone[j]]
-            hull = (lo, lo_closed, high[2], high[3])
-            link[j] = (-1, None)
+            top, top_closed = ranges[zone[j]][2:]
             order = [j]
-            for s in order:  # ``order`` grows as it is walked
-                runs = resets.get(s)
-                if runs is None:
-                    runs = resets[s] = tuple([edge for edge in moves[s] if edge[2]])
-                d = distance(hull, ranges[zone[s]])
-                if cell_form:
-                    rows.append((s, d, runs))
-                elif all_events:
-                    rows.append((s, *d, runs, *link[s]))
-                else:
-                    rows.append((s, *d, runs))
-                nxt = tau[s]
-                if nxt >= 0 and nxt not in link:
-                    link[nxt] = (s, None)
-                    order.append(nxt)
-                for edge in moves[s]:
-                    if not edge[2] and edge[1] not in link:
-                        link[edge[1]] = (s, edge)
-                        order.append(edge[1])
+            if all_events:
+                link[j] = (-1, None)
+                for s in order:  # ``order`` grows as it is walked
+                    out = moves[s]
+                    runs = resets.get(s)
+                    if runs is None:
+                        runs = resets[s] = tuple(filter(_resets_clock, out))
+                    z_lo, z_lc, z_hi, z_hc = ranges[zone[s]]
+                    if z_lo > top or (z_lo == top and not (top_closed and z_lc)):
+                        row = (s, z_lo - top, top_closed and z_lc, z_hi - lo, z_hc and lo_closed, runs)
+                    else:
+                        row = (s, 0, True, z_hi - lo, z_hc and lo_closed, runs)
+                    rows.append(row + link[s])
+                    nxt = tau[s]
+                    if nxt >= 0 and nxt not in link:
+                        link[nxt] = (s, None)
+                        order.append(nxt)
+                    if len(runs) != len(out):  # else every move resets the clock
+                        for edge in out:
+                            if not edge[2] and edge[1] not in link:
+                                link[edge[1]] = (s, edge)
+                                order.append(edge[1])
+            else:
+                seen.add(j)
+                for s in order:
+                    out = moves[s]
+                    runs = resets.get(s)
+                    if runs is None:
+                        runs = resets[s] = tuple(filter(_resets_clock, out))
+                    z_lo, z_lc, z_hi, z_hc = ranges[zone[s]]
+                    if z_lo > top or (z_lo == top and not (top_closed and z_lc)):
+                        rows.append((s, z_lo - top, top_closed and z_lc, z_hi - lo, z_hc and lo_closed, runs))
+                    else:
+                        rows.append((s, 0, True, z_hi - lo, z_hc and lo_closed, runs))
+                    nxt = tau[s]
+                    if nxt >= 0 and nxt not in seen:
+                        seen.add(nxt)
+                        order.append(nxt)
+                    if len(runs) != len(out):  # else every move resets the clock
+                        for edge in out:
+                            if not edge[2] and edge[1] not in seen:
+                                seen.add(edge[1])
+                                order.append(edge[1])
         return rows
 
     def _fill(self, key: int, all_events: bool) -> tuple:

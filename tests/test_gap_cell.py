@@ -19,6 +19,7 @@ record.
 
 import functools
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -229,10 +230,7 @@ def _warm(name):
 def test_inlined_cell_steps_answer_the_cell_of_the_difference(name, times, spell_a, spell_t, pick):
     model, za, observer = _warm(name)
     a, t = _SPELLINGS[spell_a](times[0]), _SPELLINGS[spell_t](times[1])
-    # The reference: the cell of the exact difference, read with ``_cell``.
     support = _cell(za, za.initial, cell_index(F(a))).successor("a")
-    i = cell_index(F(t) - F(a))
-    want = _cell(za, support, i)
     exact = [x if isinstance(x, (int, Fraction)) else F(x) for x in (a, t)]
 
     belief = belief_advance(za, model, belief_init(za), "a", a)
@@ -246,6 +244,10 @@ def test_inlined_cell_steps_answer_the_cell_of_the_difference(name, times, spell
         with pytest.raises(ValueError, match="^observation time precedes the last observation$"):
             session.advance("a", t)
         return
+    # The reference: the cell of the exact difference, read with ``_cell``,
+    # which has no cell before the anchor.
+    i = cell_index(F(t) - F(a))
+    want = _cell(za, support, i)
     # A session and a belief whose fields were set from outside, on a
     # support the memo may not have met yet: two extended states in a row.
     ext = sorted(za.states, key=ext_sort_key)
@@ -288,6 +290,49 @@ def test_inlined_cell_steps_on_the_empty_support():
         belief = belief_advance(za, model, belief, "a", t)
         session.advance("a", t)
         assert belief.support == session.support == frozenset()
+
+
+def test_anchors_set_from_outside_convert_as_times_do():
+    # An anchor stored as text, a float or a Decimal answers as its
+    # Fraction in each warm op, and a malformed one raises ValueError.
+    model, za, observer = _warm("fig1")
+    support = belief_advance(za, model, belief_init(za), "a", F(3, 2)).support
+    assert support
+
+    def answers(anchor):
+        out = []
+        for t in (F(3, 2), 2, F(7, 2), 10**6):
+            session = observer.session()
+            session.support, session.anchor_time = support, anchor
+            out.append(belief_query(za, model, BeliefState(support, anchor), t))
+            out.append(session.query(t))
+            out.append(belief_advance(za, model, BeliefState(support, anchor), "a", t))
+            session.advance("a", t)
+            out.append((session.support, session.anchor_time))
+        return out
+
+    want = answers(F(3, 2))
+    for anchor in ("3/2", " 3/2 ", 1.5, Decimal("1.5")):
+        assert answers(anchor) == want, anchor
+    for anchor in ("x", "1/0x", ""):
+        session = observer.session()
+        session.support, session.anchor_time = support, anchor
+        belief = BeliefState(support, anchor)
+        for call in (
+            lambda: belief_query(za, model, belief, 2),
+            lambda: belief_advance(za, model, belief, "a", 2),
+            lambda: session.query(2),
+            lambda: session.advance("a", 2),
+        ):
+            with pytest.raises(ValueError):
+                call()
+    # A converted anchor still orders the times after it.
+    with pytest.raises(ValueError, match="^query time precedes the belief anchor$"):
+        belief_query(za, model, BeliefState(support, "3/2"), 1)
+    session = observer.session()
+    session.support, session.anchor_time = support, Decimal("1.5")
+    with pytest.raises(ValueError, match="^observation time precedes the last observation$"):
+        session.advance("a", 1)
 
 
 # -- the error contract -----------------------------------------------------------

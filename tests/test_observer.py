@@ -388,13 +388,18 @@ def test_non_integer_window_raises_in_optimized_mode():
     # not be a bare assert, which ``python -O`` would drop.
     script = (
         "from fractions import Fraction\n"
-        "import zonewatch.zones as zones\n"
         "from zonewatch import InvariantError, build_offline_observer, build_zone_automaton\n"
+        "from zonewatch.intervals import INF\n"
         "from zonewatch.oracle import RandomModelConfig, random_model\n"
         "model = random_model(RandomModelConfig(rng_seed=1))\n"
-        "zones.distance = lambda a, b: (Fraction(1, 2), True, 1, True)\n"
+        "za = build_zone_automaton(model)\n"
+        "# Every finite zone ends half a unit later, and so does every window to it.\n"
+        "za.index.ranges[:] = [\n"
+        "    z if z.hi == INF else tuple.__new__(type(z), (z.lo, z.lo_closed, z.hi + Fraction(1, 2), z.hi_closed))\n"
+        "    for z in za.index.ranges\n"
+        "]\n"
         "try:\n"
-        "    build_offline_observer(build_zone_automaton(model), model)\n"
+        "    build_offline_observer(za, model)\n"
         "except InvariantError as exc:\n"
         "    print('InvariantError:', exc)\n"
     )

@@ -234,7 +234,7 @@ def cmd_observer(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    model = _load(args.model)
+    model = _valid_model(args.model)
     obs = _parse_obs_or_exit(args.obs, args.time)
     try:
         grid = GridConfig(horizon=obs.query_time, step=Fraction(args.grid))

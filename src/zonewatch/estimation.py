@@ -107,6 +107,7 @@ from .intervals import (
     Rational,
     add,
     contains,
+    distance,
     format_time,
     intersect,
     pick,
@@ -547,7 +548,7 @@ def _width(ix) -> int:
     zone endpoint ``M``, which is at most the largest lower end; computed on
     first use and kept on the index."""
     if not ix.width:
-        ix.width = 2 * max(z.lo for z in ix.ranges) + 2
+        ix.width = 2 * max(v.zone.lo for v in ix.ext) + 2
     return ix.width
 
 
@@ -1021,6 +1022,34 @@ def _split(windows: Sequence[tuple], total: Fraction) -> list[Fraction]:
     return durations
 
 
+def _path(ix, j: int, goal: int) -> Optional[list[tuple]]:
+    """The zone path of a reset-free stretch from id ``j`` to id ``goal``,
+    ``[(id, edge or None for tau), ...]`` from ``(j, None)``, or None when
+    the stretch does not reach ``goal``.  Breadth first over ``tau`` and
+    then the clock-preserving ``events`` entries in order, which is the
+    order in which ``ZoneIndex.walk`` meets ids."""
+    tau, events = ix.tau, ix.events
+    link = {j: (-1, None)}  # id -> (id it was first reached from, edge)
+    order = [j]
+    for s in order:  # ``order`` grows as it is walked
+        if s == goal:
+            path = []
+            while s >= 0:
+                pred, edge = link[s]
+                path.append((s, edge))
+                s = pred
+            return path[::-1]
+        nxt = tau[s]
+        if nxt >= 0 and nxt not in link:
+            link[nxt] = (s, None)
+            order.append(nxt)
+        for edge in events[s]:
+            if not edge[2] and edge[1] not in link:
+                link[edge[1]] = (s, edge)
+                order.append(edge[1])
+    return None
+
+
 def _witness(za: ZoneAutomaton, stretches: list, total: Fraction) -> Witness:
     """The witness of a run of duration ``total`` through ``stretches``,
     each ``(run key, exit entry of its all-events stretch table, reset run
@@ -1028,16 +1057,16 @@ def _witness(za: ZoneAutomaton, stretches: list, total: Fraction) -> Witness:
 
     Splits ``total`` over the stretches' exit windows.  A run's window is
     the union of its members' windows, so some member ``j`` reaching the
-    exit id has the stretch's duration ``d`` in its own window; the stretch
-    is re-rooted there, and its zone path read off the predecessors in the
-    table of ``(j, j)``.  Each member of a reset run is a target of the
-    reset, and each member of a start run a start, so the steps are a run of
-    the zone automaton.  The entry clock is picked in ``j``'s zone so that
-    the clock ends in the exit zone after ``d``, which also fixes the clock
-    of the reset step entering ``j``, and each clock-preserving event fires
-    at the earliest clock its zone allows after the previous one.  Raises
-    ``InvariantError`` when a choice is infeasible, which means the search
-    did not certify ``total``.
+    exit id has the stretch's duration ``d`` in its own window, the
+    distance from its zone to the exit zone; the stretch is re-rooted at
+    the first such ``j`` and its zone path traced by ``_path``.  Each
+    member of a reset run is a target of the reset, and each member of a
+    start run a start, so the steps are a run of the zone automaton.  The
+    entry clock is picked in ``j``'s zone so that the clock ends in the exit
+    zone after ``d``, which also fixes the clock of the reset step entering
+    ``j``, and each clock-preserving event fires at the earliest clock its
+    zone allows after the previous one.  Raises ``InvariantError`` when a
+    choice is infeasible, which means the search did not certify ``total``.
     """
     ix = za.index
     ext = ix.ext
@@ -1047,18 +1076,15 @@ def _witness(za: ZoneAutomaton, stretches: list, total: Fraction) -> Witness:
     elapsed = Fraction(0)  # when the stretch begins
     for (key, exit_entry, reset), d in zip(stretches, durations):
         a, b = ix.run(key)
+        goal = exit_entry[0]
         for j in range(a, b + 1):
-            row_of = {row[0]: row for row in ix.stretch(j, True)}
-            row = row_of.get(exit_entry[0])
-            if row is not None and contains(row[1:5], d):
-                break
+            if contains(distance(ext[j].zone, ext[goal].zone), d):
+                path = _path(ix, j, goal)
+                if path is not None:
+                    break
         else:
             raise InvariantError("no member of a stretch's run realizes its duration")
-        path = [row]  # the stretch's rows from the exit back to ``j``
-        while path[-1][6] >= 0:
-            path.append(row_of[path[-1][6]])
-        path.reverse()
-        feasible = intersect(ext[j].zone, shift(ext[row[0]].zone, -d))
+        feasible = intersect(ext[j].zone, shift(ext[goal].zone, -d))
         if feasible is None:
             raise InvariantError("stretch duration outside its distance window")
         entry_clock = clock = pick(feasible)
@@ -1068,7 +1094,7 @@ def _witness(za: ZoneAutomaton, stretches: list, total: Fraction) -> Witness:
         else:
             steps.append((reset[0], ext[j]))
             run_steps.append(RunStep(reset[0], elapsed, ext[j].state, entry_clock))
-        for s, *_, edge in path[1:]:
+        for s, edge in path[1:]:
             v = ext[s]
             if edge is None:
                 steps.append((TAU, v))
@@ -1091,7 +1117,7 @@ def _witness(za: ZoneAutomaton, stretches: list, total: Fraction) -> Witness:
         duration=total,
         run=run,
         trailing_dwell=total - run.end_time,
-        final_zone=ext[row[0]].zone,
+        final_zone=ext[goal].zone,
     )
 
 

@@ -144,13 +144,13 @@ class ZoneIndex:
     """The zone automaton numbered for the duration search.
 
     Extended states get ids ``0..n-1`` in ``ext_sort_key`` order, each
-    state's zones consecutive and ascending; distinct zones get zone ids.
-    Every table is a list indexed by id:
+    state's zones consecutive and ascending.  Every table is a list indexed
+    by id:
 
-    - ``ext``: the ExtendedState of each id; ``id_of`` maps it back, built
-      on first read (the build interns the initial support with its ids,
-      so serving it needs no map);
-    - ``zone``: its zone id, and ``ranges``: each zone id's Interval;
+    - ``ext``: the ExtendedState of each id, the only stored form of its
+      zone (equal zones are one ``Interval`` object); ``id_of`` maps it
+      back, built on first read (the build interns the initial support
+      with its ids, so serving it needs no map);
     - ``tau``: the id of the time-elapse successor, -1 for the unbounded zone;
     - ``events``: one entry ``(label, key, resets_clock, Transition)`` per
       transition enabled in the zone, in the order of the model's
@@ -170,24 +170,21 @@ class ZoneIndex:
     ``stretches`` holds the stretch table of each root, over silent moves
     (``stretches[False]``, read by the estimation memo's search and
     fixpoint) and over all events (``stretches[True]``, read only by
-    ``t_reachable`` and its witnesses); each
-    is filled on first use by ``stretch``.  A root is a run ``(a, b)`` of
-    consecutive ids of one state: a stretch beginning with the clock
-    anywhere in the zones of ``a..b``.  Resets enter runs, and a belief
-    support starts one run per maximal block of consecutive ids of a
-    state; a single id ``j`` is the run ``(j, j)``.  A run is keyed by the
-    int ``a + n*(b - a)`` (``n`` ids), so the key of ``(j, j)`` is ``j``;
-    ``run`` maps a key back.
+    ``t_reachable``'s search); each is filled on first use by ``stretch``.
+    A root is a run ``(a, b)`` of consecutive ids of one state: a stretch
+    beginning with the clock anywhere in the zones of ``a..b``.  Resets
+    enter runs, and a belief support starts one run per maximal block of
+    consecutive ids of a state; a single id ``j`` is the run ``(j, j)``.
+    A run is keyed by the int ``a + n*(b - a)`` (``n`` ids), so the key of
+    ``(j, j)`` is ``j``; ``run`` maps a key back.
 
     A reset-free stretch reaches the ids linked to a member by ``tau``
-    steps and clock-preserving edges.  Its table has one entry ``(s, d_lo,
-    d_lo_closed, d_hi, d_hi_closed, resets)`` per such id ``s``: the
-    durations from the run to ``s`` and the reset runs out of ``s``.  An
-    all-events table, the only kind ``t_reachable``'s witnesses read, adds
-    ``pred, edge`` to each entry: the id ``s`` was first reached from and
-    the edge taken (``None`` for ``tau``; ``pred`` is -1 at the members).
-    A silent table has no such links, since nothing reads them.  The members
-    that reach ``s`` are a prefix ``a..top`` (the clock only rises within a
+    steps and clock-preserving edges.  Its table, silent or all-events, has
+    one entry ``(s, d_lo, d_lo_closed, d_hi, d_hi_closed, resets)`` per
+    such id ``s``: the durations from the run to ``s`` and the reset runs
+    out of ``s``.  No table records how ``s`` was reached: a witness
+    traces its own path (``estimation._path``).  The members that reach
+    ``s`` are a prefix ``a..top`` (the clock only rises within a
     stretch, and a member reaches the next one by ``tau``), so the
     durations are the distance range from the hull of the zones of
     ``a..top`` to ``s``'s zone, which is the union of the members' own
@@ -196,16 +193,14 @@ class ZoneIndex:
     ``s`` are its ``events`` (or ``silent``) entries that reset the clock;
     ``resets`` keeps them per id met, per mode.
 
-    ``walk`` builds a table's entries in one pass, in one of two modes.
-    Both go breadth first from each member, the highest first, and skip
-    the scan for clock-preserving edges at an id whose moves all reset the
-    clock.  An all-events walk keeps each id's ``pred, edge`` link, and the
-    links mark the ids met; a silent walk marks them in a set and keeps no
-    link.  Each entry's distance is written out, not asked of
-    ``intervals.distance``, and it is exact because the clock only rises
-    within a stretch.  The zone of an id met from member ``j`` is ``j``'s
-    own, or follows it by ``tau`` steps (a clock-preserving edge keeps the
-    zone), so it never lies below the hull
+    ``walk`` builds a table's entries in one pass, one loop for either move
+    set.  It goes breadth first from each member, the highest first, marks
+    the ids met in a set, and skips the scan for clock-preserving edges at
+    an id whose moves all reset the clock.  Each entry's distance is
+    written out, not asked of ``intervals.distance``, and it is exact
+    because the clock only rises within a stretch.  The zone of an id met
+    from member ``j`` is ``j``'s own, or follows it by ``tau`` steps (a
+    clock-preserving edge keeps the zone), so it never lies below the hull
     ``lo..top`` of the members ``a..j``.  So the lower end is a closed 0
     when the zone meets the hull, else the gap from ``top`` to the zone,
     closed when both ends are.  The upper end is the zone's far end minus
@@ -239,7 +234,7 @@ class ZoneIndex:
     """
 
     __slots__ = (
-        "ext", "_id_of", "ids", "zone", "ranges", "tau", "events", "silent", "stretches", "resets", "rows",
+        "ext", "_id_of", "ids", "tau", "events", "silent", "stretches", "resets", "rows",
         "cells", "supports", "masks", "targets", "width", "cell_tables", "shifts", "fixpoints",
     )
 
@@ -247,8 +242,6 @@ class ZoneIndex:
         self.ext: list[ExtendedState] = []
         self._id_of: Optional[dict[ExtendedState, int]] = None
         self.ids: dict[str, range] = {}
-        self.zone: list[int] = []
-        self.ranges: list[Interval] = []
         self.tau: list[int] = []
         self.events: list = []
         self.silent: list = []
@@ -309,13 +302,12 @@ class ZoneIndex:
         """The rows of the run ``key``'s stretch table (see the class
         docstring), in the order the walk meets their ids: what ``_fill``
         sorts, and what the estimation memo's cell-form table reads."""
-        zone, ranges, tau = self.zone, self.ranges, self.tau
+        ext, tau = self.ext, self.tau
         moves = self.events if all_events else self.silent
         resets = self.resets[all_events]
         a, b = self.run(key)
-        lo, lo_closed = ranges[zone[a]][:2]
-        link: dict = {}  # id -> (id it was reached from, edge), all events only
-        seen: set = set()  # the ids met, silent moves only
+        lo, lo_closed = ext[a][1][:2]
+        seen: set = set()
         rows = []
         # Breadth first from each member, the highest first: an id that a
         # lower member meets again, and all it leads to, was reached by a
@@ -324,51 +316,28 @@ class ZoneIndex:
         # and each row's distance from it is written out, as the class
         # docstring explains.
         for j in range(b, a - 1, -1):
-            top, top_closed = ranges[zone[j]][2:]
+            top, top_closed = ext[j][1][2:]
+            seen.add(j)
             order = [j]
-            if all_events:
-                link[j] = (-1, None)
-                for s in order:  # ``order`` grows as it is walked
-                    out = moves[s]
-                    runs = resets.get(s)
-                    if runs is None:
-                        runs = resets[s] = tuple(filter(_resets_clock, out))
-                    z_lo, z_lc, z_hi, z_hc = ranges[zone[s]]
-                    if z_lo > top or (z_lo == top and not (top_closed and z_lc)):
-                        row = (s, z_lo - top, top_closed and z_lc, z_hi - lo, z_hc and lo_closed, runs)
-                    else:
-                        row = (s, 0, True, z_hi - lo, z_hc and lo_closed, runs)
-                    rows.append(row + link[s])
-                    nxt = tau[s]
-                    if nxt >= 0 and nxt not in link:
-                        link[nxt] = (s, None)
-                        order.append(nxt)
-                    if len(runs) != len(out):  # else every move resets the clock
-                        for edge in out:
-                            if not edge[2] and edge[1] not in link:
-                                link[edge[1]] = (s, edge)
-                                order.append(edge[1])
-            else:
-                seen.add(j)
-                for s in order:
-                    out = moves[s]
-                    runs = resets.get(s)
-                    if runs is None:
-                        runs = resets[s] = tuple(filter(_resets_clock, out))
-                    z_lo, z_lc, z_hi, z_hc = ranges[zone[s]]
-                    if z_lo > top or (z_lo == top and not (top_closed and z_lc)):
-                        rows.append((s, z_lo - top, top_closed and z_lc, z_hi - lo, z_hc and lo_closed, runs))
-                    else:
-                        rows.append((s, 0, True, z_hi - lo, z_hc and lo_closed, runs))
-                    nxt = tau[s]
-                    if nxt >= 0 and nxt not in seen:
-                        seen.add(nxt)
-                        order.append(nxt)
-                    if len(runs) != len(out):  # else every move resets the clock
-                        for edge in out:
-                            if not edge[2] and edge[1] not in seen:
-                                seen.add(edge[1])
-                                order.append(edge[1])
+            for s in order:  # ``order`` grows as it is walked
+                out = moves[s]
+                runs = resets.get(s)
+                if runs is None:
+                    runs = resets[s] = tuple(filter(_resets_clock, out))
+                z_lo, z_lc, z_hi, z_hc = ext[s][1]
+                if z_lo > top or (z_lo == top and not (top_closed and z_lc)):
+                    rows.append((s, z_lo - top, top_closed and z_lc, z_hi - lo, z_hc and lo_closed, runs))
+                else:
+                    rows.append((s, 0, True, z_hi - lo, z_hc and lo_closed, runs))
+                nxt = tau[s]
+                if nxt >= 0 and nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+                if len(runs) != len(out):  # else every move resets the clock
+                    for edge in out:
+                        if not edge[2] and edge[1] not in seen:
+                            seen.add(edge[1])
+                            order.append(edge[1])
         return rows
 
     def _fill(self, key: int, all_events: bool) -> tuple:
@@ -384,7 +353,6 @@ class ZoneAutomaton:
     """NFA over extended states with time-elapse and event edges."""
 
     initial: frozenset[ExtendedState]
-    zones_by_state: dict[str, tuple[Interval, ...]]
     diagnostics: tuple[str, ...] = ()
     index: ZoneIndex = field(default_factory=ZoneIndex, repr=False, compare=False)
 
@@ -407,10 +375,12 @@ class ZoneAutomaton:
         return tuple(out)
 
     def zones(self, state: str) -> tuple[Interval, ...]:
-        return self.zones_by_state[state]
+        """The zones of a state, ascending: its slice of ``index.ext``."""
+        ids = self.index.ids[state]
+        return tuple([v.zone for v in self.index.ext[ids.start : ids.stop]])
 
     def zone_of(self, state: str, clock) -> Interval:
-        for z in self.zones_by_state[state]:
+        for z in self.zones(state):
             if clock in z:
                 return z
         raise ValueError(f"no zone of {state!r} contains {clock}")  # unreachable: zones partition
@@ -430,7 +400,8 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     the order of ``model.transitions``; an id with no entry keeps the shared
     empty tuple.  A clock-preserving edge whose zone is missing at the
     target state is dropped and reported as a diagnostic.  Each distinct
-    zone ``Interval`` is made once from its cells, and no ``Edge`` object
+    zone ``Interval`` is made once from its cells and stored only in the
+    ``ExtendedState`` objects of ``ZoneIndex.ext``, and no ``Edge`` object
     and no reverse map ``ZoneIndex.id_of`` is made until it is read: the
     initial support is interned in the estimation memo with its ids, the
     first id of each initial state.  The model is validated first, so the
@@ -440,24 +411,18 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     require_valid(model)
     starts = _zone_starts(model)
     ix = ZoneIndex()
-    ext, zone, ranges, tau, ids = ix.ext, ix.zone, ix.ranges, ix.tau, ix.ids
-    zone_ids: dict[tuple, int] = {}  # (first cell, next zone's first cell or None) -> zone id
-    zones_of: dict[str, tuple[Interval, ...]] = {}
+    ext, tau, ids = ix.ext, ix.tau, ix.ids
+    made: dict[tuple, Interval] = {}  # (first cell, next zone's first cell or None) -> zone
     at: dict[str, tuple[int, list[int]]] = {}  # state -> (its first id, its zone starts)
     for x in sorted(starts):
         cells = starts[x]
         first = len(ext)
         at[x] = (first, cells)
-        zs = []
         for key in zip(cells, cells[1:] + [None]):
-            zid = zone_ids.get(key)
-            if zid is None:
-                zid = zone_ids[key] = len(ranges)
-                ranges.append(_zone(*key))
-            zone.append(zid)
-            zs.append(ranges[zid])
-        zones_of[x] = tuple(zs)
-        ext += [_new(ExtendedState, (x, z)) for z in zs]
+            z = made.get(key)
+            if z is None:
+                z = made[key] = _zone(*key)
+            ext.append(_new(ExtendedState, (x, z)))
         ids[x] = range(first, len(ext))
         tau += range(first + 1, len(ext))
         tau.append(-1)
@@ -469,7 +434,7 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     events: list = [()] * n
     silent: list = [()] * n
     observable = model.observable
-    by_zone: dict[str, dict[int, int]] = {}  # state -> zone id -> id
+    by_zone: dict[str, dict[Interval, int]] = {}  # state -> zone -> id
     diagnostics: list[str] = []
     for t in model.transitions:
         source, event, target, (lo, _, hi, _), reset = t
@@ -492,9 +457,9 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
             continue
         same = by_zone.get(target)
         if same is None:
-            same = by_zone[target] = {zone[i]: i for i in ids[target]}
+            same = by_zone[target] = {ext[i].zone: i for i in ids[target]}
         for src in range(a, b):
-            i = same.get(zone[src])
+            i = same.get(ext[src].zone)
             if i is None:
                 diagnostics.append(
                     f"clock-preserving transition {t}: source zone {ext[src].zone} "
@@ -515,10 +480,16 @@ def build_zone_automaton(model: TFA) -> ZoneAutomaton:
     ix.masks[sum(1 << i for i in start)] = initial
     return ZoneAutomaton(
         initial=initial,
-        zones_by_state={x: zones_of[x] for x in model.states},
         diagnostics=tuple(diagnostics),
         index=ix,
     )
+
+
+def _dot_string(text: str) -> str:
+    """``text`` as a DOT quoted string: a backslash or a double quote in a
+    state or event name would otherwise end the string or escape its
+    closing quote."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(za: ZoneAutomaton) -> str:
@@ -526,11 +497,11 @@ def to_dot(za: ZoneAutomaton) -> str:
     nodes and edges in id order, which is ``ext_sort_key`` order, edges by
     source, label and target."""
     ix = za.index
-    names = [f"{v.state} {v.zone}" for v in ix.ext]
+    names = [_dot_string(f"{v.state} {v.zone}") for v in ix.ext]
     lines = ["digraph zone_automaton {", "  rankdir=LR;"]
     for i, v in enumerate(ix.ext):
         attrs = " shape=doublecircle" if v in za.initial else ""
-        lines.append(f'  "{names[i]}"{attrs};')
+        lines.append(f"  {names[i]}{attrs};")
     edges = [(i, TAU, j) for i, j in enumerate(ix.tau) if j >= 0]
     for i, moves in enumerate(ix.events):
         for label, key, _, _ in moves:
@@ -539,8 +510,8 @@ def to_dot(za: ZoneAutomaton) -> str:
     edges.sort()
     for i, label, j in edges:
         if label == TAU:
-            lines.append(f'  "{names[i]}" -> "{names[j]}" [style=dashed];')
+            lines.append(f"  {names[i]} -> {names[j]} [style=dashed];")
         else:
-            lines.append(f'  "{names[i]}" -> "{names[j]}" [label="{label}"];')
+            lines.append(f"  {names[i]} -> {names[j]} [label={_dot_string(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

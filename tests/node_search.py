@@ -2,7 +2,7 @@
 
 This is the search the stretch-table search in ``zonewatch.estimation``
 replaced, kept as the reference of the differential tests.  A node is an
-extended-state id, the zone id where the current reset-free stretch began
+extended-state id, the zone where the current reset-free stretch began
 and the (capped) range sum of the completed stretches; each ``tau`` step and
 each event edge is one step of a breadth-first search, and a node whose
 window ``acc (+) distance(entry zone, current zone)`` starts above ``dt`` is
@@ -25,7 +25,7 @@ def node_reach(za, starts, dt: Fraction, all_events: bool = False) -> set[int]:
     """The ids reachable from ``starts`` in exactly ``dt`` over silent events
     (over every event with ``all_events``)."""
     ix = za.index
-    zone_of, ranges, tau = ix.zone, ix.ranges, ix.tau
+    ext, tau = ix.ext, ix.tau
     table = ix.events if all_events else ix.silent
     moves = {}  # id -> its edges (target, resets_clock), runs expanded on first visit
     p, q = dt.numerator, dt.denominator  # dt is compared as x*q against p
@@ -34,16 +34,16 @@ def node_reach(za, starts, dt: Fraction, all_events: bool = False) -> set[int]:
     seen = set()
     queue = deque()
     for s in starts:
-        node = (s, zone_of[s], (0, True, 0, True))
+        node = (s, ext[s].zone, (0, True, 0, True))
         if node not in seen:
             seen.add(node)
             queue.append(node)
     hits = set()
     while queue:
         s, entry, acc = queue.popleft()
-        key = (entry, zone_of[s])
+        key = (entry, ext[s].zone)
         if key not in dist:
-            dist[key] = distance(ranges[entry], ranges[zone_of[s]])
+            dist[key] = distance(entry, ext[s].zone)
         d = dist[key]
         lo, lo_c = acc[0] + d[0], acc[1] and d[1]
         if lo * q > p or (lo * q == p and not lo_c):
@@ -61,9 +61,9 @@ def node_reach(za, starts, dt: Fraction, all_events: bool = False) -> set[int]:
             if not resets:
                 children.append((target, entry, acc))
             elif hi > ceiling:
-                children.append((target, zone_of[target], (lo, lo_c, ceiling + 1, True)))
+                children.append((target, ext[target].zone, (lo, lo_c, ceiling + 1, True)))
             else:
-                children.append((target, zone_of[target], (lo, lo_c, hi, hi_c)))
+                children.append((target, ext[target].zone, (lo, lo_c, hi, hi_c)))
         for child in children:
             if child not in seen:
                 seen.add(child)

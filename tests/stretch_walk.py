@@ -2,9 +2,9 @@
 
 This is the walk that the lean pass of ``ZoneIndex.walk`` replaced, kept as
 the reference of the differential tests.  It walks breadth first from each
-member of a run, the highest first, keeps a ``pred, edge`` link for every
-id it meets and asks ``intervals.distance`` for each entry's window from
-the hull of the members that reach it.  ``stretch_table`` sorts the rows
+member of a run, the highest first, reads each id's zone off
+``ZoneIndex.ext`` and asks ``intervals.distance`` for each entry's window
+from the hull of the members that reach it.  ``stretch_table`` sorts the rows
 as ``ZoneIndex`` does, and ``cell_table`` groups them by window as the
 estimation memo's cell-form table does.
 """
@@ -15,30 +15,29 @@ from zonewatch.intervals import distance
 
 def walk(ix, key: int, all_events: bool) -> list[tuple]:
     """The rows of the run ``key``'s stretch, in the order the walk meets
-    their ids: ``(s, *window, resets)``, plus ``pred, edge`` over all
-    events."""
-    zone, ranges, tau = ix.zone, ix.ranges, ix.tau
+    their ids: ``(s, *window, resets)``, silent or over all events."""
+    ext, tau = ix.ext, ix.tau
     moves = ix.events if all_events else ix.silent
     a, b = ix.run(key)
-    lo, lo_closed = ranges[zone[a]][:2]
-    link: dict = {}  # id -> (id it was reached from, edge)
+    lo, lo_closed = ext[a].zone[:2]
+    seen: set = set()
     rows = []
     for j in range(b, a - 1, -1):
-        high = ranges[zone[j]]
+        high = ext[j].zone
         hull = (lo, lo_closed, high[2], high[3])
-        link[j] = (-1, None)
+        seen.add(j)
         order = [j]
         for s in order:
             runs = tuple([edge for edge in moves[s] if edge[2]])
-            d = distance(hull, ranges[zone[s]])
-            rows.append((s, *d, runs, *link[s]) if all_events else (s, *d, runs))
+            d = distance(hull, ext[s].zone)
+            rows.append((s, *d, runs))
             nxt = tau[s]
-            if nxt >= 0 and nxt not in link:
-                link[nxt] = (s, None)
+            if nxt >= 0 and nxt not in seen:
+                seen.add(nxt)
                 order.append(nxt)
             for edge in moves[s]:
-                if not edge[2] and edge[1] not in link:
-                    link[edge[1]] = (s, edge)
+                if not edge[2] and edge[1] not in seen:
+                    seen.add(edge[1])
                     order.append(edge[1])
     return rows
 

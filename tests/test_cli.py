@@ -638,6 +638,20 @@ def test_oracle_command(capsys, fig1_path):
     assert out.strip() == "x0 x2"
 
 
+def test_oracle_invalid_model_exits_2(capsys, tmp_path, fig1_path):
+    # Like every other command that takes a model: diagnostics and exit 2,
+    # not the usage error 64.
+    doc = json.load(open(fig1_path))
+    doc["initial"] = ["nowhere"]
+    path = tmp_path / "unknown_initial.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "oracle", str(path), "--obs", "a@1", "--time", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown-initial: ")
+    assert all(line.startswith("error: ") for line in err.splitlines())
+
+
 # -- fuzz ----------------------------------------------------------------------------
 
 def test_fuzz_command(capsys):

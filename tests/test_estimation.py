@@ -705,6 +705,37 @@ def test_reset_range_is_one_root():
     assert sum(len(table) for table in tables.values()) < 10 * k, len(tables)
 
 
+def test_witness_through_a_reset_run_makes_no_tables():
+    # The reset u enters the K+1 point zones of t as one run, and v_i leaves
+    # only from t's zone [i,i].  The earliest-arrival pass expands three
+    # roots: s, the run and g.  The witness re-roots the run at the member
+    # whose window holds the stretch's duration and traces that stretch's
+    # path itself, so it fills no table; filling an all-events table per
+    # member tried made one per zone of the run, and took about 10 s and
+    # 1 GB at K = 2000.
+    from zonewatch import model_from_dict
+
+    k = 300
+    transitions = [{"from": "s", "event": "u", "to": "t", "guard": "[0,0]", "reset": f"[0,{k}]"}]
+    transitions += [
+        {"from": "t", "event": f"v{i}", "to": "g", "guard": f"[{i},{i}]", "reset": "[0,0]"}
+        for i in range(k + 1)
+    ]
+    model = model_from_dict({
+        "states": ["s", "t", "g"],
+        "alphabet": ["a", "u"] + [f"v{i}" for i in range(k + 1)],
+        "observable": ["a"],
+        "initial": ["s"],
+        "transitions": transitions,
+    })
+    za = build_zone_automaton(model)
+    dt = F(k - 1, 2)
+    ok, witness = t_reachable(za, model, "s", "g", dt)
+    assert ok
+    assert len(za.index.stretches[True]) == 3
+    assert_witness_replays(model, witness, "s", "g", dt)
+
+
 def _gated_ring(gate: int):
     """A silent ring ``s0 -> ... -> s7 -> s0``, alternately fast (``[0,1]``)
     and slow (``[1,2]``), with a silent exit from ``s0`` to ``d`` only once

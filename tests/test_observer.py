@@ -394,9 +394,10 @@ def test_non_integer_window_raises_in_optimized_mode():
         "model = random_model(RandomModelConfig(rng_seed=1))\n"
         "za = build_zone_automaton(model)\n"
         "# Every finite zone ends half a unit later, and so does every window to it.\n"
-        "za.index.ranges[:] = [\n"
-        "    z if z.hi == INF else tuple.__new__(type(z), (z.lo, z.lo_closed, z.hi + Fraction(1, 2), z.hi_closed))\n"
-        "    for z in za.index.ranges\n"
+        "za.index.ext[:] = [\n"
+        "    v if v.zone.hi == INF\n"
+        "    else v._replace(zone=tuple.__new__(type(v.zone), (*v.zone[:2], v.zone.hi + Fraction(1, 2), v.zone.hi_closed)))\n"
+        "    for v in za.index.ext\n"
         "]\n"
         "try:\n"
         "    build_offline_observer(za, model)\n"

@@ -1,12 +1,12 @@
 """The lean stretch pass against the reference walk.
 
-``ZoneIndex.walk`` writes each entry's distance out inline, marks the ids
-of a silent walk in a set and keeps ``pred, edge`` links only on
-all-events rows.  These tests check that every stretch table and every
-cell-form table it builds equals, row order included, the one the
-reference walk of ``stretch_walk`` builds with ``intervals.distance``, for
-every root a workload meets, and that a silent fill calls no
-``distance``.
+``ZoneIndex.walk`` reads each id's zone off ``ZoneIndex.ext``, writes each
+entry's distance out inline and marks the ids it meets in a set, in one
+loop for silent and all-events tables alike.  These tests check that every
+stretch table and every cell-form table it builds equals, row order
+included, the one the reference walk of ``stretch_walk`` builds with
+``intervals.distance``, for every root a workload meets, and that a silent
+fill calls no ``distance``.
 """
 
 import sys
@@ -90,9 +90,9 @@ def _cell_form(table) -> tuple:
 @pytest.mark.parametrize("name, model", [pytest.param(name, model, id=name) for name, model in _models()])
 def test_tables_equal_the_reference_walk(name, model):
     ix = _meet_roots(model)
-    silent, linked = ix.stretches
-    assert silent and linked and ix.cell_tables, name
-    for all_events, tables in ((False, silent), (True, linked)):
+    silent, every = ix.stretches
+    assert silent and every and ix.cell_tables, name
+    for all_events, tables in ((False, silent), (True, every)):
         for key, table in tables.items():
             assert table == stretch_walk.stretch_table(ix, key, all_events), (name, key, all_events)
             # Row for row, types included: the windows' ints and bools.

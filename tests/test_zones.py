@@ -419,7 +419,8 @@ def wide_guard_model(c: int) -> TFA:
 
 def test_zone_build_cost_does_not_grow_with_constants():
     small = build_zone_automaton(wide_guard_model(1000))
-    assert small.zones_by_state == {x: tuple(reference_zones(wide_guard_model(1000), x)) for x in "st"}
+    for x in "st":
+        assert small.zones(x) == tuple(reference_zones(wide_guard_model(1000), x))
     start = time.perf_counter()
     wide = build_zone_automaton(wide_guard_model(10**9))
     elapsed = time.perf_counter() - start
@@ -530,3 +531,40 @@ def test_dot_lists_nodes_and_edges_in_zone_order():
             + ("[style=dashed];" if e.label == TAU else f'[label="{e.label}"];')
             for e in edges
         ]
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # ``validate`` accepts any name, so a quote or a backslash in a state or
+    # event name must be escaped, or it ends the quoted ID early or escapes
+    # its closing quote.
+    import re
+
+    from zonewatch import validate
+
+    model = TFA(
+        states=frozenset({'s"1', "t\\"}),
+        alphabet=frozenset({'a"b', "c"}),
+        observable=frozenset({'a"b'}),
+        transitions=(
+            Transition('s"1', 'a"b', "t\\", Interval.closed(0, 1), Interval.closed(0, 0)),
+            Transition("t\\", "c", 's"1', Interval.closed(1, 1), ID_RESET),
+        ),
+        initial=frozenset({'s"1'}),
+    )
+    assert validate(model) == []
+    za = build_zone_automaton(model)
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    unescape = re.compile(r"\\(.)")
+    lines = to_dot(za).splitlines()
+    nodes = set()
+    for line in lines:
+        # Every quote and backslash sits inside a well-formed quoted string.
+        assert '"' not in quoted.sub("", line) and "\\" not in quoted.sub("", line), line
+        strings = [unescape.sub(r"\1", q) for q in quoted.findall(line)]
+        if "->" in line:
+            assert strings[0] in nodes and strings[1] in nodes, line
+            assert "style=dashed" in line or strings[2] in model.alphabet, line
+        elif strings:
+            nodes.add(strings[0])
+    assert nodes == {f"{v.state} {v.zone}" for v in za.states}
+    assert sum("->" in line for line in lines) == len(za.edges)

@@ -80,10 +80,10 @@ stretch tables, fills the support's whole row up to its certified periodic
 tail, after which every elapsed time of that support is a row read.  The
 fixpoint reads each root's table in cell form (each distinct window as cell
 shifts, made once per root from the root's stretch walk), closes a root's
-exits back to itself by doubling, and runs once per start run, not per
-support: it is OR-linear in its starts, so a support's masks are the ORs of
-its start runs' masks, which the index memoises at the largest cut
-computed.  The row is filled one run of equal cells at a time: one pass
+exits back to itself by doubling, and runs once per support and cut with
+every start run of the support seeded at once: a root that several start
+runs reach is expanded in one worklist, not in one whole fixpoint per start
+run.  The row is filled one run of equal cells at a time: one pass
 over the hit masks collects the id masks that flip at each cell, and one
 sweep over those cells toggles a running id mask, looking each run's cell
 up by that int.  So the memo holds at most ``min(8w, _ROW_CELLS)`` searched cells, or
@@ -378,26 +378,27 @@ def _close(ix, mask: int, d: tuple, even: int, full: int) -> int:
         d = (2 * d[0], d[1], 2 * d[2], d[3])
 
 
-def _run_cells(ix, r: int, limit: int) -> tuple[dict, dict]:
-    """The cells ``0..limit`` of every silent duration from the start run
-    ``r``: the mask of each stretch root (the durations at which a stretch
-    can begin there), keyed by run key, and of each reached id, keyed by id.
+def _reach_cells(ix, runs: Iterable[int], limit: int) -> tuple[dict, dict]:
+    """The cells ``0..limit`` of every silent duration from the start runs
+    ``runs``: the mask of each stretch root (the durations at which a
+    stretch can begin there), keyed by run key, and of each reached id,
+    keyed by id.
 
-    A worklist fixpoint over root masks: ``r`` holds cell 0, and expanding
-    a root shifts the bits it gained since its last expansion by each exit
-    window of its cell table, into the mask of each reset run.  A target is
-    queued again only when its mask gains bits.  An exit back to the root
-    itself is closed at once by doubling (``_close``), one pass per such
-    window, since closures under additions compose, so a silent loop of an
-    exact duration costs a shift per doubling, not one expansion per cell it
-    adds.  Cutting at ``limit`` is exact for every cell up to ``limit``,
+    A worklist fixpoint over root masks: every start run holds cell 0, and
+    expanding a root shifts the bits it gained since its last expansion by
+    each exit window of its cell table, into the mask of each reset run.  A
+    target is queued again only when its mask gains bits.  An exit back to
+    the root itself is closed at once by doubling (``_close``), one pass per
+    such window, since closures under additions compose, so a silent loop of
+    an exact duration costs a shift per doubling, not one expansion per cell
+    it adds.  Cutting at ``limit`` is exact for every cell up to ``limit``,
     since durations only grow.
     """
     full = (2 << limit) - 1
     even = ((1 << 2 * (limit // 2 + 1)) - 1) // 3  # 0b0101...01
     tables = ix.cell_tables
-    roots = {r: 1}
-    pending = {r: 1}  # root -> bits not yet expanded
+    roots = dict.fromkeys(runs, 1)
+    pending = dict(roots)  # root -> bits not yet expanded
     while pending:
         q, delta = pending.popitem()
         loops, exits, _ = tables.get(q) or _cell_table(ix, q)
@@ -426,49 +427,6 @@ def _run_cells(ix, r: int, limit: int) -> tuple[dict, dict]:
                 for s in ids:
                     hits[s] = hits.get(s, 0) | cells
     return roots, hits
-
-
-def _reach_cells(
-    ix, starts: Iterable[int], limit: int, runs: Optional[list[int]] = None
-) -> tuple[dict, dict]:
-    """The cells ``0..limit`` of every silent duration from ``starts``: the
-    root masks and the hit masks of ``_run_cells``, ORed over the maximal
-    start runs of ``starts``, which a caller that has them passes as
-    ``runs``.
-
-    The fixpoint is OR-linear in its starts (a window sum distributes over
-    a union), so the masks from a set of starts are the ORs of the masks
-    from each start run.  Each start run's masks are memoised in
-    ``ix.fixpoints`` at the largest cut computed so far; a smaller cut is
-    that entry's masks ANDed with its cells, which is exact because cutting
-    is.  Supports that share a start run share its fixpoint.  The returned
-    dicts may be the memo's own and must not be changed.
-    """
-    memo = ix.fixpoints
-    entries = []
-    for r in ix.start_runs(starts) if runs is None else runs:
-        entry = memo.get(r)
-        if entry is None or entry[0] < limit:
-            entry = memo[r] = (limit, *_run_cells(ix, r, limit))
-        entries.append(entry)
-    if len(entries) == 1 and entries[0][0] == limit:
-        return entries[0][1], entries[0][2]
-    full = (2 << limit) - 1
-    merged: tuple[dict, dict] = ({}, {})  # root masks, hit masks
-    for cut, *masks in entries:
-        for out, run_masks in zip(merged, masks):
-            get = out.get
-            if cut > limit:
-                for k, m in run_masks.items():
-                    m &= full
-                    if m:
-                        out[k] = get(k, 0) | m
-            elif out:
-                for k, m in run_masks.items():
-                    out[k] = get(k, 0) | m
-            else:
-                out.update(run_masks)
-    return merged
 
 
 def _root_period(roots: dict, w: int, limit: int) -> Optional[tuple[int, int]]:
@@ -560,8 +518,7 @@ def _duration_cells(
     period)``: ``hits`` maps each reachable id to a mask of the cells at
     which it is reachable, exact for the cells ``0..start+period-1`` (bits
     past them may be set, and are to be ignored), and cell ``c >= start``
-    answers as cell ``start + (c - start) % period``.  ``hits`` may be the
-    fixpoint memo's own dict and must not be changed.
+    answers as cell ``start + (c - start) % period``.
 
     Runs the fixpoint of ``_reach_cells`` to a cut, doubling the cut until
     the root masks certify a periodic tail (they must: the state behind a
@@ -587,7 +544,7 @@ def _duration_cells(
             f"more than the {_MAX_CELLS} that are tabulated"
         )
     while True:
-        roots, hits = _reach_cells(ix, starts, limit, runs)
+        roots, hits = _reach_cells(ix, runs, limit)
         tail = _root_period(roots, w, limit)
         if tail is not None:
             break

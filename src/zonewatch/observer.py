@@ -6,25 +6,23 @@ segment ``(k,k+1)`` (cell ``2k+1``), because every duration window in the
 search has integer endpoints and so holds each cell whole or not at all.
 The online functions in ``estimation`` fill a memo of such cells on the zone
 automaton's index lazily; the observer is that same memo filled up front.
-For every reachable belief support the builder makes the support's row
-total with one cell-mask fixpoint (``_duration_cells``), which gives the
-cells at which each extended state is reachable for every elapsed time at
-once: a prefix of ``start`` cells, then a tail of ``period`` cells that
-repeats forever, certified by the fixpoint.  Underneath, the fixpoint runs
-once per start run of the support and is memoised on the index, so
-supports that share a start run share that work.  So each row holds ``start +
-period`` cells.  Cells that reach the same extended states are one object,
-holding the estimate and the successor support per observable event; the
-builder computes the successors of every cell, which is how it finds the
-next supports.  Every read maps its time to the cell index with the
-integer arithmetic of ``estimation._gap_cell`` and reads the memo as
+For every reachable belief support the builder makes the support's row total
+with one cell-mask fixpoint (``_duration_cells``), which gives the cells at
+which each extended state is reachable for every elapsed time at once: a
+prefix of ``start`` cells, then a tail of ``period`` cells that repeats
+forever, certified by the fixpoint.  The fixpoint seeds every start run of
+the support at once and keeps nothing past its row.  So each row holds
+``start + period`` cells.  Cells that reach the same extended states are one
+object, holding the estimate and the successor support per observable event;
+the builder computes the successors of every cell, which is how it finds the
+next supports.  Every read maps its time to the cell index with the integer
+arithmetic of ``estimation._gap_cell`` and reads the memo as
 ``estimation._cell``, the reader of the belief API, does: a tabulated
 support is one table read at any elapsed time, and any other support, the
 empty one included, is answered as the belief API answers it.
 ``OfflineObserver.lookup`` and ``.successor`` call those two helpers; a
-session's ``query`` and ``advance`` do both inline, as the belief API's
-warm ops do (see ``estimation``), so a warm session op runs in one Python
-frame.
+session's ``query`` and ``advance`` do both inline, as the belief API's warm
+ops do (see ``estimation``), so a warm session op runs in one Python frame.
 """
 
 from __future__ import annotations
@@ -194,9 +192,8 @@ def build_offline_observer(
 ) -> OfflineObserver:
     """Tabulate estimates and belief successors for every reachable support
     and every elapsed time: make each support's memo row total, one
-    cell-mask fixpoint per support not yet total (its masks ORed from one
-    memoised fixpoint per start run), and compute the successors of every
-    cell.
+    cell-mask fixpoint per support not yet total (over all of its start runs
+    at once), and compute the successors of every cell.
 
     ``horizon`` is ignored: every row ends at its certified tail.  It is
     still accepted because existing callers pass it.  Raises ``ValueError``

@@ -222,20 +222,19 @@ class ZoneIndex:
     ``width`` is the cells' dependency width, set on first use (0 until
     then).
 
-    ``cell_tables``, ``shifts`` and ``fixpoints`` are the caches of the
-    cell-mask fixpoint, also filled on first use by
-    ``zonewatch.estimation``: ``cell_tables`` maps a root to its silent
-    stretch table in cell form (each distinct window as cell shifts, with
-    the reset runs and the ids it reaches), made from the rows of its
-    silent ``walk`` in the order met; ``shifts`` maps a window to its cell
-    shifts; and
-    ``fixpoints`` maps a start run to ``(cut, root masks, hit masks)``, its
-    fixpoint at the largest cut computed so far.
+    ``cell_tables`` and ``shifts`` are the caches of the cell-mask
+    fixpoint, also filled on first use by ``zonewatch.estimation``:
+    ``cell_tables`` maps a root to its silent stretch table in cell form
+    (each distinct window as cell shifts, with the reset runs and the ids
+    it reaches), made from the rows of its silent ``walk`` in the order
+    met, and ``shifts`` maps a window to its cell shifts.  The fixpoint
+    itself runs once per support and cut, over all of the support's start
+    runs at once, and keeps nothing else: a filled row holds its answer.
     """
 
     __slots__ = (
         "ext", "_id_of", "ids", "tau", "events", "silent", "stretches", "resets", "rows",
-        "cells", "supports", "masks", "targets", "width", "cell_tables", "shifts", "fixpoints",
+        "cells", "supports", "masks", "targets", "width", "cell_tables", "shifts",
     )
 
     def __init__(self) -> None:
@@ -255,7 +254,6 @@ class ZoneIndex:
         self.width = 0
         self.cell_tables: dict = {}
         self.shifts: dict = {}
-        self.fixpoints: dict = {}
 
     @property
     def id_of(self) -> dict[ExtendedState, int]:

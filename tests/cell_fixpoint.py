@@ -1,10 +1,11 @@
 """Reference cell-mask fixpoint, all starts at once and one window at a time.
 
-This is the fixpoint that the per-start-run fixpoint on cell-form tables in
+This is the fixpoint that the one on cell-form tables in
 ``zonewatch.estimation`` replaced, kept as the reference of the differential
-tests.  It reads the silent stretch tables entry by entry, turns each
-entry's window into cell shifts on every use (``add_window``), and runs one
-worklist over the root masks of every start at once.  ``dense_row`` fills a
+tests.  Both run one worklist over the root masks of every start at once,
+but this one reads the silent stretch tables entry by entry, turns each
+entry's window into cell shifts on every use (``add_window``), and expands
+a root's exits back to itself like any other.  ``dense_row`` fills a
 row one cell at a time, testing every id's mask at every cell, as the row
 fill once did (but on bit strings, so that it stays linear in the cells).
 """

@@ -1,4 +1,5 @@
 import os
+import signal
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,31 @@ from zonewatch import (
 )
 
 MODEL_PATH = os.path.join(os.path.dirname(__file__), "..", "models", "fig1.json")
+
+# No test may run longer than this many seconds: a search or fixpoint that
+# slows by orders of magnitude then fails its test instead of hanging the
+# suite.  The slowest test takes about 3 s.
+TEST_SECONDS = 60
+
+
+@pytest.fixture(autouse=True)
+def _time_guard():
+    """Fail the test once it has run ``TEST_SECONDS`` of wall time, by a
+    ``SIGALRM`` timer; where the platform has no ``SIGALRM``, do nothing."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran longer than {TEST_SECONDS} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_fig1() -> TFA:

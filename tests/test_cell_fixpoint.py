@@ -1,17 +1,18 @@
 """The cell-mask fixpoint and the row fill against their references.
 
-The library runs one fixpoint per maximal start run on cell-form stretch
-tables, memoised on the index, and fills a row one run of equal cells at a
-time.  ``cell_fixpoint`` keeps the joint fixpoint over every start at once
-and the cell-by-cell fill; the masks and the rows must be equal.
+The library runs one fixpoint per support over every start run at once, on
+cell-form stretch tables made once per root, and fills a row one run of
+equal cells at a time.  ``cell_fixpoint`` keeps the same fixpoint on the
+stretch tables themselves, one window at a time, and the cell-by-cell fill;
+the masks and the rows must be equal.
 """
 
 import random
 
 import pytest
 
-from zonewatch import build_offline_observer, build_zone_automaton, model_from_dict
-from zonewatch.estimation import _duration_cells, _ids, _reach_cells, _width
+from zonewatch import belief_advance, belief_init, build_offline_observer, build_zone_automaton, model_from_dict
+from zonewatch.estimation import _duration_cells, _ids, _reach_cells, _total_row, _width
 from zonewatch.oracle import RandomModelConfig, random_model
 
 from cell_fixpoint import dense_row, reach_cells
@@ -60,20 +61,12 @@ def test_exact_self_loops_close_by_doubling(monkeypatch):
     # exit's window, one shift per doubling up to the cut, so the cost of
     # these loops grows with the log of the cut, not with the cells the
     # loops add: every cut up to the refusal takes under 1,000 shifts.
-    import zonewatch.estimation as estimation
     from zonewatch.zones import ExtendedState
     from zonewatch.intervals import Interval
 
     za = build_zone_automaton(_exact_loops())
     start = za.index.id_of[ExtendedState("t", Interval.point(0))]
-    shifts = []
-    shift = estimation._shift
-
-    def counted(*args):
-        shifts.append(None)
-        return shift(*args)
-
-    monkeypatch.setattr(estimation, "_shift", counted)
+    shifts = _counted_shifts(monkeypatch)
     with pytest.raises(ValueError, match="no periodic tail of the silent durations within 57344 cells"):
         _duration_cells(za, [start])
     assert 0 < len(shifts) < 1000, len(shifts)
@@ -94,9 +87,9 @@ def _supports(za, rng: random.Random) -> list:
 
 
 def test_run_fixpoints_match_the_joint_reference():
-    # Root and hit masks at the cuts 4w and 8w, asked for in either order,
-    # so that a start run's memo entry is read at its own cut and cut down
-    # from a larger one; supports share start runs, and so memo entries.
+    # Root and hit masks at the cuts 4w and 8w, asked for in either order
+    # on one index, so that the second cut reads the cell-form tables the
+    # first made; most supports have several start runs, seeded at once.
     rng = random.Random(13)
     compared = several = 0
     for k, (name, model) in enumerate(_fixpoint_models()):
@@ -106,10 +99,78 @@ def test_run_fixpoints_match_the_joint_reference():
         for starts in _supports(za, rng):
             several += len(za.index.start_runs(starts)) > 1
             for limit in cuts:
-                got = _reach_cells(za.index, starts, limit)
+                got = _reach_cells(za.index, za.index.start_runs(starts), limit)
                 assert got == reach_cells(ref.index, starts, limit), (name, starts, limit)
                 compared += 1
     assert compared > 400 and several > 150, (compared, several)
+
+
+def _big(n: int):
+    """A random model of ``n`` states with 4 events, constants up to 4 and
+    about 12 transitions per state."""
+    return random_model(RandomModelConfig(
+        state_count=n, event_count=4, max_constant=4, transition_density=3.0 / n, rng_seed=n,
+    ))
+
+
+def _counted_shifts(monkeypatch) -> list:
+    """A list that gets one item per call of ``estimation._shift`` from now
+    on."""
+    import zonewatch.estimation as estimation
+
+    calls = []
+    shift = estimation._shift
+
+    def counted(*args):
+        calls.append(None)
+        return shift(*args)
+
+    monkeypatch.setattr(estimation, "_shift", counted)
+    return calls
+
+
+# Per case: a support, as the text of its extended states ("*" for all of
+# them), then the ``_shift`` calls of its total row on a fresh zone automaton
+# and the row's tail ``(start, period)``.
+ROW_SHIFTS = [
+    ("fig1", "(x0,[0,0])", 13, (11, 1)),
+    ("fig1", "(x2,[0,0])", 6, (5, 1)),
+    ("fig1", "(x4,[0,1])", 9, (7, 1)),
+    ("fig1", "(x2,[0,0]) (x4,[0,1])", 15, (7, 1)),
+    ("fig1", "*", 39, (11, 1)),
+    ("ring8", "(s0,[0,0])", 56, (3, 1)),
+    ("ring8", " ".join(f"(s{i},[0,0])" for i in range(8)), 98, (3, 1)),
+    ("ring8", "*", 94, (0, 1)),
+]
+
+
+@pytest.mark.parametrize("name, support, shifts, tail", ROW_SHIFTS)
+def test_row_shifts_pinned(monkeypatch, name, support, shifts, tail):
+    # One fixpoint seeds every start run of a support at once: the eight
+    # point zones of ring8, eight start runs, take 98 shifts, where a
+    # fixpoint per start run took eight times the 56 of one.
+    from test_acceptance import ring_model
+
+    za = build_zone_automaton(make_fig1() if name == "fig1" else ring_model(8))
+    names = support.split()
+    members = frozenset(v for v in za.index.ext if support == "*" or str(v) in names)
+    assert support == "*" or len(members) == len(names)
+    calls = _counted_shifts(monkeypatch)
+    _, got = _total_row(za, members)
+    assert (len(calls), got) == (shifts, tail)
+
+
+def test_row_shifts_follow_the_support_not_its_start_runs(monkeypatch):
+    # After a@2 the belief of big(100) holds 526 ids in 121 start runs, and
+    # its total row takes 15,006 shifts.  A fixpoint per start run, each
+    # over everything that run reaches, took 1,930,196 (about 4 s).
+    model = _big(100)
+    za = build_zone_automaton(model)
+    support = belief_advance(za, model, belief_init(za), "a", 2).support
+    assert len(za.index.start_runs(_ids(za, support))) == 121
+    calls = _counted_shifts(monkeypatch)
+    _total_row(za, support)
+    assert len(calls) <= 30000, len(calls)
 
 
 def _wide_guard(c: int):

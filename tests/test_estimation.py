@@ -412,6 +412,56 @@ def test_search_counters_pinned(monkeypatch, fig1, name, kind, arg, time, expect
     assert (answer, calls) == expected
 
 
+def _tie_model():
+    """A model in which ``x3`` queues the reset run of ``(x2,[0,0])`` at the
+    window ``[0,0]`` and, later, at ``(0,1)``: only the point window, popped
+    first since its lower end is closed, reaches ``x1`` at exactly 1."""
+    return random_model(RandomModelConfig(
+        state_count=4, max_constant=1, transition_density=0.15, reset_id_probability=0.4,
+        require_ro=True, rng_seed=92,
+    ))
+
+
+# Per case: whether ``t_reachable`` reaches the target at the duration, and
+# the heap pushes of its earliest-arrival pass (the start runs it begins
+# with are not pushes).  Every state of ``ring8`` reaches every other at once
+# and can be held there, so it has no "no".
+REACH_PUSHES = [
+    ("fig1", ("x0", "x4"), "4", (True, 7)),
+    ("fig1", ("x0", "x3"), "7/2", (True, 5)),
+    ("fig1", ("x1", "x0"), "4", (False, 8)),
+    ("fig1", ("x4", "x1"), "9", (False, 6)),
+    ("ring8", ("s0", "s7"), "5", (True, 18)),
+    ("ring8", ("s3", "s2"), "15/2", (True, 18)),
+    ("ring8", ("s0", "s0"), "0", (True, 0)),
+    ("tie", ("x0", "x1"), "1/2", (False, 3)),
+    ("tie", ("x0", "x1"), "1", (True, 5)),
+    ("tie", ("x0", "x1"), "3/2", (True, 5)),
+]
+
+
+@pytest.mark.parametrize("name, pair, time, expected", REACH_PUSHES)
+def test_reach_pushes_pinned(monkeypatch, fig1, name, pair, time, expected):
+    # A root already expanded is not queued again, and an equal lower end
+    # pops closed before open: a search that broke either would push more,
+    # or expand a root at the wrong window.
+    from test_acceptance import ring_model
+
+    import zonewatch.estimation as estimation
+
+    model = fig1 if name == "fig1" else ring_model(8) if name == "ring8" else _tie_model()
+    za = build_zone_automaton(model)
+    pushes = []
+    push = estimation.heappush
+
+    def counted(heap, item):
+        pushes.append(None)
+        push(heap, item)
+
+    monkeypatch.setattr(estimation, "heappush", counted)
+    assert (t_reachable(za, model, *pair, F(time))[0], len(pushes)) == expected
+
+
 def test_realize_checks_survive_optimized_mode():
     # Under ``python -O`` a bare assert would vanish and the bad split would
     # surface as an unrelated error (or a wrong witness).

@@ -298,26 +298,34 @@ def test_supports_the_builder_did_not_list_are_answered_from_the_memo(fig1):
     assert session.query(10**9 + F(1, 2)).empty
 
 
-def test_builder_rejects_a_period_too_long_to_tabulate():
-    # Silent loops of exact durations 29, 31 and 37 from one state: the
-    # durations repeat only every 2 * 29 * 31 * 37 cells, past the cut at
-    # which the fixpoint gives up with a clear error instead of a long build.
+def _silent_loops(periods):
+    """From ``x0``, a silent ``u`` at ``[0,0]`` into a state ``l_p`` per
+    ``p`` of ``periods``, which loops by ``u`` at exactly ``[p,p]`` and
+    returns by the observable ``a``, all reset to 0: the silent durations
+    repeat only every ``2 * lcm(periods)`` cells."""
     transitions = []
-    for p in [29, 31, 37]:
+    for p in periods:
         transitions += [
             {"from": "x0", "event": "u", "to": f"l{p}", "guard": "[0,0]", "reset": "[0,0]"},
             {"from": f"l{p}", "event": "u", "to": f"l{p}", "guard": f"[{p},{p}]", "reset": "[0,0]"},
             {"from": f"l{p}", "event": "a", "to": "x0", "guard": "[0,1]", "reset": "[0,0]"},
         ]
-    model = model_from_dict(
+    return model_from_dict(
         {
-            "states": ["x0", "l29", "l31", "l37"],
+            "states": ["x0", *(f"l{p}" for p in periods)],
             "alphabet": ["a", "u"],
             "observable": ["a"],
             "initial": ["x0"],
             "transitions": transitions,
         }
     )
+
+
+def test_builder_rejects_a_period_too_long_to_tabulate():
+    # Silent loops of exact durations 29, 31 and 37 from one state: the
+    # durations repeat only every 2 * 29 * 31 * 37 cells, past the cut at
+    # which the fixpoint gives up with a clear error instead of a long build.
+    model = _silent_loops([29, 31, 37])
     with pytest.raises(ValueError, match="no periodic tail"):
         build_offline_observer(build_zone_automaton(model), model)
 
@@ -348,30 +356,38 @@ def test_builder_runs_one_fixpoint_per_support(monkeypatch, fig1):
         assert sorted(calls) == sorted(tuple(_ids(za, s)) for s in observer.tables)
 
 
-def test_builder_runs_one_fixpoint_per_start_run_and_cut(monkeypatch, fig1):
-    # The fixpoint is OR-linear in its starts, so each support's masks are
-    # ORed from one memoised fixpoint per start run: a start run shared by
-    # several supports runs once at each cut, not once per support.
+def test_builder_runs_one_joint_fixpoint_per_support_and_cut(monkeypatch, fig1):
+    # Each support's masks come from one fixpoint over all of its start
+    # runs at once, run at each cut from 4w, doubling, until its tail is
+    # certified: no fixpoint per start run, and none kept for another
+    # support.  The loops of 3 and 5 need the second cut.
     import zonewatch.estimation as estimation
 
     calls = []
-    fixpoint = estimation._run_cells
+    fixpoint = estimation._reach_cells
 
-    def counted(ix, r, limit):
-        calls.append((r, limit))
-        return fixpoint(ix, r, limit)
+    def counted(ix, runs, limit):
+        calls.append((tuple(runs), limit))
+        return fixpoint(ix, runs, limit)
 
-    monkeypatch.setattr(estimation, "_run_cells", counted)
-    shared = 0
-    for model in [fig1] + [random_model(RandomModelConfig(rng_seed=1400 + s)) for s in range(12)]:
+    monkeypatch.setattr(estimation, "_reach_cells", counted)
+    several = doubled = 0
+    models = [fig1, _silent_loops([3, 5])] + [random_model(RandomModelConfig(rng_seed=1400 + s)) for s in range(12)]
+    for model in models:
         za = build_zone_automaton(model)
         calls.clear()
         observer = build_offline_observer(za, model)
-        starts = [r for s in observer.tables for r in za.index.start_runs(_ids(za, s))]
-        assert len(calls) == len(set(calls))
-        assert {r for r, _ in calls} == set(starts)
-        shared += len(starts) - len(calls)
-    assert shared > 0
+        w = estimation._width(za.index)
+        cuts: dict = {}
+        for runs, limit in calls:
+            cuts.setdefault(runs, []).append(limit)
+        supports = [tuple(za.index.start_runs(_ids(za, s))) for s in observer.tables]
+        assert sorted(cuts) == sorted(supports)
+        for limits in cuts.values():
+            assert limits == [4 * w << k for k in range(len(limits))], limits
+            doubled += len(limits) > 1
+        several += sum(len(runs) > 1 for runs in supports)
+    assert several > 0 and doubled > 0, (several, doubled)
 
 
 def test_equal_cells_are_one_object(fig1, fig1_za):

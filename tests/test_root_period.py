@@ -76,7 +76,7 @@ def test_root_period_matches_trying_every_period():
         w = _width(ix)
         for starts in [[ix.ids[x].start for x in sorted(model.initial)]] + [[i] for i in range(len(ix.ext))]:
             for limit in (4 * w, 8 * w):
-                roots, _ = _reach_cells(ix, starts, limit)
+                roots, _ = _reach_cells(ix, ix.start_runs(starts), limit)
                 assert _root_period(roots, w, limit) == every_period(roots, w, limit), (name, starts, limit)
                 compared += 1
     assert compared > 1000, compared
